@@ -25,7 +25,6 @@ from .blocks import (
 )
 from .bricks import (
     BrickParams,
-    BoundCheck,
     brick_taylor_check,
     brick_value,
     cauchy_kernel_check,

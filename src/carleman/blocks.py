@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .bricks import SweepResult, _alpha_range, polar_sample_radii
 from .intervals import RInterval
-from .jets import EXACT, FLOAT, Jet2, jet_sin_cos
+from .jets import EXACT, FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, LogMagnitude, log_of_fraction, logsumexp
 from .ostrowski import phi_at_ratio
 from .weights import WeightSequence
@@ -106,18 +107,24 @@ class BaseFunction:
         """The dropped k > terms part of the value series is below this."""
         return self.M.log_weight(0) - self.terms * math.log(2)
 
-    def jet(self, base: tuple, degree: int, kind: str = FLOAT) -> Jet2:
-        x1 = Jet2.variable(0, base, degree, kind)
-        x2 = Jet2.variable(1, base, degree, kind)
-        total = Jet2.constant(0, base, degree, kind)
+    def kernel_sum(self, y1: Jet2, y2: Jet2) -> Jet2:
+        """sum_k w_k / (A + (m_k y2)^2), A = 1 + y1^2, for coordinate jets
+        y1, y2; exact weights and ratios for exact jets, float ones otherwise."""
+        A = 1 + y1 * y1
+        total = Jet2.constant(0, y1.base, y1.degree, y1.kind)
         for k in self.k_range:
-            if kind == EXACT:
+            if y1.kind == EXACT:
                 w, m = self.weight_exact(k), self.ratio_exact(k)
             else:
                 w, m = math.exp(self._log_w[k]), math.exp(self.M.log_ratio(k))
-            denom = 1 + x1 * x1 + (x2.scale(m)) ** 2
-            total = total + denom.reciprocal().scale(w)
+            ym = y2.scale(m)
+            total = total + (A + ym * ym).reciprocal().scale(w)
         return total
+
+    def jet(self, base: tuple, degree: int, kind: str = FLOAT) -> Jet2:
+        return self.kernel_sum(
+            Jet2.variable(0, base, degree, kind), Jet2.variable(1, base, degree, kind)
+        )
 
     # -- axis derivatives ----------------------------------------------------
 
@@ -179,34 +186,6 @@ class BaseFunction:
 
 # -- finite-order bound checks on the base ----------------------------------
 
-@dataclass
-class SweepResult:
-    checked: int = 0
-    failures: Optional[list] = None
-    max_log_ratio: float = -math.inf
-    empirical_constant: float = 0.0
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, log_lhs: float, log_rhs: float, tag) -> None:
-        self.checked += 1
-        if log_lhs > log_rhs:
-            self.failures.append(tag)
-        if log_lhs > LOG_ZERO:
-            self.max_log_ratio = max(self.max_log_ratio, log_lhs - log_rhs)
-
-
-def _alphas(degree: int):
-    return [(i, t - i) for t in range(degree + 1) for i in range(t + 1)]
-
-
 def base_upper_check(
     M: WeightSequence,
     degree: int = 6,
@@ -222,7 +201,7 @@ def base_upper_check(
     """
     rng = random.Random(seed)
     h = BaseFunction(M, terms)
-    res = SweepResult(seed=seed)
+    res = SweepResult()
     pts = [(0.0, 0.0)] + [
         (rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(points - 1)
     ]
@@ -230,7 +209,7 @@ def base_upper_check(
     for x in pts:
         jet = h.jet(x, degree, FLOAT)
         log_opt = math.log1p(x[0] ** 2 + x[1] ** 2)
-        for a in _alphas(degree):
+        for a in _alpha_range(degree):
             n = a[0] + a[1]
             scale = (1 + n / 2) * log_opt
             coef = abs(jet.coefficient(a))
@@ -312,25 +291,18 @@ class Block:
         r = float(self.rho)
         return self.base.value(x1 / r - float(self.q), x2 / r)
 
-    def jet(self, base_pt: tuple, degree: int, kind: str = FLOAT) -> Jet2:
-        x1 = Jet2.variable(0, base_pt, degree, kind)
-        x2 = Jet2.variable(1, base_pt, degree, kind)
-        if kind == EXACT:
+    def jet_of(self, x1: Jet2, x2: Jet2) -> Jet2:
+        """The block composed with coordinate jets x1, x2."""
+        if x1.kind == EXACT:
             inv_rho, q = 1 / self.rho, self.q
         else:
             inv_rho, q = 1 / float(self.rho), float(self.q)
-        y1 = x1.scale(inv_rho) - q
-        y2 = x2.scale(inv_rho)
-        total = Jet2.constant(0, base_pt, degree, kind)
-        for k in self.base.k_range:
-            if kind == EXACT:
-                w, m = self.base.weight_exact(k), self.base.ratio_exact(k)
-            else:
-                w = math.exp(self.base.weight_log(k))
-                m = math.exp(self.base.M.log_ratio(k))
-            denom = 1 + y1 * y1 + (y2.scale(m)) ** 2
-            total = total + denom.reciprocal().scale(w)
-        return total
+        return self.base.kernel_sum(x1.scale(inv_rho) - q, x2.scale(inv_rho))
+
+    def jet(self, base_pt: tuple, degree: int, kind: str = FLOAT) -> Jet2:
+        return self.jet_of(
+            Jet2.variable(0, base_pt, degree, kind), Jet2.variable(1, base_pt, degree, kind)
+        )
 
     def axis_derivative(self, order: int, x1: Scalar) -> AxisDerivative:
         """d^order/dx2^order at (x1, 0): rho^-order times the base value at
@@ -364,7 +336,7 @@ def block_upper_check(
     """Sweep |d^a f| <= 64 rho^2 8^(|a|+1) a! M_a2 / (|x-c|^2 + rho^2)^(1+|a|/2)."""
     rng = random.Random(seed)
     h = BaseFunction(M, terms)
-    res = SweepResult(seed=seed)
+    res = SweepResult()
     log8 = math.log(8)
     for q, rho in geometries:
         blk = Block(h, q, rho)
@@ -375,7 +347,7 @@ def block_upper_check(
         for x in pts:
             jet = blk.jet(x, degree, FLOAT)
             dist = (x[0] - c1) ** 2 + x[1] ** 2 + rr * rr
-            for a in _alphas(degree):
+            for a in _alpha_range(degree):
                 n = a[0] + a[1]
                 scale = (1 + n / 2) * math.log(dist)
                 coef = abs(jet.coefficient(a))
@@ -442,27 +414,7 @@ def block_lower_check(
 
 def polar_block_jet(blk: Block, base_pt: tuple, degree: int, kind: str = FLOAT) -> Jet2:
     """Jet of f(r cos theta, r sin theta); exact kind needs base theta = 0."""
-    r = Jet2.variable(0, base_pt, degree, kind)
-    theta = Jet2.variable(1, base_pt, degree, kind)
-    s, c = jet_sin_cos(theta)
-    x1 = r * c
-    x2 = r * s
-    if kind == EXACT:
-        inv_rho, q = 1 / blk.rho, blk.q
-    else:
-        inv_rho, q = 1 / float(blk.rho), float(blk.q)
-    y1 = x1.scale(inv_rho) - q
-    y2 = x2.scale(inv_rho)
-    total = Jet2.constant(0, base_pt, degree, kind)
-    for k in blk.base.k_range:
-        if kind == EXACT:
-            w, m = blk.base.weight_exact(k), blk.base.ratio_exact(k)
-        else:
-            w = math.exp(blk.base.weight_log(k))
-            m = math.exp(blk.base.M.log_ratio(k))
-        denom = 1 + y1 * y1 + (y2.scale(m)) ** 2
-        total = total + denom.reciprocal().scale(w)
-    return total
+    return blk.jet_of(*polar_coordinates(base_pt, degree, kind))
 
 
 def polar_block_bound_check(
@@ -481,11 +433,9 @@ def polar_block_bound_check(
     sums collapse to M_|a|)."""
     if abs(M.log_weight(1)) > 1e-12:
         raise ValueError("polar block bound requires M_1 = 1")
-    from .bricks import polar_sample_radii
-
     rng = random.Random(seed)
     h = BaseFunction(M, terms)
-    res = SweepResult(seed=seed)
+    res = SweepResult()
     logC = math.log(C)
     emp = 0.0
     for q, rho in geometries:
@@ -495,7 +445,7 @@ def polar_block_bound_check(
             for _ in range(angles):
                 th = rng.uniform(-math.pi, math.pi)
                 jet = polar_block_jet(blk, (r, th), degree, FLOAT)
-                for a in _alphas(degree):
+                for a in _alpha_range(degree):
                     n = a[0] + a[1]
                     coef = abs(jet.coefficient(a))
                     log_coef = math.log(coef) if coef else LOG_ZERO

@@ -16,10 +16,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .jets import EXACT, FLOAT, Jet2, jet_sin_cos
-from .logscale import log_of_fraction
+from .jets import EXACT, FLOAT, Jet2, polar_coordinates
+from .logscale import LOG_ZERO, log_of_fraction
 
 Scalar = Union[int, float, Fraction]
 
@@ -65,17 +65,13 @@ def polar_brick_jet(p: BrickParams, base: tuple, degree: int, kind: str = EXACT)
     Exact kind requires base theta = 0 (the angle jet must have no constant
     term for the exact sine/cosine expansion).
     """
-    r = Jet2.variable(0, base, degree, kind)
-    theta = Jet2.variable(1, base, degree, kind)
-    s, c = jet_sin_cos(theta)
-    x1 = r * c
-    x2 = r * s
+    x1, x2 = polar_coordinates(base, degree, kind)
     denom = p.rho**2 + (x1 - p.rho * p.q) ** 2 + (p.m * x2) ** 2
     return denom.reciprocal().scale(p.rho**2)
 
 
 @dataclass
-class BoundCheck:
+class SweepResult:
     """Outcome of sweeping |coefficient| <= bound over points and orders."""
 
     checked: int = 0
@@ -87,7 +83,15 @@ class BoundCheck:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, lhs_sq: Scalar, rhs_sq: Scalar, tag) -> None:
+    def record(self, log_lhs: float, log_rhs: float, tag) -> None:
+        """Compare log lhs <= log rhs."""
+        self.checked += 1
+        if log_lhs > log_rhs:
+            self.failures.append(tag)
+        if log_lhs > LOG_ZERO:
+            self.max_log_ratio = max(self.max_log_ratio, log_lhs - log_rhs)
+
+    def record_squares(self, lhs_sq: Scalar, rhs_sq: Scalar, tag) -> None:
         """Compare lhs^2 <= rhs^2 (exact when both rational)."""
         self.checked += 1
         if lhs_sq > rhs_sq:
@@ -102,12 +106,8 @@ class BoundCheck:
 
 
 def _alpha_range(degree: int) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for total in range(degree + 1)
-        for i in range(total + 1)
-        for j in [total - i]
-    ]
+    """Multi-indices of total degree <= degree, in graded order."""
+    return [(i, t - i) for t in range(degree + 1) for i in range(t + 1)]
 
 
 def _rational_points(rng: random.Random, n: int, span: int = 12) -> list[tuple[Fraction, Fraction]]:
@@ -127,11 +127,11 @@ def cauchy_kernel_check(
     degree: int = 8,
     points: int = 6,
     seed: int = 0,
-) -> BoundCheck:
+) -> SweepResult:
     """Certify |d^a g / a!| <= 8 * 8^|a| / (c + |x|^2)^(1 + |a|/2) for the
     kernel g(x) = 1/(c + x1^2 + x2^2), exactly at rational sample points."""
     rng = random.Random(seed)
-    res = BoundCheck()
+    res = SweepResult()
     emp = 0.0
     for c in c_values:
         c = Fraction(c)
@@ -147,7 +147,7 @@ def cauchy_kernel_check(
                 n = a[0] + a[1]
                 lhs_sq = coef * coef
                 rhs_sq = Fraction(64 * 64**n) / base_sq ** (n + 2)
-                res.record(lhs_sq, rhs_sq, (c, x, a))
+                res.record_squares(lhs_sq, rhs_sq, (c, x, a))
                 if coef != 0:
                     log_lhs = log_of_fraction(abs(coef)) + (1 + n / 2) * log_of_fraction(base_sq)
                     emp = max(emp, math.exp(log_lhs / (n + 1)))
@@ -160,11 +160,11 @@ def brick_taylor_check(
     degree: int = 8,
     points: int = 5,
     seed: int = 1,
-) -> BoundCheck:
+) -> SweepResult:
     """Certify |d^a u / a!| <= rho^2 m^a2 8^(|a|+1) (u(x)/rho^2)^(1+|a|/2)
     exactly, squaring both sides to clear the half-integer power."""
     rng = random.Random(seed)
-    res = BoundCheck()
+    res = SweepResult()
     emp = 0.0
     for p in params:
         for x in _rational_points(rng, points):
@@ -176,7 +176,7 @@ def brick_taylor_check(
                 n = a[0] + a[1]
                 lhs_sq = coef * coef
                 rhs_sq = p.rho**4 * p.m ** (2 * a[1]) * Fraction(64) ** (n + 1) * scaled ** (n + 2)
-                res.record(lhs_sq, rhs_sq, (p, x, a))
+                res.record_squares(lhs_sq, rhs_sq, (p, x, a))
                 if coef != 0:
                     log_rho2 = 2 * log_of_fraction(p.rho)
                     log_norm = (
@@ -206,11 +206,11 @@ def polar_brick_bound_check(
     angles: int = 4,
     C: float = POLAR_C_DEFAULT,
     seed: int = 2,
-) -> BoundCheck:
+) -> SweepResult:
     """Sweep |d^a (u o polar) / a!| <= m^|a| (1 + q rho)^a2 C^(|a|+1) in float
     arithmetic over log-uniform radii and uniform angles."""
     rng = random.Random(seed)
-    res = BoundCheck()
+    res = SweepResult()
     emp = 0.0
     for p in params:
         m = float(p.m)
@@ -223,7 +223,7 @@ def polar_brick_bound_check(
                     coef = abs(jet.coefficient(a))
                     n = a[0] + a[1]
                     rhs = m**n * growth2 ** a[1] * C ** (n + 1)
-                    res.record(coef * coef, rhs * rhs, (p, r, th, a))
+                    res.record_squares(coef * coef, rhs * rhs, (p, r, th, a))
                     if coef > 0:
                         norm = coef / (m**n * growth2 ** a[1])
                         emp = max(emp, norm ** (1.0 / (n + 1)))

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .blocks import BaseFunction, Block, SweepResult, _alphas, polar_block_jet
+from .blocks import BaseFunction, Block
+from .bricks import SweepResult, _alpha_range, polar_sample_radii
 from .intervals import RInterval, exact_nth_root
-from .jets import FLOAT, Jet2
+from .jets import FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, LogMagnitude, log_of_fraction, logsumexp
 from .weights import WeightSequence, parse_family, shift
 
@@ -313,19 +315,19 @@ class FlatFunction:
             for e, b in zip(self.layout.entries, self._blocks)
         )
 
-    def jet(self, pt: tuple, degree: int) -> Jet2:
-        total = Jet2.constant(0, pt, degree, FLOAT)
+    def _jet_of(self, x1: Jet2, x2: Jet2) -> Jet2:
+        total = Jet2.constant(0, x1.base, x1.degree, FLOAT)
         for e, b in zip(self.layout.entries, self._blocks):
-            total = total + b.jet(pt, degree, FLOAT).scale(math.exp(e.weight_log))
+            total = total + b.jet_of(x1, x2).scale(math.exp(e.weight_log))
         return total
 
+    def jet(self, pt: tuple, degree: int) -> Jet2:
+        return self._jet_of(
+            Jet2.variable(0, pt, degree, FLOAT), Jet2.variable(1, pt, degree, FLOAT)
+        )
+
     def polar_jet(self, pt: tuple, degree: int) -> Jet2:
-        total = Jet2.constant(0, pt, degree, FLOAT)
-        for e, b in zip(self.layout.entries, self._blocks):
-            total = total + polar_block_jet(b, pt, degree, FLOAT).scale(
-                math.exp(e.weight_log)
-            )
-        return total
+        return self._jet_of(*polar_coordinates(pt, degree, FLOAT))
 
     def polar_value(self, r: float, theta: float) -> float:
         return self.value(r * math.cos(theta), r * math.sin(theta))
@@ -545,8 +547,6 @@ def flat_upper_check(
 ) -> SweepResult:
     """Sweep |d^a F| <= 8^(|a|+3) a! M_|a|^2 at float points, truncation tail
     added to the left side."""
-    import random
-
     rng = random.Random(seed)
     layout = fn.layout
     res = SweepResult()
@@ -555,7 +555,7 @@ def flat_upper_check(
     ]
     for x in pts:
         jet = fn.jet(x, degree)
-        for a in _alphas(degree):
+        for a in _alpha_range(degree):
             n = a[0] + a[1]
             coef = abs(jet.coefficient(a))
             log_coef = math.log(coef) if coef else LOG_ZERO
@@ -582,10 +582,6 @@ def polar_flat_check(
     seed: int = 7,
 ) -> SweepResult:
     """Sweep |d^a (F o polar)| <= (2C)^(|a|+1) a! M_|a| in float arithmetic."""
-    import random
-
-    from .bricks import polar_sample_radii
-
     if abs(fn.M.log_weight(1)) > 1e-12:
         raise LayoutError("polar bound requires M_1 = 1")
     rng = random.Random(seed)
@@ -596,7 +592,7 @@ def polar_flat_check(
         for _ in range(angles):
             th = rng.uniform(-math.pi, math.pi)
             jet = fn.polar_jet((r, th), degree)
-            for a in _alphas(degree):
+            for a in _alpha_range(degree):
                 n = a[0] + a[1]
                 coef = abs(jet.coefficient(a))
                 log_coef = math.log(coef) if coef else LOG_ZERO

@@ -5,7 +5,8 @@ base point, complete through a fixed total degree. coefficient(alpha) is the
 normalized derivative d^alpha f / alpha!, so derivative(alpha) multiplies the
 factorials back in. Arithmetic truncates at the common degree; reciprocals are
 solved order by order; sin/cos split off the (possibly irrational) angle
-constant and run Maclaurin series on the nilpotent part.
+constant and run Maclaurin series on the nilpotent part, which also gives the
+polar coordinate jets (r cos theta, r sin theta).
 """
 
 from __future__ import annotations
@@ -238,6 +239,16 @@ def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:
     sin_t = sin_p.scale(c0) + cos_p.scale(s0)
     cos_t = cos_p.scale(c0) - sin_p.scale(s0)
     return sin_t, cos_t
+
+
+def polar_coordinates(base_pt: tuple, degree: int, kind: str) -> tuple[Jet2, Jet2]:
+    """(r cos theta, r sin theta) as jets at base_pt = (r, theta).
+
+    Exact kind needs base theta = 0, as jet_sin_cos does.
+    """
+    r = Jet2.variable(0, base_pt, degree, kind)
+    s, c = jet_sin_cos(Jet2.variable(1, base_pt, degree, kind))
+    return r * c, r * s
 
 
 # -- finite differences ------------------------------------------------------

@@ -20,7 +20,7 @@ from carleman.blocks import (
     polar_block_bound_check,
     polar_block_jet,
 )
-from carleman.jets import EXACT
+from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
 from carleman.weights import analytic, gevrey, shift
 
 
@@ -208,6 +208,43 @@ def test_polar_block_jet_float_constant():
     jet = polar_block_jet(blk, (r0, th), 3)
     want = blk.value(r0 * math.cos(th), r0 * math.sin(th))
     assert jet.coefficient((0, 0)) == pytest.approx(want, rel=1e-12)
+
+
+def _per_term_sum(bf, y1, y2):
+    """The kernel sum written out term by term, one reciprocal per bump."""
+    total = Jet2.constant(0, y1.base, y1.degree, y1.kind)
+    for k in bf.k_range:
+        if y1.kind == EXACT:
+            w, m = bf.weight_exact(k), bf.ratio_exact(k)
+        else:
+            w, m = math.exp(bf.weight_log(k)), math.exp(bf.M.log_ratio(k))
+        total = total + (1 + y1 * y1 + (y2.scale(m)) ** 2).reciprocal().scale(w)
+    return total
+
+
+@pytest.mark.parametrize(
+    "kind, pt", [(FLOAT, (0.37, 0.61)), (EXACT, (Fraction(3, 4), Fraction(0)))]
+)
+def test_superposition_jets_match_per_term_formula(kind, pt):
+    # equality is exact: the shared kernel sum keeps every float operation
+    # of the per-term formula in the same order
+    bf = BaseFunction(gevrey(1), terms=8)
+    blk = Block(bf, Fraction(3, 2), Fraction(1, 4))
+    if kind == EXACT:
+        inv_rho, q = 1 / blk.rho, blk.q
+    else:
+        inv_rho, q = 1 / float(blk.rho), float(blk.q)
+    x1 = Jet2.variable(0, pt, 4, kind)
+    x2 = Jet2.variable(1, pt, 4, kind)
+    assert bf.jet(pt, 4, kind) == _per_term_sum(bf, x1, x2)
+    assert blk.jet(pt, 4, kind) == _per_term_sum(
+        bf, x1.scale(inv_rho) - q, x2.scale(inv_rho)
+    )
+    s, c = jet_sin_cos(x2)
+    r1, r2 = x1 * c, x1 * s
+    assert polar_block_jet(blk, pt, 4, kind) == _per_term_sum(
+        bf, r1.scale(inv_rho) - q, r2.scale(inv_rho)
+    )
 
 
 def test_polar_block_sweep_and_normalization():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from carleman.blocks import polar_block_jet
 from carleman.flat import (
     EFunction,
     FlatFunction,
@@ -23,6 +24,7 @@ from carleman.flat import (
     polar_flat_check,
     sharpness_scan,
 )
+from carleman.jets import FLOAT, Jet2
 from carleman.weights import analytic, gevrey, log_power, shift
 
 
@@ -126,6 +128,18 @@ def test_flat_polar_value(flat_fn):
     assert flat_fn.polar_value(0.8, 0.5) == pytest.approx(
         flat_fn.value(0.8 * math.cos(0.5), 0.8 * math.sin(0.5)), rel=1e-12
     )
+
+
+def test_flat_jets_are_weighted_block_sums(flat_fn):
+    pt, degree = (0.4, 0.9), 3
+    cart = Jet2.constant(0, pt, degree, FLOAT)
+    polar = Jet2.constant(0, pt, degree, FLOAT)
+    for e, b in zip(flat_fn.layout.entries, flat_fn._blocks):
+        w = math.exp(e.weight_log)
+        cart = cart + b.jet(pt, degree, FLOAT).scale(w)
+        polar = polar + polar_block_jet(b, pt, degree, FLOAT).scale(w)
+    assert flat_fn.jet(pt, degree) == cart
+    assert flat_fn.polar_jet(pt, degree) == polar
 
 
 def test_axis_derivative_structure(flat_fn):
