@@ -25,10 +25,12 @@ from .blocks import (
 )
 from .bricks import (
     BrickParams,
+    brick_jet,
     brick_taylor_check,
     brick_value,
     cauchy_kernel_check,
     polar_brick_bound_check,
+    polar_brick_jet,
 )
 from .counterexample import counterexample_sequence, full_verification
 from .flat import (
@@ -41,7 +43,7 @@ from .flat import (
     polar_flat_check,
     sharpness_scan,
 )
-from .jets import EXACT, FLOAT, finite_difference
+from .jets import EXACT, FLOAT, Jet2, finite_difference
 from .ostrowski import verify_phi_identity
 from .weights import (
     WeightSequence,
@@ -270,8 +272,6 @@ def _crit_schedule() -> Outcome:
 
 
 def _crit_jet_consistency() -> Outcome:
-    from .bricks import brick_jet, polar_brick_jet
-
     rel_tol = 1e-6
     worst = 0.0
     failures = []
@@ -318,8 +318,6 @@ def _crit_jet_consistency() -> Outcome:
 
     for name, f, jet_of, base, step in cases:
         if jet_of is None:
-            from .jets import Jet2
-
             def jet_of(b, d):
                 x = Jet2.variable(0, b, d, FLOAT)
                 y = Jet2.variable(1, b, d, FLOAT)

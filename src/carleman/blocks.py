@@ -30,6 +30,7 @@ from .ostrowski import phi_at_ratio
 from .weights import WeightSequence
 
 DEFAULT_TERMS = 40
+MIN_TERMS = 4
 POLAR_BLOCK_C = 2 * 8**5
 
 Scalar = Union[int, float, Fraction]
@@ -53,15 +54,19 @@ class AxisDerivative:
 
 
 class BaseFunction:
-    """K-term truncation of h; exact weights when the family has them."""
+    """K-term truncation of h; exact weights when the family has them.
+
+    Every pure-x2 axis sum is the exact moment sum_k w_k m_k^order, computed
+    once per order by `axis_moment`, over (1+t^2)^(order/2+1)."""
 
     def __init__(self, M: WeightSequence, terms: int = DEFAULT_TERMS):
-        if terms < 4:
-            raise ValueError("need at least 4 bump terms")
+        if terms < MIN_TERMS:
+            raise ValueError(f"need at least {MIN_TERMS} bump terms")
         self.M = M
         self.terms = terms  # series runs over 1 <= k <= terms
         self._log_w: dict[int, float] = {}
         self._exact_w: Optional[dict[int, Fraction]] = {} if M.has_exact else None
+        self._moments: dict[int, Fraction] = {}
         for k in range(1, terms + 1):
             pv = phi_at_ratio(M, k)
             if pv.saturated:
@@ -137,20 +142,19 @@ class BaseFunction:
         ]
         return logsumexp(logs)
 
-    def axis_sum_exact(self, order: int, one_plus_t2: Fraction) -> Fraction:
-        p = order // 2 + 1
-        return sum(
-            self.weight_exact(k) * self.ratio_exact(k) ** order / one_plus_t2**p
-            for k in self.k_range
-        )
+    def axis_moment(self, order: int) -> Fraction:
+        """sum_k w_k m_k^order over the truncation, exact, memoised per order."""
+        moment = self._moments.get(order)
+        if moment is None:
+            moment = sum(
+                self.weight_exact(k) * self.ratio_exact(k) ** order for k in self.k_range
+            )
+            self._moments[order] = moment
+        return moment
 
     def axis_sum_interval(self, order: int, one_plus_t2: RInterval) -> RInterval:
-        p = order // 2 + 1
-        inv = (one_plus_t2**p).reciprocal()
-        total = RInterval.exactly(0)
-        for k in self.k_range:
-            total = total + inv * (self.weight_exact(k) * self.ratio_exact(k) ** order)
-        return total
+        """sum_k w_k m_k^order / (1+t^2)^(order/2+1) for an enclosure of 1+t^2."""
+        return (one_plus_t2 ** (order // 2 + 1)).reciprocal() * self.axis_moment(order)
 
     def axis_tail_exact(self, order: int, one_plus_t2: Fraction) -> Fraction:
         """Rigorous bound on the dropped axis-sum part: M_order 2^-K scaled."""
@@ -173,7 +177,7 @@ class BaseFunction:
         exact = None
         if self._exact_w is not None and isinstance(x1, (int, Fraction)):
             opt = 1 + Fraction(x1) ** 2
-            exact = sign * math.factorial(order) * self.axis_sum_exact(order, opt)
+            exact = sign * math.factorial(order) * self.axis_moment(order) / opt ** (order // 2 + 1)
             log_opt = log_of_fraction(opt)
             val = LogMagnitude.from_fraction(exact)
         else:
@@ -235,6 +239,26 @@ class LowerBoundRow:
         return self.log_lhs >= self.log_rhs - 1e-12
 
 
+def _lower_row(
+    h: BaseFunction, ax: AxisDerivative, log_rhs: float, rho: Fraction
+) -> LowerBoundRow:
+    """|d^order/dx2^order| minus its tail >= order! M_order / (4^(order/2)
+    rho^order): decided exactly when ax has an exact value, else in logs."""
+    order = ax.order
+    exact_ok = None
+    if ax.exact is not None:
+        scale = Fraction(math.factorial(order)) / rho**order
+        tail = scale * h.axis_tail_exact(order, Fraction(1))
+        rhs = scale * h.M.exact(order) / 4 ** (order // 2)
+        lhs = abs(ax.exact) - tail
+        exact_ok = lhs >= rhs
+        log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
+    else:
+        lhs_mag = abs(ax.value) + LogMagnitude(-1, ax.truncation_log)
+        log_lhs = lhs_mag.log_abs if lhs_mag.sign > 0 else LOG_ZERO
+    return LowerBoundRow(order, log_lhs, log_rhs, exact_ok)
+
+
 def base_lower_check(
     M: WeightSequence, orders: Sequence[int], terms: int = DEFAULT_TERMS
 ) -> list[LowerBoundRow]:
@@ -248,19 +272,8 @@ def base_lower_check(
         if order > terms:
             raise ValueError(f"need terms >= order, got {terms} < {order}")
         n = order // 2
-        ax = h.axis_derivative(order, 0)
         log_rhs = math.lgamma(order + 1) + M.log_weight(order) - n * math.log(4)
-        exact_ok = None
-        if ax.exact is not None:
-            tail = Fraction(math.factorial(order)) * h.axis_tail_exact(order, Fraction(1))
-            rhs = Fraction(math.factorial(order)) * M.exact(order) / 4**n
-            lhs = abs(ax.exact) - tail
-            exact_ok = lhs >= rhs
-            log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
-        else:
-            lhs_mag = abs(ax.value) + LogMagnitude(-1, ax.truncation_log)
-            log_lhs = lhs_mag.log_abs if lhs_mag.sign > 0 else LOG_ZERO
-        rows.append(LowerBoundRow(order, log_lhs, log_rhs, exact_ok))
+        rows.append(_lower_row(h, h.axis_derivative(order, 0), log_rhs, Fraction(1)))
     return rows
 
 
@@ -388,25 +401,14 @@ def block_lower_check(
             if order % 2 or order < 2 or order > terms:
                 raise ValueError("orders must be even, >= 2 and <= terms")
             n = order // 2
-            ax = blk.axis_derivative(order, blk.center[0])
             log_rhs = (
                 math.lgamma(order + 1)
                 + M.log_weight(order)
                 - n * math.log(4)
                 - order * log_of_fraction(rho)
             )
-            exact_ok = None
-            if ax.exact is not None:
-                fact = Fraction(math.factorial(order))
-                tail = fact * h.axis_tail_exact(order, Fraction(1)) / rho**order
-                rhs = fact * M.exact(order) / (4**n * rho**order)
-                lhs = abs(ax.exact) - tail
-                exact_ok = lhs >= rhs
-                log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
-            else:
-                lhs_mag = abs(ax.value) + LogMagnitude(-1, ax.truncation_log)
-                log_lhs = lhs_mag.log_abs if lhs_mag.sign > 0 else LOG_ZERO
-            rows.append(LowerBoundRow(order, log_lhs, log_rhs, exact_ok))
+            ax = blk.axis_derivative(order, blk.center[0])
+            rows.append(_lower_row(h, ax, log_rhs, rho))
     return rows
 
 

@@ -25,8 +25,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .acceptance import run_all
+from .acceptance import CRITERIA, run_all
 from .blocks import (
+    MIN_TERMS,
     base_lower_check,
     base_upper_check,
     block_lower_check,
@@ -86,6 +87,23 @@ def _orders(text: str) -> list[int]:
         return [int(t) for t in text.split(",") if t]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _criteria(text: str) -> list[int]:
+    indices = _orders(text)
+    if not all(1 <= i <= len(CRITERIA) for i in indices):
+        raise argparse.ArgumentTypeError(f"criterion indices run from 1 to {len(CRITERIA)}")
+    return indices
+
+
+def _at_least(lo: int):
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid integer value"
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return integer
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -404,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--r-min", type=float, default=0.5)
     p.add_argument("--r-max", type=float, default=1e6)
-    p.add_argument("--count", type=int, default=40)
+    p.add_argument("--count", type=_at_least(2), default=40)
     p.add_argument("--horizon", type=int, default=10**6)
     p.add_argument("--identity-k", type=int, default=20)
     _add_out(p)
@@ -422,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--Dmax", type=int, default=6)
     p.add_argument("--samples", type=int, default=6)
-    p.add_argument("--terms", type=int, default=40)
+    p.add_argument("--terms", type=_at_least(MIN_TERMS), default=40)
     p.add_argument("--seed", type=int, default=0)
     _add_out(p)
     p.set_defaults(handler=_cmd_verify_bounds)
@@ -452,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_counterexample)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--only", type=_orders, default=None,
+    p.add_argument("--only", type=_criteria, default=None,
                    help="comma-separated criterion indices")
     _add_out(p)
     p.set_defaults(handler=_cmd_selftest)
@@ -462,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if isinstance(getattr(args, "family", None), str):
-        args.family = _family(args.family)
     try:
         return args.handler(args)
     except (WeightError, LayoutError) as exc:

@@ -19,14 +19,15 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .blocks import BaseFunction, Block
 from .bricks import SweepResult, _alpha_range, polar_sample_radii
 from .intervals import RInterval, exact_nth_root
 from .jets import FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, LogMagnitude, log_of_fraction, logsumexp
-from .weights import WeightSequence, parse_family, shift
+from .weights import WeightSequence, compare, parse_family, shift
 
 POLAR_FLAT_C = 2 * 8**5
 LOG2 = math.log(2.0)
@@ -38,17 +39,14 @@ class LayoutError(ValueError):
 
 
 class EFunction:
-    """Center map rho -> E(rho). Rational powers keep an exact interval path."""
+    """Center map rho -> E(rho) = rho^power, a rational power in (0, 1), so
+    every center has an exact interval enclosure."""
 
-    def __init__(self, spec: str, power: Optional[Fraction] = None,
-                 fn: Optional[Callable[[float], float]] = None):
+    def __init__(self, spec: str, power: Fraction):
+        if not 0 < power < 1:
+            raise LayoutError("center map power must lie in (0, 1)")
         self.spec = spec
         self.power = power
-        self._fn = fn
-        if power is not None and not 0 < power < 1:
-            raise LayoutError("center map power must lie in (0, 1)")
-        if power is None and fn is None:
-            raise LayoutError("center map needs a power or a callable")
 
     @classmethod
     def parse(cls, spec: str) -> "EFunction":
@@ -59,22 +57,10 @@ class EFunction:
             return cls(spec, Fraction(rest))
         raise LayoutError(f"unknown center map {spec!r}")
 
-    @classmethod
-    def custom(cls, fn: Callable[[float], float], label: str = "custom") -> "EFunction":
-        return cls(label, fn=fn)
-
-    @property
-    def has_exact(self) -> bool:
-        return self.power is not None
-
     def __call__(self, rho: float) -> float:
-        if self._fn is not None:
-            return self._fn(rho)
         return rho ** float(self.power)
 
     def interval(self, rho: Fraction) -> RInterval:
-        if self.power is None:
-            raise LayoutError(f"center map {self.spec!r} has no exact path")
         return RInterval.rational_power(Fraction(rho), self.power)
 
 
@@ -93,7 +79,7 @@ class LayoutEntry:
     def offset_ratio(self) -> float:
         return self.center / float(self.rho)
 
-    @property
+    @cached_property
     def weight_log(self) -> float:
         return log_of_fraction(self.weight)
 
@@ -217,11 +203,9 @@ def _finish_layout(layout: Layout) -> Layout:
     return layout
 
 
-def _require_exact(M: WeightSequence, E: EFunction) -> None:
+def _require_exact(M: WeightSequence) -> None:
     if not M.has_exact:
         raise LayoutError(f"layout requires an exact weight family, got {M.name}")
-    if not E.has_exact:
-        raise LayoutError("layout requires a rational-power center map")
 
 
 def build_layout(
@@ -233,7 +217,7 @@ def build_layout(
     """Greedy selection: even orders whose center is below half the previous
     accepted center, starting from the first admissible order (offset ratio
     above one, so the block sits to the right of its own scale)."""
-    _require_exact(M, E)
+    _require_exact(M)
     entries: list[LayoutEntry] = []
     prev: Optional[RInterval] = None
     for order in range(2, lambda_max + 1, 2):
@@ -267,7 +251,7 @@ def layout_from_orders(
 ) -> Layout:
     """Layout with a caller-chosen order list. Sparsity (halving centers) is
     validated only when requested; admissibility (center > rho) always is."""
-    _require_exact(M, E)
+    _require_exact(M)
     if not orders or sorted(set(orders)) != list(orders):
         raise LayoutError("orders must be strictly increasing and nonempty")
     entries = []
@@ -387,19 +371,17 @@ def flat_axis_derivative(
     sign = -1 if (order // 2) % 2 else 1
     fact = Fraction(math.factorial(order))
     lf = math.lgamma(order + 1)
+    tail_unit = base.axis_tail_exact(order, Fraction(1))  # M_order / 2^K
 
-    dominant = (
-        target.weight
-        * fact
-        / target.rho**order
-        * base.axis_sum_exact(order, Fraction(1))
-    )
+    def scale(e: LayoutEntry) -> Fraction:
+        return e.weight * fact / e.rho**order
+
+    target_scale = scale(target)
+    dominant = target_scale * base.axis_moment(order)
     dom_log = target.weight_log + lf - order * log_of_fraction(target.rho) + base.axis_sum_log(order, 0.0)
 
     cross = RInterval.exactly(0)
-    tail = target.weight * fact * base.M.exact(order) / (
-        2**base.terms * target.rho**order
-    )
+    tail = target_scale * tail_unit
     logs = [dom_log]
     per = [SourceTerm(at, None, dom_log, LOG_ZERO)]
     for e in layout.entries:
@@ -407,8 +389,8 @@ def flat_axis_derivative(
             continue
         t_iv = (target.center_iv - e.center_iv) / e.rho
         one_plus = RInterval.exactly(1) + t_iv**2
-        s_iv = base.axis_sum_interval(order, one_plus)
-        term_iv = s_iv * (e.weight * fact / e.rho**order)
+        e_scale = scale(e)
+        term_iv = base.axis_sum_interval(order, one_plus) * e_scale
         cross = cross + term_iv
         t_f = (target.center - e.center) / float(e.rho)
         term_log = (
@@ -418,7 +400,7 @@ def flat_axis_derivative(
             + base.axis_sum_log(order, math.log1p(t_f * t_f))
         )
         logs.append(term_log)
-        term_tail = e.weight * fact * base.M.exact(order) / (2**base.terms * e.rho**order)
+        term_tail = e_scale * tail_unit
         tail += term_tail
         per.append(SourceTerm(e.order, term_iv, term_log, log_of_fraction(term_tail)))
 
@@ -496,7 +478,6 @@ def lower_bound_certificate(
     layout = fn.layout
     M = fn.M
     rows = []
-    log_s2 = {}
     for target in layout.entries:
         lam = target.order
         ax = flat_axis_derivative(fn, lam, lam)
@@ -510,7 +491,6 @@ def lower_bound_certificate(
 
         others = [o for o in layout.orders if o != lam]
         s2 = sum(Fraction(1, 2**o) for o in others)
-        log_s2[lam] = s2
         cross_bound = (
             fact * M.exact(lam) * Fraction(8) ** (lam + 3) / layout.delta_min_lo**lam * s2
         )
@@ -553,6 +533,7 @@ def flat_upper_check(
     pts = [(e.center, 0.0) for e in layout.entries[:2]] + [
         (rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(points)
     ]
+    entry_logs = [(e.weight_log, log_of_fraction(e.rho)) for e in layout.entries]
     for x in pts:
         jet = fn.jet(x, degree)
         for a in _alpha_range(degree):
@@ -560,12 +541,12 @@ def flat_upper_check(
             coef = abs(jet.coefficient(a))
             log_coef = math.log(coef) if coef else LOG_ZERO
             tail_logs = [
-                e.weight_log
+                w_log
                 + (n + 1) * LOG8
                 + fn.M.log_weight(a[1])
                 - layout.terms * LOG2
-                - n * log_of_fraction(e.rho)
-                for e in layout.entries
+                - n * rho_log
+                for w_log, rho_log in entry_logs
             ]
             log_lhs = logsumexp([log_coef] + tail_logs)
             log_rhs = (n + 3) * LOG8 + 2 * fn.M.log_weight(n)
@@ -588,6 +569,7 @@ def polar_flat_check(
     layout = fn.layout
     res = SweepResult()
     log2C = math.log(2 * C)
+    entry_logs = [(e.weight_log, math.log1p(e.center)) for e in layout.entries]
     for r in polar_sample_radii(rng, radii):
         for _ in range(angles):
             th = rng.uniform(-math.pi, math.pi)
@@ -597,12 +579,12 @@ def polar_flat_check(
                 coef = abs(jet.coefficient(a))
                 log_coef = math.log(coef) if coef else LOG_ZERO
                 tail_logs = [
-                    e.weight_log
-                    + a[1] * math.log1p(e.center)
+                    w_log
+                    + a[1] * growth
                     + 5 * (n + 1) * LOG8
                     + fn.M.log_weight(n)
                     - layout.terms * LOG2
-                    for e in layout.entries
+                    for w_log, growth in entry_logs
                 ]
                 log_lhs = logsumexp([log_coef] + tail_logs)
                 log_rhs = (n + 1) * log2C + fn.M.log_weight(n)
@@ -638,8 +620,6 @@ def sharpness_scan(
 
     The report also labels, never enforces, the comparison hypothesis
     between the target and the square-shifted build family."""
-    from .weights import compare
-
     rows: list[SharpnessRow] = []
     prev = None
     for lam in fn.layout.orders:

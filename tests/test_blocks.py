@@ -20,8 +20,9 @@ from carleman.blocks import (
     polar_block_bound_check,
     polar_block_jet,
 )
+from carleman.intervals import RInterval
 from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
-from carleman.weights import analytic, gevrey, shift
+from carleman.weights import analytic, gevrey, log_power, shift
 
 
 def closed_form_weight(k: int) -> Fraction:
@@ -255,3 +256,96 @@ def test_polar_block_sweep_and_normalization():
     assert res.empirical_constant > 0
     with pytest.raises(ValueError):
         polar_block_bound_check(shift(gevrey(1), 2), [(Fraction(1), Fraction(1, 2))])
+
+
+# -- axis sums pinned against the per-term loops they replaced ---------------
+
+def _per_term_axis_interval(bf, order, one_plus_t2):
+    """One interval product per bump term, summed term by term."""
+    inv = (one_plus_t2 ** (order // 2 + 1)).reciprocal()
+    total = RInterval.exactly(0)
+    for k in bf.k_range:
+        total = total + inv * (bf.weight_exact(k) * bf.ratio_exact(k) ** order)
+    return total
+
+
+def _per_term_axis_exact(bf, order, one_plus_t2):
+    p = order // 2 + 1
+    return sum(
+        bf.weight_exact(k) * bf.ratio_exact(k) ** order / one_plus_t2**p
+        for k in bf.k_range
+    )
+
+
+@pytest.mark.parametrize("order", range(2, 17))
+@pytest.mark.parametrize(
+    "one_plus_t2",
+    [
+        RInterval.exactly(Fraction(13, 9)),
+        RInterval(Fraction(1), Fraction(1)),
+        RInterval(Fraction(5, 4), Fraction(7, 3)),
+    ],
+)
+def test_axis_sum_interval_matches_per_term_loop(order, one_plus_t2):
+    bf = BaseFunction(gevrey(1), terms=24)
+    got = bf.axis_sum_interval(order, one_plus_t2)
+    want = _per_term_axis_interval(bf, order, one_plus_t2)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+@pytest.mark.parametrize("order", range(2, 17, 2))
+def test_axis_derivatives_match_per_term_sum(order):
+    bf = BaseFunction(gevrey(1), terms=24)
+    sign = -1 if (order // 2) % 2 else 1
+    for t in (Fraction(0), Fraction(2, 3), Fraction(-7, 5)):
+        want = sign * math.factorial(order) * _per_term_axis_exact(bf, order, 1 + t**2)
+        assert bf.axis_derivative(order, t).exact == want
+    blk = Block(bf, Fraction(5, 2), Fraction(1, 6))
+    x1 = blk.center[0] + Fraction(1, 5)
+    t = x1 / blk.rho - blk.q
+    want = sign * math.factorial(order) * _per_term_axis_exact(bf, order, 1 + t**2)
+    assert blk.axis_derivative(order, x1).exact == want / blk.rho**order
+
+
+# (order, log_lhs, log_rhs, exact_ok), frozen outputs of the certified checks
+BASE_LOWER_ROWS = {
+    "gevrey:1": [
+        (2, 1.264768851456438, -6.661338147750939e-16, True),
+        (4, 5.814631358356337, 3.5835189384561086, True),
+        (6, 11.792444974986552, 8.999619340660534, True),
+        (8, 18.919772967992003, 15.664028361010935, True),
+    ],
+    "logpow:e": [
+        (2, 1.5091529403534663, 0.18522596008990067, None),
+        (4, 5.492707992422939, 2.9830412981919143, None),
+        (6, 10.494771954622356, 7.056060198516588, None),
+    ],
+}
+BLOCK_LOWER_ROWS = {
+    "gevrey:1": [
+        (2, 2.651063212576446, 1.38629436111989, True),
+        (4, 8.587220080596126, 6.35610766069589, True),
+        (2, 5.423651934816235, 4.158883083359671, True),
+        (4, 14.132397525075703, 11.901285105175452, True),
+    ],
+    "logpow:e": [
+        (2, 2.895447301473357, 1.5715203212097912, None),
+        (4, 8.26529671466272, 5.7556300204316955, None),
+        (2, 5.668036023713138, 4.344109043449572, None),
+        (4, 13.81047415914228, 11.300807464911257, None),
+    ],
+}
+FAMILIES = {"gevrey:1": lambda: gevrey(1), "logpow:e": lambda: log_power(math.e)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_lower_check_rows_frozen(family):
+    M = FAMILIES[family]()
+    orders = [r[0] for r in BASE_LOWER_ROWS[family]]
+    rows = base_lower_check(M, orders, terms=40)
+    assert [(r.order, r.log_lhs, r.log_rhs, r.exact_ok) for r in rows] == BASE_LOWER_ROWS[family]
+    assert all(r.ok for r in rows)
+    geoms = [(Fraction(1), Fraction(1, 2)), (Fraction(4), Fraction(1, 8))]
+    rows = block_lower_check(M, geoms, [2, 4], terms=40)
+    assert [(r.order, r.log_lhs, r.log_rhs, r.exact_ok) for r in rows] == BLOCK_LOWER_ROWS[family]
+    assert all(r.ok for r in rows)

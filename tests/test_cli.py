@@ -207,3 +207,22 @@ def test_selftest_single_criterion(tmp_path, capsys):
     assert "1/1 criteria passed" in out
     env = read_json(tmp_path / "selftest.json")
     assert env["checks"][0]["name"] == "trace-growth-identity"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("selftest", "--only", "0"),
+        ("selftest", "--only", "1,99"),
+        ("ostrowski", "--family", "gevrey:1", "--count", "1"),
+        ("verify-bounds", "--target", "base", "--terms", "2"),
+    ],
+)
+def test_bad_input_exits_two(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        run(*argv, "--out", str(tmp_path))
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())

@@ -47,10 +47,6 @@ def test_center_map_parse_and_validation():
         EFunction.parse("cbrt")
     with pytest.raises(LayoutError):
         EFunction("bad", power=Fraction(3, 2))
-    custom = EFunction.custom(lambda r: r / 2)
-    assert not custom.has_exact
-    with pytest.raises(LayoutError):
-        custom.interval(Fraction(1, 2))
 
 
 def test_greedy_layout_shape(greedy_layout):
@@ -80,8 +76,6 @@ def test_layout_entry_weight():
 def test_layout_requires_exact_family():
     with pytest.raises(LayoutError):
         build_layout(log_power(math.e), EFunction.parse("sqrt"), 16)
-    with pytest.raises(LayoutError):
-        build_layout(gevrey(1), EFunction.custom(lambda r: r**0.5), 16)
 
 
 def test_layout_from_orders_validation():
