@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .bricks import SweepResult, _alpha_range, polar_sample_radii
+from .bricks import SweepResult, polar_sample_radii
 from .intervals import RInterval
 from .jets import EXACT, FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, LogMagnitude, log_of_fraction, logsumexp
@@ -213,15 +213,14 @@ def base_upper_check(
     for x in pts:
         jet = h.jet(x, degree, FLOAT)
         log_opt = math.log1p(x[0] ** 2 + x[1] ** 2)
-        for a in _alpha_range(degree):
-            n = a[0] + a[1]
+
+        def log_bound(a, n):
             scale = (1 + n / 2) * log_opt
-            coef = abs(jet.coefficient(a))
-            log_coef = math.log(coef) if coef else LOG_ZERO
             log_tail = (n + 1) * log8 + M.log_weight(a[1]) - terms * math.log(2) - scale
-            log_lhs = logsumexp([log_coef, log_tail])
             log_rhs = math.log(64) + (n + 1) * log8 + M.log_weight(a[1]) - scale
-            res.record(log_lhs, log_rhs, (x, a))
+            return [log_tail], log_rhs
+
+        res.sweep(jet, (x,), log_bound=log_bound)
     return res
 
 
@@ -360,11 +359,9 @@ def block_upper_check(
         for x in pts:
             jet = blk.jet(x, degree, FLOAT)
             dist = (x[0] - c1) ** 2 + x[1] ** 2 + rr * rr
-            for a in _alpha_range(degree):
-                n = a[0] + a[1]
+
+            def log_bound(a, n):
                 scale = (1 + n / 2) * math.log(dist)
-                coef = abs(jet.coefficient(a))
-                log_coef = math.log(coef) if coef else LOG_ZERO
                 log_tail = (
                     2 * math.log(rr)
                     + (n + 1) * log8
@@ -372,7 +369,6 @@ def block_upper_check(
                     - terms * math.log(2)
                     - scale
                 )
-                log_lhs = logsumexp([log_coef, log_tail])
                 log_rhs = (
                     math.log(64)
                     + 2 * math.log(rr)
@@ -380,7 +376,9 @@ def block_upper_check(
                     + M.log_weight(a[1])
                     - scale
                 )
-                res.record(log_lhs, log_rhs, ((q, rho), x, a))
+                return [log_tail], log_rhs
+
+            res.sweep(jet, ((q, rho), x), log_bound=log_bound)
     return res
 
 
@@ -439,29 +437,26 @@ def polar_block_bound_check(
     h = BaseFunction(M, terms)
     res = SweepResult()
     logC = math.log(C)
-    emp = 0.0
     for q, rho in geometries:
         blk = Block(h, q, rho)
         growth = math.log1p(float(q * rho))
+
+        def log_bound(a, n):
+            log_tail = (
+                a[1] * growth
+                + 5 * (n + 1) * math.log(8)
+                + M.log_weight(n)
+                - terms * math.log(2)
+            )
+            return [log_tail], a[1] * growth + (n + 1) * logC + M.log_weight(n)
+
+        def constant(a, n, coef):
+            norm = math.log(coef) - a[1] * growth - M.log_weight(n)
+            return math.exp(norm / (n + 1))
+
         for r in polar_sample_radii(rng, radii):
             for _ in range(angles):
                 th = rng.uniform(-math.pi, math.pi)
                 jet = polar_block_jet(blk, (r, th), degree, FLOAT)
-                for a in _alpha_range(degree):
-                    n = a[0] + a[1]
-                    coef = abs(jet.coefficient(a))
-                    log_coef = math.log(coef) if coef else LOG_ZERO
-                    log_tail = (
-                        a[1] * growth
-                        + 5 * (n + 1) * math.log(8)
-                        + M.log_weight(n)
-                        - terms * math.log(2)
-                    )
-                    log_lhs = logsumexp([log_coef, log_tail])
-                    log_rhs = a[1] * growth + (n + 1) * logC + M.log_weight(n)
-                    res.record(log_lhs, log_rhs, ((q, rho), r, th, a))
-                    if coef > 0:
-                        norm = math.log(coef) - a[1] * growth - M.log_weight(n)
-                        emp = max(emp, math.exp(norm / (n + 1)))
-    res.empirical_constant = emp
+                res.sweep(jet, ((q, rho), r, th), log_bound=log_bound, constant=constant)
     return res

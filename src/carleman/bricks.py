@@ -8,6 +8,10 @@ an anisotropic Cauchy kernel centered at (rho*q, 0). Taylor coefficients come
 from exact jet arithmetic; the derivative bounds carry half-integer powers of
 the denominator, so exact certification compares squares of both sides, which
 stay rational.
+
+Every derivative-bound check, here and in `blocks` and `flat`, runs through
+one coefficient sweep, `SweepResult.sweep`: the check supplies only its bound
+(and, where it reports one, its empirical-constant formula).
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .jets import EXACT, FLOAT, Jet2, polar_coordinates
-from .logscale import LOG_ZERO, log_of_fraction
+from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 
 Scalar = Union[int, float, Fraction]
 
@@ -104,6 +108,37 @@ class SweepResult:
                 self.max_log_ratio, (_log(lhs_sq) - _log(rhs_sq)) / 2
             )
 
+    def sweep(
+        self,
+        jet: Jet2,
+        tag: tuple,
+        rhs_sq: Optional[Callable] = None,
+        log_bound: Optional[Callable] = None,
+        constant: Optional[Callable] = None,
+    ) -> None:
+        """Check |coefficient a| of jet against its bound for every |a| up to
+        the jet's degree.
+
+        The bound is a function of (a, n = |a|), given as exactly one of
+          rhs_sq     the squared bound, compared by `record_squares`;
+          log_bound  (log tails, log rhs), the tails folded into the log of
+                     the coefficient before `record` compares.
+        constant(a, n, |coefficient|), called for nonzero coefficients, is
+        the smallest constant that coefficient allows; empirical_constant
+        keeps the running maximum. A failure is tagged (*tag, a).
+        """
+        for a in _alpha_range(jet.degree):
+            n = a[0] + a[1]
+            coef = abs(jet.coefficient(a))
+            if rhs_sq is not None:
+                self.record_squares(coef * coef, rhs_sq(a, n), (*tag, a))
+            else:
+                log_tails, log_rhs = log_bound(a, n)
+                log_coef = math.log(coef) if coef else LOG_ZERO
+                self.record(logsumexp([log_coef] + log_tails), log_rhs, (*tag, a))
+            if constant is not None and coef != 0:
+                self.empirical_constant = max(self.empirical_constant, constant(a, n, coef))
+
 
 def _alpha_range(degree: int) -> list[tuple[int, int]]:
     """Multi-indices of total degree <= degree, in graded order."""
@@ -132,7 +167,6 @@ def cauchy_kernel_check(
     kernel g(x) = 1/(c + x1^2 + x2^2), exactly at rational sample points."""
     rng = random.Random(seed)
     res = SweepResult()
-    emp = 0.0
     for c in c_values:
         c = Fraction(c)
         if c <= 0:
@@ -142,16 +176,15 @@ def cauchy_kernel_check(
             x2 = Jet2.variable(1, x, degree, EXACT)
             g = (c + x1 * x1 + x2 * x2).reciprocal()
             base_sq = c + x[0] ** 2 + x[1] ** 2
-            for a in _alpha_range(degree):
-                coef = g.coefficient(a)
-                n = a[0] + a[1]
-                lhs_sq = coef * coef
-                rhs_sq = Fraction(64 * 64**n) / base_sq ** (n + 2)
-                res.record_squares(lhs_sq, rhs_sq, (c, x, a))
-                if coef != 0:
-                    log_lhs = log_of_fraction(abs(coef)) + (1 + n / 2) * log_of_fraction(base_sq)
-                    emp = max(emp, math.exp(log_lhs / (n + 1)))
-    res.empirical_constant = emp
+
+            def rhs_sq(a, n):
+                return Fraction(64 * 64**n) / base_sq ** (n + 2)
+
+            def constant(a, n, coef):
+                log_lhs = log_of_fraction(coef) + (1 + n / 2) * log_of_fraction(base_sq)
+                return math.exp(log_lhs / (n + 1))
+
+            res.sweep(g, (c, x), rhs_sq=rhs_sq, constant=constant)
     return res
 
 
@@ -165,28 +198,26 @@ def brick_taylor_check(
     exactly, squaring both sides to clear the half-integer power."""
     rng = random.Random(seed)
     res = SweepResult()
-    emp = 0.0
     for p in params:
         for x in _rational_points(rng, points):
             jet = brick_jet(p, x, degree, EXACT)
             u = brick_value(p, x[0], x[1])
             scaled = u / p.rho**2
-            for a in _alpha_range(degree):
-                coef = jet.coefficient(a)
-                n = a[0] + a[1]
-                lhs_sq = coef * coef
-                rhs_sq = p.rho**4 * p.m ** (2 * a[1]) * Fraction(64) ** (n + 1) * scaled ** (n + 2)
-                res.record_squares(lhs_sq, rhs_sq, (p, x, a))
-                if coef != 0:
-                    log_rho2 = 2 * log_of_fraction(p.rho)
-                    log_norm = (
-                        log_of_fraction(abs(coef))
-                        - log_rho2
-                        - a[1] * log_of_fraction(p.m)
-                        - (1 + n / 2) * (log_of_fraction(u) - log_rho2)
-                    )
-                    emp = max(emp, math.exp(log_norm / (n + 1)))
-    res.empirical_constant = emp
+
+            def rhs_sq(a, n):
+                return p.rho**4 * p.m ** (2 * a[1]) * Fraction(64) ** (n + 1) * scaled ** (n + 2)
+
+            def constant(a, n, coef):
+                log_rho2 = 2 * log_of_fraction(p.rho)
+                log_norm = (
+                    log_of_fraction(coef)
+                    - log_rho2
+                    - a[1] * log_of_fraction(p.m)
+                    - (1 + n / 2) * (log_of_fraction(u) - log_rho2)
+                )
+                return math.exp(log_norm / (n + 1))
+
+            res.sweep(jet, (p, x), rhs_sq=rhs_sq, constant=constant)
     return res
 
 
@@ -211,23 +242,23 @@ def polar_brick_bound_check(
     arithmetic over log-uniform radii and uniform angles."""
     rng = random.Random(seed)
     res = SweepResult()
-    emp = 0.0
     for p in params:
         m = float(p.m)
         growth2 = 1.0 + float(p.q * p.rho)
+
+        def rhs_sq(a, n):
+            rhs = m**n * growth2 ** a[1] * C ** (n + 1)
+            return rhs * rhs
+
+        def constant(a, n, coef):
+            norm = coef / (m**n * growth2 ** a[1])
+            return norm ** (1.0 / (n + 1))
+
         for r in polar_sample_radii(rng, radii):
             for _ in range(angles):
                 th = rng.uniform(-math.pi, math.pi)
                 jet = polar_brick_jet(p, (r, th), degree, FLOAT)
-                for a in _alpha_range(degree):
-                    coef = abs(jet.coefficient(a))
-                    n = a[0] + a[1]
-                    rhs = m**n * growth2 ** a[1] * C ** (n + 1)
-                    res.record_squares(coef * coef, rhs * rhs, (p, r, th, a))
-                    if coef > 0:
-                        norm = coef / (m**n * growth2 ** a[1])
-                        emp = max(emp, norm ** (1.0 / (n + 1)))
-    res.empirical_constant = emp
+                res.sweep(jet, (p, r, th), rhs_sq=rhs_sq, constant=constant)
     return res
 
 

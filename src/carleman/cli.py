@@ -438,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_fraction, default=Fraction(2))
     p.add_argument("--m", type=_fraction, default=Fraction(3))
     p.add_argument("--rho", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--Dmax", type=int, default=6)
-    p.add_argument("--samples", type=int, default=6)
+    p.add_argument("--Dmax", type=_at_least(0), default=6)
+    p.add_argument("--samples", type=_at_least(1), default=6)
     p.add_argument("--terms", type=_at_least(MIN_TERMS), default=40)
     p.add_argument("--seed", type=int, default=0)
     _add_out(p)
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("counterexample", help="ratio-step schedule and checks")
-    p.add_argument("--pairs", type=int, default=8)
+    p.add_argument("--pairs", type=_at_least(2), default=8)
     p.add_argument("--k-max", type=int, default=256)
     _add_out(p)
     p.set_defaults(handler=_cmd_counterexample)

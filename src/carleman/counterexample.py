@@ -167,10 +167,6 @@ class CounterexampleSequence:
             terms.append(math.exp(_log_big(k - lam[-1]) - lk) * self.levels[-1])
         return math.fsum(terms)
 
-    def step_log(self, k: int) -> float:
-        """log of the level value v at k; root_log never exceeds it."""
-        return self.level(k)
-
     def gap_ratio_log(self, k: int) -> float:
         """log g_k with g_k = (M_k^2 / M_{2k})^(1/k), via k-th roots."""
         return 2 * (self.root_log(k) - self.root_log(2 * k))
@@ -251,7 +247,7 @@ def verify_gap_sums(
     total = math.fsum(seq.gap_terms)
     target = min_fraction * seq.pairs
     dyadics_ok = all(
-        seq.root_log(k) <= seq.step_log(k) + 1e-12
+        seq.root_log(k) <= seq.level(k) + 1e-12
         for mu in seq.doubled
         for k in (mu, 2 * mu)
     )

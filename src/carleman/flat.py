@@ -17,16 +17,16 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .blocks import BaseFunction, Block
-from .bricks import SweepResult, _alpha_range, polar_sample_radii
+from .blocks import MIN_TERMS, BaseFunction, Block
+from .bricks import SweepResult, polar_sample_radii
 from .intervals import RInterval, exact_nth_root
 from .jets import FLOAT, Jet2, polar_coordinates
-from .logscale import LOG_ZERO, LogMagnitude, log_of_fraction, logsumexp
+from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 from .weights import WeightSequence, compare, parse_family, shift
 
 POLAR_FLAT_C = 2 * 8**5
@@ -54,7 +54,10 @@ class EFunction:
             return cls("sqrt", Fraction(1, 2))
         head, _, rest = spec.partition(":")
         if head == "power":
-            return cls(spec, Fraction(rest))
+            try:
+                return cls(spec, Fraction(rest))
+            except (ValueError, ZeroDivisionError):
+                raise LayoutError(f"center map power must be rational, got {rest!r}") from None
         raise LayoutError(f"unknown center map {spec!r}")
 
     def __call__(self, rho: float) -> float:
@@ -180,6 +183,12 @@ def _entry_for(M: WeightSequence, E: EFunction, order: int) -> LayoutEntry:
 
 
 def _finish_layout(layout: Layout) -> Layout:
+    top = layout.entries[-1].order
+    if layout.terms <= top or layout.terms < MIN_TERMS:
+        raise LayoutError(
+            f"terms must exceed the largest order {top} and be at least "
+            f"{MIN_TERMS}, got {layout.terms}"
+        )
     roots = []
     for e in layout.entries:
         ex = exact_nth_root(e.rho**2, e.order)
@@ -320,16 +329,9 @@ class FlatFunction:
 # -- the pure-x2 derivative at a block center --------------------------------
 
 @dataclass
-class SourceTerm:
-    source_order: int
-    magnitude_iv: Optional[RInterval]
-    magnitude_log: float
-    tail_log: float
-
-
-@dataclass
 class FlatAxisValue:
-    """|d^order/dx2^order F| at the center of block `at`, split by source.
+    """|d^order/dx2^order F| at the center of block `at`, split into the
+    block's own (dominant) term and the cross terms of the other blocks.
 
     All sources share the sign (-1)^(order/2); magnitudes add. The interval
     path gives a certified lower bound (truncation drops positive terms),
@@ -344,7 +346,6 @@ class FlatAxisValue:
     total_iv: RInterval
     tail_exact: Fraction
     total_log_float: float
-    per_source: list[SourceTerm] = field(default_factory=list)
 
     @property
     def total_lower(self) -> Fraction:
@@ -353,10 +354,6 @@ class FlatAxisValue:
     @property
     def paths_agree(self) -> bool:
         return abs(log_of_fraction(self.total_iv.hi) - self.total_log_float) < 1e-9
-
-    @property
-    def magnitude(self) -> LogMagnitude:
-        return LogMagnitude(self.sign, log_of_fraction(self.total_iv.lo))
 
 
 def flat_axis_derivative(
@@ -383,38 +380,24 @@ def flat_axis_derivative(
     cross = RInterval.exactly(0)
     tail = target_scale * tail_unit
     logs = [dom_log]
-    per = [SourceTerm(at, None, dom_log, LOG_ZERO)]
     for e in layout.entries:
         if e.order == at:
             continue
         t_iv = (target.center_iv - e.center_iv) / e.rho
         one_plus = RInterval.exactly(1) + t_iv**2
         e_scale = scale(e)
-        term_iv = base.axis_sum_interval(order, one_plus) * e_scale
-        cross = cross + term_iv
+        cross = cross + base.axis_sum_interval(order, one_plus) * e_scale
         t_f = (target.center - e.center) / float(e.rho)
-        term_log = (
+        logs.append(
             e.weight_log
             + lf
             - order * log_of_fraction(e.rho)
             + base.axis_sum_log(order, math.log1p(t_f * t_f))
         )
-        logs.append(term_log)
-        term_tail = e_scale * tail_unit
-        tail += term_tail
-        per.append(SourceTerm(e.order, term_iv, term_log, log_of_fraction(term_tail)))
+        tail += e_scale * tail_unit
 
-    total = cross + dominant
     return FlatAxisValue(
-        order,
-        at,
-        sign,
-        dominant,
-        cross,
-        total,
-        tail,
-        logsumexp(logs),
-        per,
+        order, at, sign, dominant, cross, cross + dominant, tail, logsumexp(logs)
     )
 
 
@@ -534,23 +517,20 @@ def flat_upper_check(
         (rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(points)
     ]
     entry_logs = [(e.weight_log, log_of_fraction(e.rho)) for e in layout.entries]
+
+    def log_bound(a, n):
+        tail_logs = [
+            w_log
+            + (n + 1) * LOG8
+            + fn.M.log_weight(a[1])
+            - layout.terms * LOG2
+            - n * rho_log
+            for w_log, rho_log in entry_logs
+        ]
+        return tail_logs, (n + 3) * LOG8 + 2 * fn.M.log_weight(n)
+
     for x in pts:
-        jet = fn.jet(x, degree)
-        for a in _alpha_range(degree):
-            n = a[0] + a[1]
-            coef = abs(jet.coefficient(a))
-            log_coef = math.log(coef) if coef else LOG_ZERO
-            tail_logs = [
-                w_log
-                + (n + 1) * LOG8
-                + fn.M.log_weight(a[1])
-                - layout.terms * LOG2
-                - n * rho_log
-                for w_log, rho_log in entry_logs
-            ]
-            log_lhs = logsumexp([log_coef] + tail_logs)
-            log_rhs = (n + 3) * LOG8 + 2 * fn.M.log_weight(n)
-            res.record(log_lhs, log_rhs, (x, a))
+        res.sweep(fn.jet(x, degree), (x,), log_bound=log_bound)
     return res
 
 
@@ -570,25 +550,22 @@ def polar_flat_check(
     res = SweepResult()
     log2C = math.log(2 * C)
     entry_logs = [(e.weight_log, math.log1p(e.center)) for e in layout.entries]
+
+    def log_bound(a, n):
+        tail_logs = [
+            w_log
+            + a[1] * growth
+            + 5 * (n + 1) * LOG8
+            + fn.M.log_weight(n)
+            - layout.terms * LOG2
+            for w_log, growth in entry_logs
+        ]
+        return tail_logs, (n + 1) * log2C + fn.M.log_weight(n)
+
     for r in polar_sample_radii(rng, radii):
         for _ in range(angles):
             th = rng.uniform(-math.pi, math.pi)
-            jet = fn.polar_jet((r, th), degree)
-            for a in _alpha_range(degree):
-                n = a[0] + a[1]
-                coef = abs(jet.coefficient(a))
-                log_coef = math.log(coef) if coef else LOG_ZERO
-                tail_logs = [
-                    w_log
-                    + a[1] * growth
-                    + 5 * (n + 1) * LOG8
-                    + fn.M.log_weight(n)
-                    - layout.terms * LOG2
-                    for w_log, growth in entry_logs
-                ]
-                log_lhs = logsumexp([log_coef] + tail_logs)
-                log_rhs = (n + 1) * log2C + fn.M.log_weight(n)
-                res.record(log_lhs, log_rhs, (r, th, a))
+            res.sweep(fn.polar_jet((r, th), degree), (r, th), log_bound=log_bound)
     return res
 
 

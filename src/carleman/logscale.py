@@ -99,14 +99,6 @@ class LogMagnitude:
     def __sub__(self, other: "LogMagnitude") -> "LogMagnitude":
         return self + (-other)
 
-    def pow_int(self, n: int) -> "LogMagnitude":
-        if self.sign == 0:
-            if n <= 0:
-                raise ZeroDivisionError("0 to a nonpositive power")
-            return LogMagnitude.zero()
-        sign = 1 if (self.sign > 0 or n % 2 == 0) else -1
-        return LogMagnitude(sign, n * self.log_abs)
-
     def root(self, n: int) -> "LogMagnitude":
         """Positive n-th root; requires a nonnegative value."""
         if self.sign < 0:

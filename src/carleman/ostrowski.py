@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .logscale import LogMagnitude, log_of_fraction
+from .logscale import log_of_fraction
 from .weights import WeightSequence
 
 DEFAULT_HORIZON = 10**6
@@ -30,10 +30,6 @@ class PhiValue:
     argmax: int
     saturated: bool
     exact: Optional[Fraction] = None
-
-    @property
-    def magnitude(self) -> LogMagnitude:
-        return LogMagnitude.from_log(self.log_phi, 1)
 
 
 def _first_ratio_at_least(M: WeightSequence, log_r: float, horizon: int) -> Optional[int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -201,10 +201,6 @@ class ClosureDiagnostic:
     argmax_k: int
     last_value: float
 
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.sup_root)
-
 
 def closure_diagnostic(M: WeightSequence, K: int) -> ClosureDiagnostic:
     M.validate(K + 1)
@@ -335,29 +331,7 @@ def square_vs_shift_diagnostic(M: WeightSequence, K: int) -> SquareShiftReport:
     return SquareShiftReport(K, inf_A, inf_A_at, inf_B, inf_B_at, ok, worst)
 
 
-def lambda_eps(M: WeightSequence, eps: float, K: int) -> list[int]:
-    """Indices k <= K with (M_k^2/M_{2k})^(1/2k) < 1 - eps."""
-    if not 0 < eps < 1:
-        raise WeightError("eps must lie in (0, 1)")
-    cut = math.log(1 - eps)
-    out = []
-    for k in range(1, K + 1):
-        if (2 * M.log_weight(k) - M.log_weight(2 * k)) / (2 * k) < cut:
-            out.append(k)
-    return out
-
-
-# -- index-set density and the Abel summation identity -----------------------
-
-@dataclass
-class DensityReport:
-    n_values: list
-    counts: list
-    densities: list
-    harmonic_sums: list  # exact Fractions, sum of 1/k over the set up to n
-    abel_ok: bool
-    abel_worst_mismatch: Fraction = field(default_factory=lambda: Fraction(0))
-
+# -- the Abel summation identity ---------------------------------------------
 
 def _count_upto(lam: Sequence[int], x) -> int:
     return bisect.bisect_right(lam, x)
@@ -384,20 +358,3 @@ def abel_identity_terms(lam: Sequence[int], n: int) -> tuple[Fraction, Fraction]
         integral += _count_upto(lam, a) * (Fraction(1, a) - Fraction(1, b))
     boundary = Fraction(_count_upto(lam, n), n)
     return harmonic, integral + boundary
-
-
-def density_estimate(lam: Sequence[int], n_values: Sequence[int]) -> DensityReport:
-    lam = sorted(lam)
-    counts, densities, harmonics = [], [], []
-    worst = Fraction(0)
-    ok = True
-    for n in n_values:
-        c = _count_upto(lam, n)
-        counts.append(c)
-        densities.append(c / n)
-        h, rhs = abel_identity_terms(lam, n)
-        harmonics.append(h)
-        if h != rhs:
-            ok = False
-            worst = max(worst, abs(h - rhs))
-    return DensityReport(list(n_values), counts, densities, harmonics, ok, worst)

@@ -77,17 +77,29 @@ def test_ostrowski_bad_range(tmp_path):
     )
 
 
-def test_verify_bounds_brick(tmp_path):
+# each verify-bounds target and the name of its sweep check
+SWEEP_CHECKS = {
+    "brick": "brick-taylor-bound",
+    "polar-brick": "polar-brick-bound",
+    "base": "base-upper-bound",
+    "block": "block-upper-bound",
+    "polar-block": "polar-block-bound",
+}
+
+
+@pytest.mark.parametrize("target", list(SWEEP_CHECKS))
+def test_verify_bounds_target(target, tmp_path):
     assert (
         run(
-            "verify-bounds", "--target", "brick", "--Dmax", "4", "--samples", "3",
+            "verify-bounds", "--target", target, "--Dmax", "4", "--samples", "3",
             "--out", str(tmp_path),
         )
         == 0
     )
     env = read_json(tmp_path / "bounds.json")
     assert env["config"]["seed"] == 0
-    assert env["checks"][0]["name"] == "brick-taylor-bound"
+    assert env["checks"][0]["name"] == SWEEP_CHECKS[target]
+    assert env["checks"][0]["payload"]["checked"] > 0
     assert not env["failed"]
 
 
@@ -134,14 +146,12 @@ def test_construct_flat_greedy_and_certify(tmp_path, capsys):
 
 
 def test_construct_flat_rejects_bad_orders(tmp_path, capsys):
-    assert (
-        run(
-            "construct-flat", "--family", "gevrey:1", "--orders", "3",
-            "--out", str(tmp_path),
-        )
-        == 2
-    )
-    assert "error" in capsys.readouterr().err
+    for argv in (("--orders", "3"), ("--E", "power:abc"), ("--terms", "2")):
+        assert run("construct-flat", "--family", "gevrey:1", *argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_certify_missing_layout(tmp_path, capsys):
@@ -216,6 +226,10 @@ def test_selftest_single_criterion(tmp_path, capsys):
         ("selftest", "--only", "1,99"),
         ("ostrowski", "--family", "gevrey:1", "--count", "1"),
         ("verify-bounds", "--target", "base", "--terms", "2"),
+        ("verify-bounds", "--target", "brick", "--Dmax", "-1"),
+        ("verify-bounds", "--target", "polar-brick", "--samples", "-1"),
+        ("counterexample", "--pairs", "0"),
+        ("counterexample", "--pairs", "1"),
     ],
 )
 def test_bad_input_exits_two(argv, tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_root_log_dual_path(seq):
 def test_root_never_exceeds_step(seq):
     for mu in seq.doubled:
         for k in (mu, 2 * mu):
-            assert seq.root_log(k) <= seq.step_log(k) + 1e-12
+            assert seq.root_log(k) <= seq.level(k) + 1e-12
 
 
 def test_float_paths_refuse_huge_indices(seq):

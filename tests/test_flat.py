@@ -93,6 +93,14 @@ def test_layout_from_orders_validation():
     layout_from_orders(gevrey(1), E, [2, 4])
     with pytest.raises(LayoutError):
         layout_from_orders(gevrey(1), E, [2, 4], require_sparsity=True)
+    # terms must exceed the largest order and reach the bump-term minimum
+    layout_from_orders(gevrey(1), E, [2], terms=4)
+    with pytest.raises(LayoutError):
+        layout_from_orders(gevrey(1), E, [2], terms=3)
+    with pytest.raises(LayoutError):
+        layout_from_orders(gevrey(1), E, [2, 4], terms=4)
+    with pytest.raises(LayoutError):
+        build_layout(gevrey(1), E, 64, terms=52)
 
 
 def test_layout_round_trip(tmp_path, greedy_layout):
@@ -108,6 +116,10 @@ def test_layout_round_trip(tmp_path, greedy_layout):
 def test_layout_load_rejects_tampering(greedy_layout):
     data = greedy_layout.to_json_dict()
     data["entries"][0]["rho"] = "1/4"
+    with pytest.raises(LayoutError):
+        Layout.from_json_dict(data)
+    data = greedy_layout.to_json_dict()
+    data["terms"] = 2
     with pytest.raises(LayoutError):
         Layout.from_json_dict(data)
 
@@ -143,7 +155,6 @@ def test_axis_derivative_structure(flat_fn):
     assert ax.total_lower >= ax.dominant_exact  # cross terms share the sign
     assert ax.tail_exact > 0
     assert ax.paths_agree
-    assert len(ax.per_source) == 3
     with pytest.raises(LayoutError):
         flat_axis_derivative(flat_fn, 3, 2)
     with pytest.raises(LayoutError):

@@ -13,9 +13,7 @@ from carleman.weights import (
     analytic,
     compare,
     custom_table,
-    density_estimate,
     gevrey,
-    lambda_eps,
     log_power,
     parse_family,
     power,
@@ -134,15 +132,6 @@ def test_square_vs_shift_gevrey_value():
     assert rep.inequality_ok
 
 
-def test_lambda_eps_picks_strict_indices():
-    M = gevrey(1)
-    # (M_k^2 / M_2k)^(1/2k) < 1 for k >= 1 and decreases; eps = 1/2 keeps
-    # only indices beyond the crossing
-    idx = lambda_eps(M, 0.5, 60)
-    assert idx == [k for k in range(1, 61) if
-                   (2 * M.log_weight(k) - M.log_weight(2 * k)) / (2 * k) < math.log(0.5)]
-
-
 def test_abel_identity_exact_evens():
     evens = list(range(2, 101, 2))
     harmonic, other = abel_identity_terms(evens, 100)
@@ -156,13 +145,6 @@ def test_abel_identity_exact_sparse():
     lam = [1, 3, 9, 27, 81]
     harmonic, other = abel_identity_terms(lam, 80)
     assert harmonic == other == Fraction(1) + Fraction(1, 3) + Fraction(1, 9) + Fraction(1, 27)
-
-
-def test_density_estimate_consistency():
-    lam = list(range(2, 201, 2))
-    rep = density_estimate(lam, [10, 50, 100])
-    assert rep.abel_ok
-    assert rep.densities[-1] == pytest.approx(0.5, abs=0.02)
 
 
 def test_memoization_returns_same_object_values():
