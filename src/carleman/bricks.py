@@ -176,12 +176,13 @@ def cauchy_kernel_check(
             x2 = Jet2.variable(1, x, degree, EXACT)
             g = (c + x1 * x1 + x2 * x2).reciprocal()
             base_sq = c + x[0] ** 2 + x[1] ** 2
+            log_base_sq = log_of_fraction(base_sq)
 
             def rhs_sq(a, n):
                 return Fraction(64 * 64**n) / base_sq ** (n + 2)
 
             def constant(a, n, coef):
-                log_lhs = log_of_fraction(coef) + (1 + n / 2) * log_of_fraction(base_sq)
+                log_lhs = log_of_fraction(coef) + (1 + n / 2) * log_base_sq
                 return math.exp(log_lhs / (n + 1))
 
             res.sweep(g, (c, x), rhs_sq=rhs_sq, constant=constant)
@@ -199,21 +200,23 @@ def brick_taylor_check(
     rng = random.Random(seed)
     res = SweepResult()
     for p in params:
+        log_rho2 = 2 * log_of_fraction(p.rho)
+        log_m = log_of_fraction(p.m)
         for x in _rational_points(rng, points):
             jet = brick_jet(p, x, degree, EXACT)
             u = brick_value(p, x[0], x[1])
             scaled = u / p.rho**2
+            log_u = log_of_fraction(u)
 
             def rhs_sq(a, n):
                 return p.rho**4 * p.m ** (2 * a[1]) * Fraction(64) ** (n + 1) * scaled ** (n + 2)
 
             def constant(a, n, coef):
-                log_rho2 = 2 * log_of_fraction(p.rho)
                 log_norm = (
                     log_of_fraction(coef)
                     - log_rho2
-                    - a[1] * log_of_fraction(p.m)
-                    - (1 + n / 2) * (log_of_fraction(u) - log_rho2)
+                    - a[1] * log_m
+                    - (1 + n / 2) * (log_u - log_rho2)
                 )
                 return math.exp(log_norm / (n + 1))
 
@@ -261,13 +264,3 @@ def polar_brick_bound_check(
                 res.sweep(jet, (p, r, th), rhs_sq=rhs_sq, constant=constant)
     return res
 
-
-def polar_symmetry_check(p: BrickParams, degree: int = 8) -> bool:
-    """At theta = 0 the composed jet is even in theta, so odd angular
-    coefficients must vanish identically (checked exactly)."""
-    for r0 in (Fraction(0), Fraction(1, 3), Fraction(7, 2)):
-        jet = polar_brick_jet(p, (r0, Fraction(0)), degree, EXACT)
-        for (i, j), v in jet.coeffs.items():
-            if j % 2 == 1 and v != 0:
-                return False
-    return True

@@ -154,8 +154,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_ostrowski(args) -> int:
     M = args.family
-    if args.r_min <= 0 or args.r_max <= args.r_min:
-        print("error: need 0 < r-min < r-max", file=sys.stderr)
+    if not 0 < args.r_min < args.r_max < math.inf:  # also rejects nan
+        print("error: need finite 0 < r-min < r-max", file=sys.stderr)
         return 2
     lo, hi = math.log(args.r_min), math.log(args.r_max)
     radii = [
@@ -423,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=0.5)
     p.add_argument("--r-max", type=float, default=1e6)
     p.add_argument("--count", type=_at_least(2), default=40)
-    p.add_argument("--horizon", type=int, default=10**6)
-    p.add_argument("--identity-k", type=int, default=20)
+    p.add_argument("--horizon", type=_at_least(1), default=10**6)
+    p.add_argument("--identity-k", type=_at_least(1), default=20)
     _add_out(p)
     p.set_defaults(handler=_cmd_ostrowski)
 
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="ratio-step schedule and checks")
     p.add_argument("--pairs", type=_at_least(2), default=8)
-    p.add_argument("--k-max", type=int, default=256)
+    p.add_argument("--k-max", type=_at_least(1), default=256)
     _add_out(p)
     p.set_defaults(handler=_cmd_counterexample)
 

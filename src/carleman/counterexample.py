@@ -36,6 +36,12 @@ LOG3 = math.log(3.0)
 BURST = (0, 100, 102, 104, 106, 108, 110, 112, 114, 200)
 WITNESS_WINDOW = tuple(range(100, 115, 2))
 FLOAT_SAFE_BITS = 900  # beyond this the float paths refuse instead of overflowing
+# thresholds of the five checks
+LOG_CONVEX_SCAN_TO = 256  # direct ratio scan through the burst region
+DIFF_CLOSED_BOUND = 4.0  # max_k b_k
+GAP_SUM_MIN_FRACTION = 0.9  # gap-certificate sum per pair
+STRICT_WINDOW_CUTOFF = 0.1  # g_k on the burst window
+LEVEL_GROWTH_HORIZON = 512  # last n of the doubling ratio v(2n)/v(n)
 
 _lv_cache = [0.0]
 
@@ -87,10 +93,6 @@ def build_schedule(pairs: int = 8) -> ScheduleData:
     return ScheduleData(
         pairs, lam, levels, doubled, gap_terms, time.perf_counter() - t0
     )
-
-
-def _log_big(k: int) -> float:
-    return math.log(k)  # math.log takes arbitrary ints without overflow
 
 
 class CounterexampleSequence:
@@ -155,16 +157,16 @@ class CounterexampleSequence:
         if k < 1:
             raise ValueError("index must be positive")
         lam = self.boundaries
-        lk = _log_big(k)
+        lk = math.log(k)  # math.log takes arbitrary ints without overflow
         terms = []
         for i in range(len(lam) - 1):
             if lam[i] >= k:
                 break
             gap = min(lam[i + 1], k) - lam[i]
             if gap > 0 and self.levels[i] != 0.0:
-                terms.append(math.exp(_log_big(gap) - lk) * self.levels[i])
+                terms.append(math.exp(math.log(gap) - lk) * self.levels[i])
         if k > lam[-1]:
-            terms.append(math.exp(_log_big(k - lam[-1]) - lk) * self.levels[-1])
+            terms.append(math.exp(math.log(k - lam[-1]) - lk) * self.levels[-1])
         return math.fsum(terms)
 
     def gap_ratio_log(self, k: int) -> float:
@@ -179,7 +181,7 @@ class CounterexampleSequence:
         lv = self.level(k + 1)
         if lv == 0.0:
             return 1.0
-        return math.exp(math.exp(math.log(lv) - _log_big(k)))
+        return math.exp(math.exp(math.log(lv) - math.log(k)))
 
     @property
     def weights(self) -> WeightSequence:
@@ -204,25 +206,25 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
 
-def verify_log_convex(seq: CounterexampleSequence, scan_to: int = 256) -> CheckReport:
+def verify_log_convex(seq: CounterexampleSequence) -> CheckReport:
     """Levels nondecreasing (so ratios are nondecreasing everywhere), plus a
     direct ratio scan through the burst region via the adapter."""
     lv = seq.levels
     monotone = all(lv[i + 1] >= lv[i] for i in range(len(lv) - 1))
     ok = monotone
     try:
-        seq.weights.validate(scan_to)
+        seq.weights.validate(LOG_CONVEX_SCAN_TO)
     except WeightError:
         ok = False
     return CheckReport(
         "log-convexity",
         ok,
-        {"levels_monotone": monotone, "scan_to": scan_to},
+        {"levels_monotone": monotone, "scan_to": LOG_CONVEX_SCAN_TO},
     )
 
 
-def verify_diff_closed(seq: CounterexampleSequence, bound: float = 4.0) -> CheckReport:
-    """max_k b_k <= bound. Within a block the level is constant and 1/k
+def verify_diff_closed(seq: CounterexampleSequence) -> CheckReport:
+    """max_k b_k <= DIFF_CLOSED_BOUND. Within a block the level is constant and 1/k
     decreases, so the maximum is attained where a block begins; scanning the
     boundary set covers every candidate."""
     best, best_at = 1.0, 1
@@ -233,19 +235,17 @@ def verify_diff_closed(seq: CounterexampleSequence, bound: float = 4.0) -> Check
             best, best_at = b, k if k.bit_length() < 64 else -i
     return CheckReport(
         "difference-closedness",
-        best <= bound,
-        {"max_b": best, "argmax": best_at, "bound": bound},
+        best <= DIFF_CLOSED_BOUND,
+        {"max_b": best, "argmax": best_at, "bound": DIFF_CLOSED_BOUND},
     )
 
 
-def verify_gap_sums(
-    seq: CounterexampleSequence, min_fraction: float = 0.9
-) -> CheckReport:
+def verify_gap_sums(seq: CounterexampleSequence) -> CheckReport:
     """Each generated gap certifies about one unit; the total must reach
-    min_fraction per pair. Also the k-th root level never exceeds the step
+    GAP_SUM_MIN_FRACTION per pair. Also the k-th root level never exceeds the step
     level at the doubled elements and their doubles."""
     total = math.fsum(seq.gap_terms)
-    target = min_fraction * seq.pairs
+    target = GAP_SUM_MIN_FRACTION * seq.pairs
     dyadics_ok = all(
         seq.root_log(k) <= seq.level(k) + 1e-12
         for mu in seq.doubled
@@ -263,16 +263,14 @@ def verify_gap_sums(
     )
 
 
-def verify_strict_window(
-    seq: CounterexampleSequence, cutoff: float = 0.1
-) -> CheckReport:
-    """g = 1 exactly on the first block, g <= cutoff on the whole burst
-    window, and the doubled elements keep g strictly below 1. The two g
-    computations (k-th roots vs direct log-weights) must agree to 1e-12
-    wherever the float path is defined."""
+def verify_strict_window(seq: CounterexampleSequence) -> CheckReport:
+    """g = 1 exactly on the first block, g <= STRICT_WINDOW_CUTOFF on the
+    whole burst window, and the doubled elements keep g strictly below 1.
+    The two g computations (k-th roots vs direct log-weights) must agree to
+    1e-12 wherever the float path is defined."""
     g_first = seq.g(1)
     window = {k: seq.g(k) for k in WITNESS_WINDOW}
-    window_ok = all(v <= cutoff for v in window.values())
+    window_ok = all(v <= STRICT_WINDOW_CUTOFF for v in window.values())
     g_min_at = min(window, key=window.get)
     pair_g = [seq.g(mu) for mu in seq.doubled]
     pair_ok = all(v < 0.9 for v in pair_g)
@@ -295,7 +293,7 @@ def verify_strict_window(
     )
 
 
-def verify_level_growth(seq: CounterexampleSequence, horizon: int = 512) -> CheckReport:
+def verify_level_growth(seq: CounterexampleSequence) -> CheckReport:
     """Pin down which ratio of the level scale v actually grows.
 
     The one-step ratio v_{n+1}/v_n = 1 + 1/sqrt(n+1) is decreasing with
@@ -308,7 +306,7 @@ def verify_level_growth(seq: CounterexampleSequence, horizon: int = 512) -> Chec
     one_step_decreasing = all(a > b for a, b in zip(steps, steps[1:]))
     ns, doubles = [], []
     n = 1
-    while n <= horizon:
+    while n <= LEVEL_GROWTH_HORIZON:
         ns.append(n)
         doubles.append(math.exp(log_v(2 * n) - log_v(n)))
         n *= 2

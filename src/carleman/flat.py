@@ -30,6 +30,8 @@ from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 from .weights import WeightSequence, compare, parse_family, shift
 
 POLAR_FLAT_C = 2 * 8**5
+LAMBDA0_CAP = 10**6  # last order the lambda0 scan tries
+SHARPNESS_COMPARE_HORIZON = 64  # K of the sharpness hypothesis comparison
 LOG2 = math.log(2.0)
 LOG8 = math.log(8.0)
 
@@ -59,9 +61,6 @@ class EFunction:
             except (ValueError, ZeroDivisionError):
                 raise LayoutError(f"center map power must be rational, got {rest!r}") from None
         raise LayoutError(f"unknown center map {spec!r}")
-
-    def __call__(self, rho: float) -> float:
-        return rho ** float(self.power)
 
     def interval(self, rho: Fraction) -> RInterval:
         return RInterval.rational_power(Fraction(rho), self.power)
@@ -182,36 +181,6 @@ def _entry_for(M: WeightSequence, E: EFunction, order: int) -> LayoutEntry:
     )
 
 
-def _finish_layout(layout: Layout) -> Layout:
-    top = layout.entries[-1].order
-    if layout.terms <= top or layout.terms < MIN_TERMS:
-        raise LayoutError(
-            f"terms must exceed the largest order {top} and be at least "
-            f"{MIN_TERMS}, got {layout.terms}"
-        )
-    roots = []
-    for e in layout.entries:
-        ex = exact_nth_root(e.rho**2, e.order)
-        roots.append(
-            RInterval.exactly(ex) if ex is not None else RInterval.nth_root(e.rho**2, e.order)
-        )
-    layout.eps_lo = min(r.lo for r in roots)
-    layout.eps_hi = min(r.hi for r in roots)
-    for r in roots:
-        if r.width == 0 and r.hi == layout.eps_hi and all(
-            r.lo <= other.lo for other in roots
-        ):
-            layout.eps_exact = r.lo
-            break
-    gaps = [
-        (a.center_iv - b.center_iv).abs().lo
-        for i, a in enumerate(layout.entries)
-        for b in layout.entries[i + 1 :]
-    ]
-    layout.delta_min_lo = min(gaps) if gaps else Fraction(0)
-    return layout
-
-
 def _require_exact(M: WeightSequence) -> None:
     if not M.has_exact:
         raise LayoutError(f"layout requires an exact weight family, got {M.name}")
@@ -227,7 +196,7 @@ def build_layout(
     accepted center, starting from the first admissible order (offset ratio
     above one, so the block sits to the right of its own scale)."""
     _require_exact(M)
-    entries: list[LayoutEntry] = []
+    orders: list[int] = []
     prev: Optional[RInterval] = None
     for order in range(2, lambda_max + 1, 2):
         e = _entry_for(M, E, order)
@@ -235,19 +204,13 @@ def build_layout(
             continue
         if prev is not None and not e.center_iv.certainly_lt(prev * Fraction(1, 2)):
             continue
-        entries.append(e)
+        orders.append(order)
         prev = e.center_iv
-    if not entries:
+    if not orders:
         raise LayoutError(f"no admissible orders up to {lambda_max}")
-    layout = Layout(
-        m_family=M.name,
-        e_spec=E.spec,
-        lambda_max=lambda_max,
-        sparsity_enforced=True,
-        terms=terms if terms is not None else max(64, entries[-1].order + 12),
-        entries=entries,
+    return layout_from_orders(
+        M, E, orders, lambda_max=lambda_max, require_sparsity=True, terms=terms
     )
-    return _finish_layout(layout)
 
 
 def layout_from_orders(
@@ -277,15 +240,43 @@ def layout_from_orders(
             raise LayoutError(f"order {order} violates the halving rule")
         entries.append(e)
         prev = e.center_iv
-    layout = Layout(
+    top = orders[-1]
+    terms = terms if terms is not None else max(64, top + 12)
+    if terms <= top or terms < MIN_TERMS:
+        raise LayoutError(
+            f"terms must exceed the largest order {top} and be at least "
+            f"{MIN_TERMS}, got {terms}"
+        )
+    roots = []
+    for e in entries:
+        ex = exact_nth_root(e.rho**2, e.order)
+        roots.append(
+            RInterval.exactly(ex) if ex is not None else RInterval.nth_root(e.rho**2, e.order)
+        )
+    eps_lo = min(r.lo for r in roots)
+    eps_hi = min(r.hi for r in roots)
+    eps_exact = None
+    for r in roots:
+        if r.width == 0 and r.hi == eps_hi and all(r.lo <= other.lo for other in roots):
+            eps_exact = r.lo
+            break
+    gaps = [
+        (a.center_iv - b.center_iv).abs().lo
+        for i, a in enumerate(entries)
+        for b in entries[i + 1 :]
+    ]
+    return Layout(
         m_family=M.name,
         e_spec=E.spec,
-        lambda_max=lambda_max if lambda_max is not None else orders[-1],
+        lambda_max=lambda_max if lambda_max is not None else top,
         sparsity_enforced=require_sparsity,
-        terms=terms if terms is not None else max(64, orders[-1] + 12),
+        terms=terms,
         entries=entries,
+        eps_lo=eps_lo,
+        eps_hi=eps_hi,
+        eps_exact=eps_exact,
+        delta_min_lo=min(gaps) if gaps else Fraction(0),
     )
-    return _finish_layout(layout)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -321,9 +312,6 @@ class FlatFunction:
 
     def polar_jet(self, pt: tuple, degree: int) -> Jet2:
         return self._jet_of(*polar_coordinates(pt, degree, FLOAT))
-
-    def polar_value(self, r: float, theta: float) -> float:
-        return self.value(r * math.cos(theta), r * math.sin(theta))
 
 
 # -- the pure-x2 derivative at a block center --------------------------------
@@ -425,7 +413,6 @@ class LowerCertificate:
     layout: Layout
     rows: list[CertificateRow]
     lambda0_estimate: Optional[int]
-    lambda0_cap: int
 
     @property
     def all_ok(self) -> bool:
@@ -435,9 +422,7 @@ class LowerCertificate:
         return [(r.order, r.lhs_log, r.rhs_log, r.ratio_root) for r in self.rows]
 
 
-def _lambda0_scan(
-    M: WeightSequence, layout: Layout, cap: int = 10**6
-) -> Optional[int]:
+def _lambda0_scan(M: WeightSequence, layout: Layout) -> Optional[int]:
     """Smallest even order at which the proof-side cross envelope falls below
     half the dominant floor, using this layout's separation. Diagnostic only."""
     delta = layout.delta_min_lo
@@ -446,7 +431,7 @@ def _lambda0_scan(
     log_delta = log_of_fraction(delta)
     log_s2 = math.log(math.fsum(2.0 ** -o for o in layout.orders))
     lam = 2
-    while lam <= cap:
+    while lam <= LAMBDA0_CAP:
         lhs = 2 * (M.log_weight(lam) - M.log_weight(lam + 1)) + M.log_weight(lam) - lam * math.log(4)
         rhs = (lam + 3) * LOG8 + log_s2 - lam * log_delta + LOG2
         if lhs >= rhs:
@@ -455,9 +440,7 @@ def _lambda0_scan(
     return None
 
 
-def lower_bound_certificate(
-    fn: FlatFunction, lambda0_cap: int = 10**6
-) -> LowerCertificate:
+def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
     layout = fn.layout
     M = fn.M
     rows = []
@@ -498,9 +481,7 @@ def lower_bound_certificate(
                 paths_agree=ax.paths_agree,
             )
         )
-    return LowerCertificate(
-        layout, rows, _lambda0_scan(M, layout, lambda0_cap), lambda0_cap
-    )
+    return LowerCertificate(layout, rows, _lambda0_scan(M, layout))
 
 
 # -- finite-order upper bounds for the superposition -------------------------
@@ -588,9 +569,7 @@ class SharpnessReport:
     hypothesis_note: str
 
 
-def sharpness_scan(
-    fn: FlatFunction, N: WeightSequence, compare_horizon: int = 64
-) -> SharpnessReport:
+def sharpness_scan(fn: FlatFunction, N: WeightSequence) -> SharpnessReport:
     """Roots r_order = (|d^order F|/(order! N_order))^(1/order) over the
     layout's orders. Bounded roots are the signature of membership in the
     target class at finite order; growing roots witness escape.
@@ -614,12 +593,12 @@ def sharpness_scan(
         verdict = "bounded-diagnostic"
     else:
         verdict = "inconclusive"
-    hyp = compare(N, shift(fn.M, 2), compare_horizon)
+    hyp = compare(N, shift(fn.M, 2), SHARPNESS_COMPARE_HORIZON)
     return SharpnessReport(
         N.name,
         rows,
         verdict,
         hyp.verdict,
         "target vs square-shifted build family over k <= "
-        f"{compare_horizon}: {hyp.verdict}",
+        f"{SHARPNESS_COMPARE_HORIZON}: {hyp.verdict}",
     )

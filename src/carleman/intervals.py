@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-DEFAULT_ROOT_DIGITS = 40
+ROOT_DIGITS = 40  # decimal digits of every root enclosure
 
 Number = Union[int, Fraction]
 
@@ -50,8 +50,8 @@ def exact_nth_root(x: Fraction, n: int) -> Union[Fraction, None]:
     return None
 
 
-def nth_root_bounds(x: Fraction, n: int, digits: int = DEFAULT_ROOT_DIGITS) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= x^(1/n) <= hi with hi - lo <= 10^-digits * scale."""
+def nth_root_bounds(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= x^(1/n) <= hi with hi - lo <= 10^-ROOT_DIGITS."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("no real root of a negative number")
@@ -60,7 +60,7 @@ def nth_root_bounds(x: Fraction, n: int, digits: int = DEFAULT_ROOT_DIGITS) -> t
     r_exact = exact_nth_root(x, n)
     if r_exact is not None:
         return r_exact, r_exact
-    scale = 10**digits
+    scale = 10**ROOT_DIGITS
     # x^(1/n) = (num * scale^n / den)^(1/n) / scale
     N = x.numerator * scale**n // x.denominator
     r = integer_nth_root(N, n)
@@ -88,16 +88,16 @@ class RInterval:
         return cls(f, f)
 
     @classmethod
-    def nth_root(cls, x: Number, n: int, digits: int = DEFAULT_ROOT_DIGITS) -> "RInterval":
-        lo, hi = nth_root_bounds(Fraction(x), n, digits)
+    def nth_root(cls, x: Number, n: int) -> "RInterval":
+        lo, hi = nth_root_bounds(Fraction(x), n)
         return cls(lo, hi)
 
     @classmethod
-    def rational_power(cls, x: Number, p: Fraction, digits: int = DEFAULT_ROOT_DIGITS) -> "RInterval":
+    def rational_power(cls, x: Number, p: Fraction) -> "RInterval":
         """x^p for x > 0 and rational p."""
         p = Fraction(p)
         base = Fraction(x) ** p.numerator  # exact; may invert
-        return cls.nth_root(base, p.denominator, digits)
+        return cls.nth_root(base, p.denominator)
 
     @property
     def width(self) -> Fraction:
@@ -162,14 +162,14 @@ class RInterval:
             return RInterval(Fraction(0), max(self.lo**n, self.hi**n))
         return RInterval(self.lo**n, self.hi**n)
 
-    def sqrt(self, digits: int = DEFAULT_ROOT_DIGITS) -> "RInterval":
-        lo, _ = nth_root_bounds(self.lo, 2, digits)
-        _, hi = nth_root_bounds(self.hi, 2, digits)
+    def sqrt(self) -> "RInterval":
+        lo, _ = nth_root_bounds(self.lo, 2)
+        _, hi = nth_root_bounds(self.hi, 2)
         return RInterval(lo, hi)
 
-    def root(self, n: int, digits: int = DEFAULT_ROOT_DIGITS) -> "RInterval":
-        lo, _ = nth_root_bounds(self.lo, n, digits)
-        _, hi = nth_root_bounds(self.hi, n, digits)
+    def root(self, n: int) -> "RInterval":
+        lo, _ = nth_root_bounds(self.lo, n)
+        _, hi = nth_root_bounds(self.hi, n)
         return RInterval(lo, hi)
 
     def abs(self) -> "RInterval":

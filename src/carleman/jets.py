@@ -199,14 +199,6 @@ class Jet2:
                     out[(i, j)] = -inv0 * acc
         return self._wrap(out)
 
-    def truncate(self, degree: int) -> "Jet2":
-        if degree > self.degree:
-            raise JetError("cannot extend a jet")
-        return Jet2(
-            self.base, degree, self.kind,
-            {a: c for a, c in self.coeffs.items() if a[0] + a[1] <= degree},
-        )
-
 
 def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:
     """(sin t, cos t) via angle addition at the constant term.

@@ -38,12 +38,6 @@ class LogMagnitude:
         return cls(0, LOG_ZERO)
 
     @classmethod
-    def from_float(cls, x: float) -> "LogMagnitude":
-        if x == 0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
     def from_fraction(cls, x: Fraction | int) -> "LogMagnitude":
         if x == 0:
             return cls.zero()
@@ -54,29 +48,6 @@ class LogMagnitude:
         if sign == 0 or log_abs == LOG_ZERO:
             return cls.zero()
         return cls(sign, log_abs)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_abs)
-        except OverflowError:
-            return self.sign * math.inf
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if self.sign == 0 or other.sign == 0:
-            return LogMagnitude.zero()
-        return LogMagnitude(self.sign * other.sign, self.log_abs + other.log_abs)
-
-    def __truediv__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogMagnitude division by zero")
-        if self.sign == 0:
-            return LogMagnitude.zero()
-        return LogMagnitude(self.sign * other.sign, self.log_abs - other.log_abs)
-
-    def __neg__(self) -> "LogMagnitude":
-        return LogMagnitude(-self.sign, self.log_abs)
 
     def __abs__(self) -> "LogMagnitude":
         return LogMagnitude(abs(self.sign), self.log_abs)
@@ -95,32 +66,6 @@ class LogMagnitude:
             return LogMagnitude.zero()
         m = -math.expm1(d)  # 1 - e^d in (0, 1)
         return LogMagnitude(hi.sign, hi.log_abs + math.log(m))
-
-    def __sub__(self, other: "LogMagnitude") -> "LogMagnitude":
-        return self + (-other)
-
-    def root(self, n: int) -> "LogMagnitude":
-        """Positive n-th root; requires a nonnegative value."""
-        if self.sign < 0:
-            raise ValueError("root of a negative LogMagnitude")
-        if self.sign == 0:
-            return LogMagnitude.zero()
-        return LogMagnitude(1, self.log_abs / n)
-
-    def compare_abs(self, other: "LogMagnitude") -> int:
-        if self.log_abs < other.log_abs:
-            return -1
-        if self.log_abs > other.log_abs:
-            return 1
-        return 0
-
-    def __lt__(self, other: "LogMagnitude") -> bool:
-        if self.sign != other.sign:
-            return self.sign < other.sign
-        if self.sign == 0:
-            return False
-        c = self.compare_abs(other)
-        return c < 0 if self.sign > 0 else c > 0
 
 
 def logsumexp(logs) -> float:

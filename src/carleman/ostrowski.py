@@ -77,11 +77,11 @@ def phi(M: WeightSequence, r: Radius, horizon: int = DEFAULT_HORIZON) -> PhiValu
     return PhiValue(log_r, log_phi, n, saturated, exact)
 
 
-def phi_at_ratio(M: WeightSequence, k: int, horizon: int = DEFAULT_HORIZON) -> PhiValue:
+def phi_at_ratio(M: WeightSequence, k: int) -> PhiValue:
     """phi evaluated at r = m_k, using the exact ratio when available."""
     if M.has_exact:
-        return phi(M, M.exact_ratio(k), horizon)
-    v = _first_ratio_at_least(M, M.log_ratio(k), horizon)
+        return phi(M, M.exact_ratio(k))
+    v = _first_ratio_at_least(M, M.log_ratio(k), DEFAULT_HORIZON)
     n = k if v is None else v
     log_r = M.log_ratio(k)
     return PhiValue(log_r, (n + 2) * log_r - M.log_weight(n), n, v is None)
@@ -102,8 +102,8 @@ class PhiIdentityCheck:
         return self.log_residual <= 1e-12
 
 
-def verify_phi_identity(M: WeightSequence, k: int, horizon: int = DEFAULT_HORIZON) -> PhiIdentityCheck:
-    pv = phi_at_ratio(M, k, horizon)
+def verify_phi_identity(M: WeightSequence, k: int) -> PhiIdentityCheck:
+    pv = phi_at_ratio(M, k)
     if pv.saturated:
         raise ValueError("identity check hit the saturation horizon")
     if pv.exact is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -22,6 +21,8 @@ from typing import Callable, Optional, Sequence
 from .logscale import LogMagnitude
 
 RATIO_SLACK = 1e-12  # float-level slack for the monotone-ratio validation
+LOG_POWER_INIT_HORIZON = 10_000  # log_power validates its ratios this far on construction
+SUMMATION_THRESHOLD = 0.05  # doubling increment separating the summation-trend verdicts
 
 
 class WeightError(ValueError):
@@ -33,10 +34,7 @@ class ConvexityError(WeightError):
 
 
 class WeightSequence:
-    """log M_k provider with memoization and ratio validation.
-
-    Thread safety: a lock guards the memo; concurrent readers are fine.
-    """
+    """log M_k provider with memoization and ratio validation."""
 
     def __init__(
         self,
@@ -49,7 +47,6 @@ class WeightSequence:
         self._log_fn = log_weight_fn
         self._exact_fn = exact_fn
         self._memo: dict[int, float] = {}
-        self._lock = threading.Lock()
         self._checked_to = 0
         m0 = self.log_weight(0)
         if abs(m0) > 1e-15:
@@ -59,15 +56,13 @@ class WeightSequence:
     def log_weight(self, k: int) -> float:
         if k < 0:
             raise WeightError("negative index")
-        with self._lock:
-            v = self._memo.get(k)
-            if v is None:
-                v = float(self._log_fn(k))
-                self._memo[k] = v
+        v = self._memo.get(k)
+        if v is None:
+            v = float(self._log_fn(k))
+            if not math.isfinite(v):
+                raise WeightError(f"{self.name}: log M_{k} = {v} is not finite")
+            self._memo[k] = v
         return v
-
-    def weight(self, k: int) -> LogMagnitude:
-        return LogMagnitude.from_log(self.log_weight(k), 1)
 
     def exact(self, k: int) -> Optional[Fraction]:
         if self._exact_fn is None:
@@ -119,7 +114,7 @@ def gevrey(s: float) -> WeightSequence:
     return WeightSequence(name, lambda k: s * math.lgamma(k + 1), exact)
 
 
-def log_power(c: float, init_horizon: int = 10_000) -> WeightSequence:
+def log_power(c: float) -> WeightSequence:
     """M_k = (log(k+c))^k for k >= 1, M_0 = 1; needs c >= e for convexity."""
     if c < math.e:
         raise WeightError(f"log_power needs c >= e, got {c}")
@@ -127,7 +122,7 @@ def log_power(c: float, init_horizon: int = 10_000) -> WeightSequence:
     def lw(k: int) -> float:
         return 0.0 if k == 0 else k * math.log(math.log(k + c))
 
-    return WeightSequence(f"logpow:{c:g}", lw, validate_on_init=init_horizon)
+    return WeightSequence(f"logpow:{c:g}", lw, validate_on_init=LOG_POWER_INIT_HORIZON)
 
 
 def custom_table(log_values: Sequence[float], name: str = "table") -> WeightSequence:
@@ -222,9 +217,7 @@ class QuasianalyticityDiagnostic:
     verdict: str  # diverging-like | converging-like | inconclusive
 
 
-def quasianalyticity_diagnostic(
-    M: WeightSequence, K: int, threshold: float = 0.05
-) -> QuasianalyticityDiagnostic:
+def quasianalyticity_diagnostic(M: WeightSequence, K: int) -> QuasianalyticityDiagnostic:
     """Trend of S_n = sum_{k<=n} M_k/((k+1) M_{k+1}) at doubling checkpoints."""
     if K < 16:
         raise WeightError("quasianalyticity diagnostic needs K >= 16")
@@ -238,15 +231,15 @@ def quasianalyticity_diagnostic(
     cps = checkpoints
     deltas = [sums[cps[i + 1]] - sums[cps[i]] for i in range(len(cps) - 1)]
     deltas.reverse()  # most recent doubling first
-    if all(d >= threshold for d in deltas):
+    if all(d >= SUMMATION_THRESHOLD for d in deltas):
         verdict = "diverging-like"
-    elif all(d < threshold for d in deltas) and all(
+    elif all(d < SUMMATION_THRESHOLD for d in deltas) and all(
         deltas[i] <= 0.6 * deltas[i + 1] for i in range(len(deltas) - 1)
     ):
         verdict = "converging-like"
     else:
         verdict = "inconclusive"
-    return QuasianalyticityDiagnostic(K, sums, deltas, threshold, verdict)
+    return QuasianalyticityDiagnostic(K, sums, deltas, SUMMATION_THRESHOLD, verdict)
 
 
 @dataclass

@@ -67,14 +67,14 @@ def test_ostrowski_csv_contract(tmp_path):
     assert all(c["status"] == "pass" for c in env["checks"])
 
 
-def test_ostrowski_bad_range(tmp_path):
-    assert (
-        run(
-            "ostrowski", "--family", "gevrey:1", "--r-min", "5", "--r-max", "2",
-            "--out", str(tmp_path),
-        )
-        == 2
-    )
+def test_ostrowski_bad_range(tmp_path, capsys):
+    for r_min, r_max in (("5", "2"), ("0", "2"), ("nan", "2"), ("1", "nan"), ("1", "inf")):
+        argv = ("--family", "gevrey:1", "--r-min", r_min, "--r-max", r_max)
+        assert run("ostrowski", *argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 # each verify-bounds target and the name of its sweep check
@@ -230,6 +230,16 @@ def test_selftest_single_criterion(tmp_path, capsys):
         ("verify-bounds", "--target", "polar-brick", "--samples", "-1"),
         ("counterexample", "--pairs", "0"),
         ("counterexample", "--pairs", "1"),
+        ("counterexample", "--k-max", "-1"),
+        ("counterexample", "--k-max", "0"),
+        ("ostrowski", "--family", "gevrey:1", "--identity-k", "0"),
+        ("ostrowski", "--family", "gevrey:1", "--horizon", "0"),
+        ("analyze", "--family", "gevrey:nan"),
+        ("analyze", "--family", "gevrey:inf"),
+        ("analyze", "--family", "logpow:nan"),
+        ("analyze", "--family", "logpow:inf"),
+        ("analyze", "--family", "power:nan:gevrey:1"),
+        ("compare", "--N", "gevrey:nan", "--M", "analytic"),
     ],
 )
 def test_bad_input_exits_two(argv, tmp_path, capsys):

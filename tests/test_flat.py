@@ -41,7 +41,8 @@ def flat_fn(greedy_layout):
 def test_center_map_parse_and_validation():
     e = EFunction.parse("sqrt")
     assert e.power == Fraction(1, 2)
-    assert e(Fraction(1, 4)) == pytest.approx(0.5)
+    iv = e.interval(Fraction(1, 4))
+    assert iv.lo == iv.hi == Fraction(1, 2)
     assert EFunction.parse("power:1/3").power == Fraction(1, 3)
     with pytest.raises(LayoutError):
         EFunction.parse("cbrt")
@@ -128,12 +129,6 @@ def test_flat_value_matches_jet_constant(flat_fn):
     for pt in [(0.3, 0.2), (0.5773, 0.0), (-1.0, 0.4)]:
         jet = flat_fn.jet(pt, 2)
         assert jet.coefficient((0, 0)) == pytest.approx(flat_fn.value(*pt), rel=1e-11)
-
-
-def test_flat_polar_value(flat_fn):
-    assert flat_fn.polar_value(0.8, 0.5) == pytest.approx(
-        flat_fn.value(0.8 * math.cos(0.5), 0.8 * math.sin(0.5)), rel=1e-12
-    )
 
 
 def test_flat_jets_are_weighted_block_sums(flat_fn):

@@ -145,15 +145,6 @@ def test_value_and_derivative_conventions():
     assert f.derivative((2, 1)) == 10
 
 
-def test_truncate():
-    f = poly_jet({(0, 0): Fraction(1), (2, 1): Fraction(5)}, degree=4)
-    g = f.truncate(2)
-    assert g.degree == 2
-    assert (2, 1) not in g.coeffs
-    with pytest.raises(JetError):
-        g.truncate(4)
-
-
 def test_finite_difference_matches_analytic():
     f = lambda pt: math.exp(0.3 * pt[0]) * math.cos(pt[1])
     at = (0.2, -0.4)

@@ -22,44 +22,42 @@ def close(a, b, tol=1e-9):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def test_from_float_round_trip():
-    for v in (3.5, -2.25, 1e-300, -1e280, 0.0):
-        m = LogMagnitude.from_float(v)
-        assert close(m.to_float(), v)
+def mag(x: float) -> LogMagnitude:
+    if x == 0:
+        return LogMagnitude(0, LOG_ZERO)
+    return LogMagnitude(1 if x > 0 else -1, math.log(abs(x)))
+
+
+def value(m: LogMagnitude) -> float:
+    return 0.0 if m.sign == 0 else m.sign * math.exp(m.log_abs)
 
 
 def test_zero_identity():
     z = LogMagnitude.zero()
     assert z.sign == 0 and z.log_abs == LOG_ZERO
-    m = LogMagnitude.from_float(7.0)
-    assert (m + z).to_float() == pytest.approx(7.0)
+    assert value(mag(7.0) + z) == pytest.approx(7.0)
+    assert value(z + mag(-7.0)) == pytest.approx(-7.0)
 
 
 @given(finite, finite)
 def test_add_matches_float(a, b):
-    got = (LogMagnitude.from_float(a) + LogMagnitude.from_float(b)).to_float()
+    got = value(mag(a) + mag(b))
     assert close(got, a + b, 1e-9)
 
 
-@given(finite, finite)
-def test_mul_matches_float(a, b):
-    got = (LogMagnitude.from_float(a) * LogMagnitude.from_float(b)).to_float()
-    want = a * b
-    if want == 0 or abs(want) > 1e-300:
-        assert close(got, want, 1e-9)
-
-
 def test_cancellation_goes_to_zero():
-    m = LogMagnitude.from_float(5.0) + LogMagnitude.from_float(-5.0)
+    m = mag(5.0) + mag(-5.0)
     assert m.sign == 0
 
 
 def test_huge_magnitudes_survive():
     # far outside float range either way
     big = LogMagnitude(1, 5000.0)
-    bigger = big * big
-    assert bigger.log_abs == pytest.approx(10000.0)
+    bigger = LogMagnitude(1, 10000.0)
     assert (bigger + big).log_abs == pytest.approx(10000.0)
+    assert (big + big).log_abs == pytest.approx(5000.0 + math.log(2))
+    tiny = LogMagnitude(-1, -5000.0)
+    assert (tiny + tiny).log_abs == pytest.approx(-5000.0 + math.log(2))
 
 
 def test_logsumexp_against_direct():

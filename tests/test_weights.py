@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from carleman.weights import (
     ConvexityError,
     WeightError,
+    WeightSequence,
     abel_identity_terms,
     analytic,
     compare,
@@ -153,3 +154,19 @@ def test_memoization_returns_same_object_values():
     b = M.log_weight(25)
     assert a == b
     assert M.exact(25) == math.factorial(25)
+
+
+@pytest.mark.parametrize(
+    "spec", ["gevrey:nan", "gevrey:inf", "logpow:nan", "logpow:inf", "power:nan:gevrey:1"]
+)
+def test_non_finite_family_rejected(spec):
+    with pytest.raises(WeightError, match="not finite"):
+        parse_family(spec)
+
+
+def test_non_finite_log_weight_rejected_on_first_use():
+    M = WeightSequence("late", lambda k: 0.0 if k < 20 else math.inf)
+    assert M.log_weight(19) == 0.0
+    for _ in range(2):  # a rejected value is not memoized
+        with pytest.raises(WeightError, match="log M_20"):
+            M.log_weight(20)
