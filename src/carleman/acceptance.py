@@ -220,8 +220,9 @@ def _crit_flat_upper() -> Outcome:
 
 def _crit_sharpness() -> Outcome:
     fn = _greedy_flat()
-    inside = sharpness_scan(fn, gevrey(1))
-    matched = sharpness_scan(fn, shift(gevrey(1), 2))
+    rows = lower_bound_certificate(fn).rows
+    inside = sharpness_scan(fn, gevrey(1), rows)
+    matched = sharpness_scan(fn, shift(gevrey(1), 2), rows)
     ok = (
         inside.verdict == "growing-diagnostic"
         and matched.verdict == "bounded-diagnostic"

@@ -282,14 +282,18 @@ class Block:
     """h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1."""
 
     def __init__(self, base: BaseFunction, q: Fraction, rho: Fraction):
+        self.base = base
+        self.q, self.rho = self.geometry(q, rho)
+
+    @staticmethod
+    def geometry(q: Fraction, rho: Fraction) -> tuple[Fraction, Fraction]:
+        """(q, rho) as Fractions; ValueError unless q >= 1 and 0 < rho < 1."""
         q, rho = Fraction(q), Fraction(rho)
         if q < 1:
             raise ValueError("block offset q must be >= 1")
         if not 0 < rho < 1:
             raise ValueError("block scale rho must lie in (0, 1)")
-        self.base = base
-        self.q = q
-        self.rho = rho
+        return q, rho
 
     @property
     def center(self) -> tuple[Fraction, Fraction]:

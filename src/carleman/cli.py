@@ -34,6 +34,7 @@ from .blocks import (
     block_upper_check,
     polar_block_bound_check,
     BaseFunction,
+    Block,
 )
 from .bricks import (
     BrickParams,
@@ -188,6 +189,14 @@ def _cmd_ostrowski(args) -> int:
 
 def _cmd_verify_bounds(args) -> int:
     target = args.target
+    try:
+        if target in ("brick", "polar-brick"):
+            bricks = [BrickParams(args.q, args.m, args.rho)]
+        elif target in ("block", "polar-block"):
+            geom = [Block.geometry(args.q, args.rho)]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rb = ReportBuilder(
         "verify-bounds",
         {
@@ -204,7 +213,7 @@ def _cmd_verify_bounds(args) -> int:
     )
     if target == "brick":
         chk = brick_taylor_check(
-            [BrickParams(args.q, args.m, args.rho)],
+            bricks,
             degree=args.Dmax,
             points=args.samples,
             seed=args.seed,
@@ -214,7 +223,7 @@ def _cmd_verify_bounds(args) -> int:
         radii = max(2, int(math.sqrt(args.samples)))
         angles = max(1, -(-args.samples // radii))
         chk = polar_brick_bound_check(
-            [BrickParams(args.q, args.m, args.rho)],
+            bricks,
             degree=args.Dmax,
             radii=radii,
             angles=angles,
@@ -240,7 +249,6 @@ def _cmd_verify_bounds(args) -> int:
         )
         print(f"profile: {ppath}")
     elif target == "block":
-        geom = [(args.q, args.rho)]
         up = block_upper_check(
             args.family, geom, degree=args.Dmax, points=args.samples,
             terms=args.terms, seed=args.seed,
@@ -253,7 +261,7 @@ def _cmd_verify_bounds(args) -> int:
         radii = max(2, int(math.sqrt(args.samples)))
         angles = max(1, -(-args.samples // radii))
         chk = polar_block_bound_check(
-            args.family, [(args.q, args.rho)], degree=args.Dmax,
+            args.family, geom, degree=args.Dmax,
             radii=radii, angles=angles, terms=args.terms, seed=args.seed,
         )
         rb.add("polar-block-bound", chk.ok, chk)
@@ -331,7 +339,7 @@ def _cmd_certify(args) -> int:
     )
     print(f"certificate: {cpath}")
     if args.N is not None:
-        sharp = sharpness_scan(fn, args.N)
+        sharp = sharpness_scan(fn, args.N, cert.rows)
         rb.add_diagnostic("sharpness", sharp)
         rows = [
             (

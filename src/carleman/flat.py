@@ -172,7 +172,7 @@ class Layout:
 
 
 def _entry_for(M: WeightSequence, E: EFunction, order: int) -> LayoutEntry:
-    rho = M.exact(order) / M.exact(order + 1)
+    rho = 1 / M.exact_ratio(order)
     return LayoutEntry(
         order=order,
         rho=rho,
@@ -194,18 +194,20 @@ def build_layout(
 ) -> Layout:
     """Greedy selection: even orders whose center is below half the previous
     accepted center, starting from the first admissible order (offset ratio
-    above one, so the block sits to the right of its own scale)."""
+    above one, so the block sits to the right of its own scale). The scan
+    reads only rho and its center; entries are built for the kept orders."""
     _require_exact(M)
     orders: list[int] = []
     prev: Optional[RInterval] = None
     for order in range(2, lambda_max + 1, 2):
-        e = _entry_for(M, E, order)
-        if not e.center_iv.certainly_gt(e.rho):
+        rho = 1 / M.exact_ratio(order)
+        center = E.interval(rho)
+        if not center.certainly_gt(rho):
             continue
-        if prev is not None and not e.center_iv.certainly_lt(prev * Fraction(1, 2)):
+        if prev is not None and not center.certainly_lt(prev * Fraction(1, 2)):
             continue
         orders.append(order)
-        prev = e.center_iv
+        prev = center
     if not orders:
         raise LayoutError(f"no admissible orders up to {lambda_max}")
     return layout_from_orders(
@@ -569,18 +571,21 @@ class SharpnessReport:
     hypothesis_note: str
 
 
-def sharpness_scan(fn: FlatFunction, N: WeightSequence) -> SharpnessReport:
+def sharpness_scan(
+    fn: FlatFunction, N: WeightSequence, cert_rows: Sequence[CertificateRow]
+) -> SharpnessReport:
     """Roots r_order = (|d^order F|/(order! N_order))^(1/order) over the
-    layout's orders. Bounded roots are the signature of membership in the
-    target class at finite order; growing roots witness escape.
+    layout's orders, reading |d^order F| from the certificate rows of fn
+    (their certified lower bound lhs_log). Bounded roots are the signature
+    of membership in the target class at finite order; growing roots
+    witness escape.
 
     The report also labels, never enforces, the comparison hypothesis
     between the target and the square-shifted build family."""
     rows: list[SharpnessRow] = []
     prev = None
-    for lam in fn.layout.orders:
-        ax = flat_axis_derivative(fn, lam, lam)
-        dlog = log_of_fraction(ax.total_lower)
+    for cert_row in cert_rows:
+        lam, dlog = cert_row.order, cert_row.lhs_log
         root = math.exp((dlog - math.lgamma(lam + 1) - N.log_weight(lam)) / lam)
         rows.append(
             SharpnessRow(lam, dlog, root, None if prev is None else root / prev)

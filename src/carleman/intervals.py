@@ -20,22 +20,28 @@ Number = Union[int, Fraction]
 
 
 def integer_nth_root(N: int, n: int) -> int:
-    """floor(N ** (1/n)) for N >= 0, exact."""
+    """floor(N ** (1/n)) for N >= 0, exact.
+
+    Integer Newton steps x -> ((n-1) x + N // x^(n-1)) // n from a float
+    seed just above the root. Whatever the seed, one step lands at or above
+    the floor of the root (AM-GM), and from there the steps decrease
+    strictly until they reach it; the float only decides how few it takes.
+    """
     if N < 0 or n < 1:
         raise ValueError("need N >= 0 and n >= 1")
     if N in (0, 1) or n == 1:
         return N if n == 1 else int(N > 0)
     if n == 2:
         return math.isqrt(N)
-    hi = 1 << (N.bit_length() // n + 1)
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**n <= N:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    log2_root = math.log2(N) / n
+    shift = max(0, int(log2_root) - 52)  # keep 53 significant bits in the float
+    x = (int(2.0 ** (log2_root - shift) * (1 + 2.0**-30)) + 1) << shift
+    x = ((n - 1) * x + N // x ** (n - 1)) // n
+    while True:
+        y = ((n - 1) * x + N // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def exact_nth_root(x: Fraction, n: int) -> Union[Fraction, None]:

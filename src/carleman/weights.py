@@ -1,9 +1,10 @@
 """Log-convex weight sequences and their comparison/quasianalyticity diagnostics.
 
-A WeightSequence serves log M_k (always) and exact rational M_k (when the
-family supports it), normalized to M_0 = 1. Construction validates that the
-ratio sequence m_k = M_{k+1}/M_k is nondecreasing over every queried range;
-a violation is a hard error, not a warning.
+A WeightSequence serves log M_k (always) and exact rational M_k and
+m_k = M_{k+1}/M_k (when the family supports it), normalized to M_0 = 1. An
+exact family supplies m_k itself, so no ratio is formed by dividing
+factorials. Construction validates that the ratio sequence is nondecreasing
+over every queried range; a violation is a hard error, not a warning.
 
 Trend verdicts ("diverging-like", "strictly-contained-diagnostic", ...) are
 finite-horizon diagnostics with documented thresholds, never claims about
@@ -41,11 +42,15 @@ class WeightSequence:
         name: str,
         log_weight_fn: Callable[[int], float],
         exact_fn: Optional[Callable[[int], Fraction]] = None,
+        ratio_fn: Optional[Callable[[int], Fraction]] = None,
         validate_on_init: int = 8,
     ):
+        if (exact_fn is None) != (ratio_fn is None):
+            raise WeightError(f"{name}: an exact family supplies both M_k and m_k")
         self.name = name
         self._log_fn = log_weight_fn
         self._exact_fn = exact_fn
+        self._ratio_fn = ratio_fn
         self._memo: dict[int, float] = {}
         self._checked_to = 0
         m0 = self.log_weight(0)
@@ -78,9 +83,10 @@ class WeightSequence:
         return self.log_weight(k + 1) - self.log_weight(k)
 
     def exact_ratio(self, k: int) -> Optional[Fraction]:
-        if self._exact_fn is None:
+        """m_k = M_{k+1}/M_k, exact, as the family supplies it."""
+        if self._ratio_fn is None:
             return None
-        return self._exact_fn(k + 1) / self._exact_fn(k)
+        return self._ratio_fn(k)
 
     def validate(self, K: int) -> None:
         """Assert m_k nondecreasing for k < K (log domain, tiny float slack)."""
@@ -99,19 +105,22 @@ class WeightSequence:
 # -- families ----------------------------------------------------------------
 
 def analytic() -> WeightSequence:
-    return WeightSequence("analytic", lambda k: 0.0, lambda k: Fraction(1))
+    return WeightSequence(
+        "analytic", lambda k: 0.0, lambda k: Fraction(1), lambda k: Fraction(1)
+    )
 
 
 def gevrey(s: float) -> WeightSequence:
-    """M_k = (k!)^s. Exact rationals available for integer s >= 0."""
+    """M_k = (k!)^s, m_k = (k+1)^s. Exact rationals for integer s >= 0."""
     if s < 0:
         raise WeightError("gevrey exponent must be >= 0")
-    exact = None
+    exact = ratio = None
     if float(s).is_integer():
         si = int(s)
         exact = lambda k: Fraction(math.factorial(k) ** si)
+        ratio = lambda k: Fraction((k + 1) ** si)
     name = f"gevrey:{int(s) if float(s).is_integer() else s}"
-    return WeightSequence(name, lambda k: s * math.lgamma(k + 1), exact)
+    return WeightSequence(name, lambda k: s * math.lgamma(k + 1), exact, ratio)
 
 
 def log_power(c: float) -> WeightSequence:
@@ -139,23 +148,29 @@ def custom_table(log_values: Sequence[float], name: str = "table") -> WeightSequ
 
 
 def shift(M: WeightSequence, p: int) -> WeightSequence:
-    """The p-step shift M^(p): k -> M_{pk}."""
+    """The p-step shift M^(p): k -> M_{pk}, with ratio m_{pk} ... m_{pk+p-1}."""
     if p < 1:
         raise WeightError("shift step must be >= 1")
-    exact = (lambda k: M.exact(p * k)) if M.has_exact else None
-    return WeightSequence(f"shift:{p}:{M.name}", lambda k: M.log_weight(p * k), exact)
+    exact = ratio = None
+    if M.has_exact:
+        exact = lambda k: M.exact(p * k)
+        ratio = lambda k: math.prod(M.exact_ratio(p * k + j) for j in range(p))
+    return WeightSequence(
+        f"shift:{p}:{M.name}", lambda k: M.log_weight(p * k), exact, ratio
+    )
 
 
 def power(M: WeightSequence, p: float) -> WeightSequence:
-    """The termwise power M^p: k -> (M_k)^p."""
+    """The termwise power M^p: k -> (M_k)^p, with ratio m_k^p."""
     if p <= 0:
         raise WeightError("power exponent must be > 0")
-    exact = None
+    exact = ratio = None
     if M.has_exact and float(p).is_integer():
         pi = int(p)
         exact = lambda k: M.exact(k) ** pi
+        ratio = lambda k: M.exact_ratio(k) ** pi
     name = f"power:{int(p) if float(p).is_integer() else p}:{M.name}"
-    return WeightSequence(name, lambda k: p * M.log_weight(k), exact)
+    return WeightSequence(name, lambda k: p * M.log_weight(k), exact, ratio)
 
 
 def parse_family(spec: str) -> WeightSequence:

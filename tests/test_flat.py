@@ -5,6 +5,7 @@ rational or interval arithmetic underneath); tolerances only absorb the final
 float rendering.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from carleman.flat import (
     sharpness_scan,
 )
 from carleman.jets import FLOAT, Jet2
+from carleman.logscale import log_of_fraction
 from carleman.weights import analytic, gevrey, log_power, shift
 
 
@@ -36,6 +38,11 @@ def greedy_layout():
 @pytest.fixture(scope="module")
 def flat_fn(greedy_layout):
     return FlatFunction(greedy_layout)
+
+
+@pytest.fixture(scope="module")
+def cert_rows(flat_fn):
+    return lower_bound_certificate(flat_fn).rows
 
 
 def test_center_map_parse_and_validation():
@@ -65,6 +72,18 @@ def test_greedy_layout_shape(greedy_layout):
     centers = [e.center for e in lay.entries]
     assert all(b < a / 2 for a, b in zip(centers, centers[1:]))
     assert float(lay.delta_min_lo) == pytest.approx(0.13998953416392554, rel=1e-9)
+
+
+def test_greedy_layout_4096_pinned(tmp_path):
+    # the six greedy blocks to lambda_max 4096 and the bytes of the saved
+    # layout, as the factorial-quotient code produced them
+    layout = build_layout(gevrey(1), EFunction.parse("sqrt"), 4096)
+    assert layout.orders == [2, 12, 52, 212, 852, 3412]
+    path = tmp_path / "layout.json"
+    layout.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "dea69536b19a955753af50a31bd1a311bff2a0231f5cdf5487afc5f42c902ab8"
+    )
 
 
 def test_layout_entry_weight():
@@ -203,8 +222,8 @@ def test_polar_check_requires_normalized_family(greedy_layout):
         polar_flat_check(fn, degree=3, radii=2, angles=2)
 
 
-def test_sharpness_frozen_roots(flat_fn):
-    rep = sharpness_scan(flat_fn, gevrey(1))
+def test_sharpness_frozen_roots(flat_fn, cert_rows):
+    rep = sharpness_scan(flat_fn, gevrey(1), cert_rows)
     assert rep.verdict == "growing-diagnostic"
     roots = [r.root for r in rep.rows]
     assert roots[0] == pytest.approx(0.22180678063136305, rel=1e-9)
@@ -213,8 +232,18 @@ def test_sharpness_frozen_roots(flat_fn):
     assert rep.hypothesis_verdict == "strictly-contained-diagnostic"
 
 
-def test_sharpness_bounded_for_square_shift(flat_fn):
-    rep = sharpness_scan(flat_fn, shift(gevrey(1), 2))
+def test_sharpness_bounded_for_square_shift(flat_fn, cert_rows):
+    rep = sharpness_scan(flat_fn, shift(gevrey(1), 2), cert_rows)
     assert rep.verdict == "bounded-diagnostic"
     assert max(r.root for r in rep.rows) <= 2 * min(r.root for r in rep.rows)
     assert rep.hypothesis_verdict == "contained"
+
+
+def test_sharpness_reads_the_certified_axis_value(flat_fn, cert_rows):
+    # each sharpness row carries the log of the certified lower bound of
+    # its own axis derivative, the value the certificate row already holds
+    rep = sharpness_scan(flat_fn, gevrey(1), cert_rows)
+    assert [r.order for r in rep.rows] == flat_fn.layout.orders
+    for row in rep.rows:
+        ax = flat_axis_derivative(flat_fn, row.order, row.order)
+        assert row.deriv_log == log_of_fraction(ax.total_lower)

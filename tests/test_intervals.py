@@ -30,6 +30,44 @@ def test_integer_nth_root_floor_property(N, n):
     assert r**n <= N < (r + 1) ** n
 
 
+def _bisection_root(N, n):
+    """floor(N ** (1/n)) by bisection, as integer_nth_root computed it
+    before its Newton iteration; the reference for the property below."""
+    if N in (0, 1) or n == 1:
+        return N if n == 1 else int(N > 0)
+    hi = 1 << (N.bit_length() // n + 1)
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**n <= N:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def root_cases(draw):
+    """(N, n) with n up to the sixth greedy order 3412 and N up to 20000
+    bits (root at most 1500 bits, so the bisection reference stays quick);
+    a third of the cases are exact powers and their neighbours."""
+    n = draw(st.sampled_from([2, 3, 852, 3412]) | st.integers(2, 3412))
+    bits = min(20_000, 1500 * n)
+    if draw(st.integers(0, 2)) == 0:
+        r = draw(st.integers(1, 2 ** (bits // n)))
+        return r**n + draw(st.sampled_from([-1, 0, 1])), n
+    return draw(st.integers(0, 2**bits)), n
+
+
+@given(root_cases())
+@settings(max_examples=150, deadline=None)
+def test_integer_nth_root_newton_matches_bisection(case):
+    N, n = case
+    r = integer_nth_root(N, n)
+    assert r**n <= N < (r + 1) ** n
+    assert r == _bisection_root(N, n)
+
+
 def test_exact_nth_root():
     assert exact_nth_root(Fraction(8, 27), 3) == Fraction(2, 3)
     assert exact_nth_root(Fraction(1, 9), 2) == Fraction(1, 3)

@@ -101,6 +101,36 @@ def test_gevrey_ratio_identity(k, s):
     assert M.exact_ratio(k) == M.exact(k + 1) / M.exact(k)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "analytic",
+        "gevrey:0",
+        "gevrey:1",
+        "gevrey:2",
+        "gevrey:3",
+        "shift:2:gevrey:1",
+        "shift:3:gevrey:2",
+        "power:2:gevrey:1",
+        "power:2:shift:2:gevrey:1",
+    ],
+)
+def test_family_ratio_is_the_weight_quotient(spec):
+    # each exact family supplies m_k itself; it must be M_{k+1}/M_k exactly
+    M = parse_family(spec)
+    for k in range(61):
+        m = M.exact_ratio(k)
+        assert isinstance(m, Fraction)
+        assert m == M.exact(k + 1) / M.exact(k)
+
+
+def test_exact_family_needs_both_weight_and_ratio():
+    with pytest.raises(WeightError):
+        WeightSequence("half", lambda k: 0.0, lambda k: Fraction(1))
+    with pytest.raises(WeightError):
+        WeightSequence("half", lambda k: 0.0, ratio_fn=lambda k: Fraction(1))
+
+
 def test_quasianalyticity_verdicts():
     # divergent-sum family vs convergent-sum family, frozen verdicts
     assert quasianalyticity_diagnostic(analytic(), 200).verdict == "diverging-like"
