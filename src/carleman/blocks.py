@@ -143,13 +143,17 @@ class BaseFunction:
         return logsumexp(logs)
 
     def axis_moment(self, order: int) -> Fraction:
-        """sum_k w_k m_k^order over the truncation, exact, memoised per order."""
+        """sum_k w_k m_k^order over the truncation, exact, memoised per order.
+
+        The terms are summed as a balanced tree: each addition's gcd then
+        works on operands of like size instead of the growing partial sum."""
         moment = self._moments.get(order)
         if moment is None:
-            moment = sum(
-                self.weight_exact(k) * self.ratio_exact(k) ** order for k in self.k_range
-            )
-            self._moments[order] = moment
+            terms = [self.weight_exact(k) * self.ratio_exact(k) ** order for k in self.k_range]
+            while len(terms) > 1:
+                odd = terms[-1:] if len(terms) % 2 else []
+                terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
+            moment = self._moments[order] = terms[0]
         return moment
 
     def axis_sum_interval(self, order: int, one_plus_t2: RInterval) -> RInterval:

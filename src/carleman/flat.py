@@ -364,11 +364,13 @@ def flat_axis_derivative(
         return e.weight * fact / e.rho**order
 
     target_scale = scale(target)
-    dominant = target_scale * base.axis_moment(order)
     dom_log = target.weight_log + lf - order * log_of_fraction(target.rho) + base.axis_sum_log(order, 0.0)
 
-    cross = RInterval.exactly(0)
-    tail = target_scale * tail_unit
+    # every source's axis sum is the order's moment over (1+t^2)^p, so sum the
+    # small factors first and multiply by the (huge) moment once per endpoint
+    p = order // 2 + 1
+    factor = RInterval.exactly(0)  # sum_e scale_e / (1+t_e^2)^p
+    scales = target_scale
     logs = [dom_log]
     for e in layout.entries:
         if e.order == at:
@@ -376,7 +378,8 @@ def flat_axis_derivative(
         t_iv = (target.center_iv - e.center_iv) / e.rho
         one_plus = RInterval.exactly(1) + t_iv**2
         e_scale = scale(e)
-        cross = cross + base.axis_sum_interval(order, one_plus) * e_scale
+        factor = factor + (one_plus**p).reciprocal() * e_scale
+        scales += e_scale
         t_f = (target.center - e.center) / float(e.rho)
         logs.append(
             e.weight_log
@@ -384,10 +387,17 @@ def flat_axis_derivative(
             - order * log_of_fraction(e.rho)
             + base.axis_sum_log(order, math.log1p(t_f * t_f))
         )
-        tail += e_scale * tail_unit
 
+    moment = base.axis_moment(order)
     return FlatAxisValue(
-        order, at, sign, dominant, cross, cross + dominant, tail, logsumexp(logs)
+        order,
+        at,
+        sign,
+        target_scale * moment,
+        factor * moment,
+        (factor + target_scale) * moment,
+        scales * tail_unit,
+        logsumexp(logs),
     )
 
 

@@ -5,6 +5,18 @@ widen at nth roots. Roots are enclosed by scaled integer root extraction:
 both endpoints are rationals whose correctness is checkable by raising back
 to the nth power. Inequality certificates then compare conservative
 endpoints only; an interval answer of "unknown" is reported, never guessed.
+
+Endpoints grow to hundreds of thousands of bits, so two shortcuts keep the
+work near one big multiplication per endpoint without changing any result:
+
+- Products are sign-aware. When both factors are nonnegative the product is
+  (lo lo', hi hi'); only the other sign cases form and order all four
+  endpoint products.
+- Endpoint comparisons (the empty-interval check on every construction and
+  the general product's min/max) are screened. p/q > r/s is decided from the
+  top SCREEN_BITS bits of p, q, r and s with floor/ceil bounds on p s and
+  r q, and falls back to the exact Fraction comparison only when those
+  bounds overlap.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from fractions import Fraction
 from typing import Union
 
 ROOT_DIGITS = 40  # decimal digits of every root enclosure
+SCREEN_BITS = 256  # leading bits per integer in a screened comparison
 
 Number = Union[int, Fraction]
 
@@ -77,6 +90,51 @@ def nth_root_bounds(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _scaled_above(a: int, ea: int, b: int, eb: int) -> bool:
+    """a 2^ea > b 2^eb for a, b > 0."""
+    la, lb = a.bit_length() + ea, b.bit_length() + eb
+    if la != lb:
+        return la > lb
+    e = min(ea, eb)
+    return a << (ea - e) > b << (eb - e)
+
+
+def _top(n: int) -> tuple[int, int, int]:
+    """(f, c, k) with f 2^k <= n <= c 2^k and f = c = n when n has at most
+    SCREEN_BITS bits, else f = n >> k of SCREEN_BITS bits and c = f + 1;
+    for n > 0."""
+    k = n.bit_length() - SCREEN_BITS
+    if k <= 0:
+        return n, n, 0
+    f = n >> k
+    return f, f + 1, k
+
+
+def _gt(a: Fraction, b: Fraction) -> bool:
+    """a > b, screened on the leading bits of both numerators and
+    denominators; exact in every case."""
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    sa, sb = (p > 0) - (p < 0), (r > 0) - (r < 0)
+    if sa != sb or sa == 0:
+        return sa > sb
+    if sa < 0:  # a > b iff |b| > |a|
+        p, q, r, s = -r, s, -p, q
+    if max(p.bit_length(), q.bit_length(), r.bit_length(), s.bit_length()) <= SCREEN_BITS:
+        return p * s > r * q
+    # a > b iff p s > r q; bracket both products by their leading bits
+    pf, pc, pk = _top(p)
+    qf, qc, qk = _top(q)
+    rf, rc, rk = _top(r)
+    sf, sc, sk = _top(s)
+    if _scaled_above(pf * sf, pk + sk, rc * qc, rk + qk):
+        return True
+    if not _scaled_above(pc * sc, pk + sk, rf * qf, rk + qk):
+        return False
+    if p == r and q == s:  # equal reduced fractions, as in every point interval
+        return False
+    return p * s > r * q
+
+
 @dataclass(frozen=True)
 class RInterval:
     lo: Fraction
@@ -85,7 +143,7 @@ class RInterval:
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
+        if _gt(self.lo, self.hi):
             raise ValueError("empty interval")
 
     @classmethod
@@ -138,8 +196,15 @@ class RInterval:
 
     def __mul__(self, other) -> "RInterval":
         o = self._coerce(other)
-        cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RInterval(min(cands), max(cands))
+        if self.lo.numerator >= 0 and o.lo.numerator >= 0:
+            return RInterval(self.lo * o.lo, self.hi * o.hi)
+        lo = hi = self.lo * o.lo
+        for v in (self.lo * o.hi, self.hi * o.lo, self.hi * o.hi):
+            if _gt(lo, v):
+                lo = v
+            elif _gt(v, hi):
+                hi = v
+        return RInterval(lo, hi)
 
     __rmul__ = __mul__
 

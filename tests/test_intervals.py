@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carleman.intervals import (
+    SCREEN_BITS,
     RInterval,
+    _gt,
     exact_nth_root,
     integer_nth_root,
     nth_root_bounds,
@@ -147,3 +149,101 @@ def test_root_interval_always_encloses(x, n):
     iv = RInterval.nth_root(x, n)
     assert iv.lo**n <= x <= iv.hi**n
     assert iv.lo >= 0
+
+
+# -- products over every sign pattern, and the screened comparison -----------
+#
+# Endpoints are drawn from a few bits up to several thousand, so both the
+# short path (every integer within SCREEN_BITS) and the screened path of the
+# comparison are exercised, and the sign-aware product meets each sign case.
+
+SIZES = [1, 8, 64, SCREEN_BITS - 1, SCREEN_BITS, SCREEN_BITS + 1, 300, 1000, 4000]
+
+
+def _sized_int(draw):
+    """A positive integer of exactly one of SIZES bits."""
+    bits = draw(st.sampled_from(SIZES))
+    return draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+
+
+@st.composite
+def magnitudes(draw, allow_zero=True):
+    """A Fraction >= 0 (> 0 unless allow_zero) with numerator and
+    denominator of independently chosen sizes."""
+    if allow_zero and draw(st.integers(0, 9)) == 0:
+        return Fraction(0)
+    return Fraction(_sized_int(draw), _sized_int(draw))
+
+
+@st.composite
+def intervals(draw):
+    """An RInterval that is nonnegative, nonpositive, straddles zero, or is
+    a point (of any sign)."""
+    pattern = draw(st.sampled_from(["nonneg", "nonpos", "straddle", "point"]))
+    a, b = draw(magnitudes()), draw(magnitudes())
+    if pattern == "nonneg":
+        return RInterval(a, a + b)
+    if pattern == "nonpos":
+        return RInterval(-a - b, -a)
+    if pattern == "straddle":
+        return RInterval(-draw(magnitudes(False)), draw(magnitudes(False)))
+    return RInterval.exactly(draw(st.sampled_from([a, -a])))
+
+
+def _four_product_reference(a, b):
+    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return min(cands), max(cands)
+
+
+def _points(iv, t):
+    return [iv.lo, iv.hi, iv.lo + t * (iv.hi - iv.lo)]
+
+
+@given(intervals(), intervals(), st.fractions(min_value=0, max_value=1, max_denominator=1000))
+@settings(max_examples=200, deadline=None)
+def test_product_matches_four_product_reference_and_encloses(a, b, t):
+    p = a * b
+    assert (p.lo, p.hi) == _four_product_reference(a, b)
+    for x in _points(a, t):
+        for y in _points(b, t):
+            assert p.lo <= x * y <= p.hi
+
+
+@st.composite
+def fractions_any_sign(draw):
+    return draw(magnitudes()) * draw(st.sampled_from([1, -1]))
+
+
+@st.composite
+def near_ties(draw):
+    """(a, b) that agree to about e leading bits, e around the screen width,
+    or are equal values built from different (unreduced) integers."""
+    a = draw(fractions_any_sign())
+    if draw(st.booleans()):
+        g = draw(st.integers(1, 2**400))
+        return a, Fraction(a.numerator * g, a.denominator * g)
+    e = draw(st.integers(SCREEN_BITS - 64, 4 * SCREEN_BITS))
+    k = draw(st.integers(-3, 3))
+    return a, a * (1 + Fraction(k, 2**e))
+
+
+@given(st.one_of(st.tuples(fractions_any_sign(), fractions_any_sign()), near_ties()))
+@example((Fraction(2**600 + 1, 3**300), Fraction(2**600 + 1, 3**300)))
+@example((Fraction(2**600, 3**300), Fraction(2**600 + 1, 3**300)))
+@example((Fraction(-(2**600) - 1, 3**300), Fraction(-(2**600), 3**300)))
+@settings(max_examples=400, deadline=None)
+def test_screened_comparison_agrees_with_fraction(pair):
+    a, b = pair
+    assert _gt(a, b) == (a > b)
+    assert _gt(b, a) == (b > a)
+
+
+@given(fractions_any_sign(), fractions_any_sign())
+@settings(max_examples=100, deadline=None)
+def test_construction_rejects_exactly_the_empty_intervals(a, b):
+    if a > b:
+        with pytest.raises(ValueError):
+            RInterval(a, b)
+    else:
+        iv = RInterval(a, b)
+        assert (iv.lo, iv.hi) == (a, b)

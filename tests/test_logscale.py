@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from carleman.logscale import (
     LOG_ZERO,
@@ -40,9 +40,32 @@ def test_zero_identity():
 
 
 @given(finite, finite)
+@example(1e12, -999999600820.0)
 def test_add_matches_float(a, b):
+    """Log-domain a + b is within M (8L + 16) u of the float sum, where
+    M = max(|a|, |b|), L = max |ln|x|| over the nonzero operands, r = a + b
+    and u = 2^-52 bounds each rounding and each libm call (one ulp).
+
+    - Inputs. Each operand enters as its rounded log, off by at most L u,
+      i.e. as x e^eta with |eta| <= L u, so the exact sum of what enters is
+      off by at most 2 M L u. Near-cancelling operands keep this absolute
+      error while r shrinks, so no bound relative to |r| holds:
+      a = 1e12, b = -999999600820.0 gives 399179.99776 for 399180.
+    - Combination. The result's log is hi + ln m with m = 1 +- e^d and
+      |hi| <= L, so |ln m| <= |ln|r|| + L. Rounding d, exp/expm1, log1p/log,
+      the final addition and exp in `value` leave a log error of at most
+      (|ln m| + |ln|r|| + 4) u, hence a value error of at most
+      |r| (2 |ln|r|| + L + 4) u. With |r| <= 2M and |r| |ln|r|| <= 2M (L + 1)
+      (as rho |ln rho| <= 2 for rho = |r|/M <= 2), that is below
+      M (6L + 12) u.
+    - Reference. The float a + b adds at most M u.
+    The total, M (8L + 13) u, is below the asserted bound. For operands of
+    one sign M <= |r|, so the bound is relative and far below 1e-9.
+    """
     got = value(mag(a) + mag(b))
-    assert close(got, a + b, 1e-9)
+    big = max(abs(a), abs(b))
+    L = max((abs(math.log(abs(x))) for x in (a, b) if x != 0), default=0.0)
+    assert abs(got - (a + b)) <= big * 2**-52 * (8 * L + 16)
 
 
 def test_cancellation_goes_to_zero():
