@@ -343,7 +343,8 @@ def _crit_jet_consistency() -> Outcome:
     jet = hK.jet((Fraction(0), Fraction(0)), 8, EXACT)
     exact_bad = []
     for order in (2, 4, 6, 8):
-        closed = hK.axis_derivative(order, 0).exact
+        sign = -1 if (order // 2) % 2 else 1
+        closed = sign * math.factorial(order) * hK.axis_moment(order)
         from_jet = jet.coefficient((0, order)) * math.factorial(order)
         if closed != from_jet:
             exact_bad.append(order)

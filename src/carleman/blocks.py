@@ -25,32 +25,15 @@ from typing import Optional, Sequence, Union
 from .bricks import SweepResult, polar_sample_radii
 from .intervals import RInterval
 from .jets import EXACT, FLOAT, Jet2, polar_coordinates
-from .logscale import LOG_ZERO, LogMagnitude, log_of_fraction, logsumexp
+from .logscale import LOG_ZERO, log_diff, log_of_fraction, logsumexp
 from .ostrowski import phi_at_ratio
-from .weights import WeightSequence
+from .weights import WeightError, WeightSequence
 
 DEFAULT_TERMS = 40
 MIN_TERMS = 4
 POLAR_BLOCK_C = 2 * 8**5
 
 Scalar = Union[int, float, Fraction]
-
-
-@dataclass(frozen=True)
-class AxisDerivative:
-    """A pure-x2 derivative on the axis x2 = 0, with truncation control.
-
-    value is the truncated sum (k <= terms); the dropped part has magnitude
-    at most exp(truncation_log) and the same sign, so the true derivative
-    lies between value and value + sign * exp(truncation_log).
-    """
-
-    order: int
-    value: LogMagnitude
-    exact: Optional[Fraction]
-    truncation_log: float
-    terms: int
-    symmetry_zero: bool = False
 
 
 class BaseFunction:
@@ -160,36 +143,12 @@ class BaseFunction:
         """sum_k w_k m_k^order / (1+t^2)^(order/2+1) for an enclosure of 1+t^2."""
         return (one_plus_t2 ** (order // 2 + 1)).reciprocal() * self.axis_moment(order)
 
-    def axis_tail_exact(self, order: int, one_plus_t2: Fraction) -> Fraction:
-        """Rigorous bound on the dropped axis-sum part: M_order 2^-K scaled."""
+    def axis_tail_exact(self, order: int) -> Fraction:
+        """Rigorous bound on the dropped k > terms part of the order's moment:
+        M_order 2^-K."""
         if self._exact_w is None or self.M.exact(order) is None:
             raise ValueError("exact tail needs an exact family")
-        p = order // 2 + 1
-        return self.M.exact(order) / (2**self.terms * one_plus_t2**p)
-
-    def axis_truncation_log(self, order: int, log_one_plus_t2: float) -> float:
-        p = order // 2 + 1
-        return self.M.log_weight(order) - self.terms * math.log(2) - p * log_one_plus_t2
-
-    def axis_derivative(self, order: int, x1: Scalar) -> AxisDerivative:
-        """d^order/dx2^order of h at (x1, 0); odd orders vanish by symmetry."""
-        if order % 2 == 1:
-            return AxisDerivative(
-                order, LogMagnitude.zero(), Fraction(0), LOG_ZERO, self.terms, True
-            )
-        sign = -1 if (order // 2) % 2 else 1
-        exact = None
-        if self._exact_w is not None and isinstance(x1, (int, Fraction)):
-            opt = 1 + Fraction(x1) ** 2
-            exact = sign * math.factorial(order) * self.axis_moment(order) / opt ** (order // 2 + 1)
-            log_opt = log_of_fraction(opt)
-            val = LogMagnitude.from_fraction(exact)
-        else:
-            log_opt = math.log1p(float(x1) ** 2)
-            lg = self.axis_sum_log(order, log_opt)
-            val = LogMagnitude(sign, math.lgamma(order + 1) + lg)
-        trunc = math.lgamma(order + 1) + self.axis_truncation_log(order, log_opt)
-        return AxisDerivative(order, val, exact, trunc, self.terms)
+        return self.M.exact(order) / 2**self.terms
 
 
 # -- finite-order bound checks on the base ----------------------------------
@@ -242,23 +201,22 @@ class LowerBoundRow:
         return self.log_lhs >= self.log_rhs - 1e-12
 
 
-def _lower_row(
-    h: BaseFunction, ax: AxisDerivative, log_rhs: float, rho: Fraction
-) -> LowerBoundRow:
-    """|d^order/dx2^order| minus its tail >= order! M_order / (4^(order/2)
-    rho^order): decided exactly when ax has an exact value, else in logs."""
-    order = ax.order
+def _lower_row(h: BaseFunction, order: int, log_rhs: float, rho: Fraction) -> LowerBoundRow:
+    """|d^order/dx2^order| at a block centre, order! axis_moment(order) /
+    rho^order, minus its tail order! M_order / (2^K rho^order), against
+    order! M_order / (4^(order/2) rho^order): decided exactly for an exact
+    family, else in logs."""
     exact_ok = None
-    if ax.exact is not None:
+    if h.M.has_exact:
         scale = Fraction(math.factorial(order)) / rho**order
-        tail = scale * h.axis_tail_exact(order, Fraction(1))
-        rhs = scale * h.M.exact(order) / 4 ** (order // 2)
-        lhs = abs(ax.exact) - tail
-        exact_ok = lhs >= rhs
+        lhs = scale * (h.axis_moment(order) - h.axis_tail_exact(order))
+        exact_ok = lhs >= scale * h.M.exact(order) / 4 ** (order // 2)
         log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
     else:
-        lhs_mag = abs(ax.value) + LogMagnitude(-1, ax.truncation_log)
-        log_lhs = lhs_mag.log_abs if lhs_mag.sign > 0 else LOG_ZERO
+        lf, log_scale = math.lgamma(order + 1), order * log_of_fraction(rho)
+        value = lf + h.axis_sum_log(order, 0.0) - log_scale
+        tail = lf + (h.M.log_weight(order) - h.terms * math.log(2)) - log_scale
+        log_lhs = log_diff(value, tail)
     return LowerBoundRow(order, log_lhs, log_rhs, exact_ok)
 
 
@@ -276,7 +234,7 @@ def base_lower_check(
             raise ValueError(f"need terms >= order, got {terms} < {order}")
         n = order // 2
         log_rhs = math.lgamma(order + 1) + M.log_weight(order) - n * math.log(4)
-        rows.append(_lower_row(h, h.axis_derivative(order, 0), log_rhs, Fraction(1)))
+        rows.append(_lower_row(h, order, log_rhs, Fraction(1)))
     return rows
 
 
@@ -322,26 +280,6 @@ class Block:
     def jet(self, base_pt: tuple, degree: int, kind: str = FLOAT) -> Jet2:
         return self.jet_of(
             Jet2.variable(0, base_pt, degree, kind), Jet2.variable(1, base_pt, degree, kind)
-        )
-
-    def axis_derivative(self, order: int, x1: Scalar) -> AxisDerivative:
-        """d^order/dx2^order at (x1, 0): rho^-order times the base value at
-        the rescaled abscissa."""
-        if isinstance(x1, (int, Fraction)) and self.base._exact_w is not None:
-            t = Fraction(x1) / self.rho - self.q
-        else:
-            t = float(x1) / float(self.rho) - float(self.q)
-        ax = self.base.axis_derivative(order, t)
-        if ax.symmetry_zero:
-            return ax
-        log_scale = -order * log_of_fraction(self.rho)
-        exact = None if ax.exact is None else ax.exact / self.rho**order
-        return AxisDerivative(
-            order,
-            LogMagnitude(ax.value.sign, ax.value.log_abs + log_scale),
-            exact,
-            ax.truncation_log + log_scale,
-            ax.terms,
         )
 
 
@@ -401,8 +339,7 @@ def block_lower_check(
     h = BaseFunction(M, terms)
     rows = []
     for q, rho in geometries:
-        q, rho = Fraction(q), Fraction(rho)
-        blk = Block(h, q, rho)
+        _, rho = Block.geometry(q, rho)
         for order in orders:
             if order % 2 or order < 2 or order > terms:
                 raise ValueError("orders must be even, >= 2 and <= terms")
@@ -413,8 +350,7 @@ def block_lower_check(
                 - n * math.log(4)
                 - order * log_of_fraction(rho)
             )
-            ax = blk.axis_derivative(order, blk.center[0])
-            rows.append(_lower_row(h, ax, log_rhs, rho))
+            rows.append(_lower_row(h, order, log_rhs, rho))
     return rows
 
 
@@ -440,7 +376,7 @@ def polar_block_bound_check(
     Needs M_1 = 1 (the lemma's normalization; it makes the weighted ratio
     sums collapse to M_|a|)."""
     if abs(M.log_weight(1)) > 1e-12:
-        raise ValueError("polar block bound requires M_1 = 1")
+        raise WeightError("polar block bound requires M_1 = 1")
     rng = random.Random(seed)
     h = BaseFunction(M, terms)
     res = SweepResult()

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .blocks import MIN_TERMS, BaseFunction, Block
 from .bricks import SweepResult, polar_sample_radii
-from .intervals import RInterval, exact_nth_root
+from .intervals import RInterval
 from .jets import FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 from .weights import WeightSequence, compare, parse_family, shift
@@ -57,9 +57,10 @@ class EFunction:
         head, _, rest = spec.partition(":")
         if head == "power":
             try:
-                return cls(spec, Fraction(rest))
+                power = Fraction(rest)
             except (ValueError, ZeroDivisionError):
                 raise LayoutError(f"center map power must be rational, got {rest!r}") from None
+            return cls(spec, power)
         raise LayoutError(f"unknown center map {spec!r}")
 
     def interval(self, rho: Fraction) -> RInterval:
@@ -249,19 +250,11 @@ def layout_from_orders(
             f"terms must exceed the largest order {top} and be at least "
             f"{MIN_TERMS}, got {terms}"
         )
-    roots = []
-    for e in entries:
-        ex = exact_nth_root(e.rho**2, e.order)
-        roots.append(
-            RInterval.exactly(ex) if ex is not None else RInterval.nth_root(e.rho**2, e.order)
-        )
+    # a rational root comes back as a point, so eps is exact when the
+    # minima agree: the root with the least upper end is then a point there
+    roots = [RInterval.nth_root(e.rho**2, e.order) for e in entries]
     eps_lo = min(r.lo for r in roots)
     eps_hi = min(r.hi for r in roots)
-    eps_exact = None
-    for r in roots:
-        if r.width == 0 and r.hi == eps_hi and all(r.lo <= other.lo for other in roots):
-            eps_exact = r.lo
-            break
     gaps = [
         (a.center_iv - b.center_iv).abs().lo
         for i, a in enumerate(entries)
@@ -276,7 +269,7 @@ def layout_from_orders(
         entries=entries,
         eps_lo=eps_lo,
         eps_hi=eps_hi,
-        eps_exact=eps_exact,
+        eps_exact=eps_lo if eps_lo == eps_hi else None,
         delta_min_lo=min(gaps) if gaps else Fraction(0),
     )
 
@@ -358,7 +351,7 @@ def flat_axis_derivative(
     sign = -1 if (order // 2) % 2 else 1
     fact = Fraction(math.factorial(order))
     lf = math.lgamma(order + 1)
-    tail_unit = base.axis_tail_exact(order, Fraction(1))  # M_order / 2^K
+    tail_unit = base.axis_tail_exact(order)  # M_order / 2^K
 
     def scale(e: LayoutEntry) -> Fraction:
         return e.weight * fact / e.rho**order

@@ -19,8 +19,6 @@ from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
 from . import __version__
-from .intervals import RInterval
-from .logscale import LogMagnitude
 
 OUTPUT_DIR_ENV = "CARLEMAN_OUT"
 
@@ -42,16 +40,13 @@ def output_dir(override: Optional[str] = None) -> Path:
 def to_jsonable(obj: Any) -> Any:
     """Recursively rewrite values into JSON-safe primitives.
 
-    Fractions become "p/q" strings (exactness survives the round trip),
-    intervals become {lo, hi} in the same encoding, and log-scale magnitudes
-    keep their sign/log split. Tuples become lists; dict keys are stringified.
+    Fractions become "p/q" strings (exactness survives the round trip) and
+    dataclasses become their fields in declaration order, so an interval is
+    {lo, hi} in that encoding and a log magnitude {sign, log_abs}. Tuples
+    become lists; dict keys are stringified.
     """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, RInterval):
-        return {"lo": to_jsonable(obj.lo), "hi": to_jsonable(obj.hi)}
-    if isinstance(obj, LogMagnitude):
-        return {"sign": obj.sign, "log_abs": obj.log_abs}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))

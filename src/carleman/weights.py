@@ -297,9 +297,9 @@ def compare(N: WeightSequence, M: WeightSequence, K: int) -> ComparisonReport:
         verdict = "inconclusive"
     return ComparisonReport(
         K,
-        LogMagnitude.from_log(r[sup_at], 1),
+        LogMagnitude(1, r[sup_at]),
         sup_at,
-        LogMagnitude.from_log(r[inf_at], 1),
+        LogMagnitude(1, r[inf_at]),
         inf_at,
         verdict,
     )

@@ -244,6 +244,8 @@ def test_selftest_single_criterion(tmp_path, capsys):
         ("verify-bounds", "--target", "brick", "--q", "-1"),
         ("verify-bounds", "--target", "polar-brick", "--m", "1/2"),
         ("verify-bounds", "--target", "block", "--rho", "0"),
+        ("verify-bounds", "--target", "polar-block", "--family", "shift:2:gevrey:1"),
+        ("verify-bounds", "--target", "polar-block", "--family", "logpow:3"),
     ],
 )
 def test_bad_input_exits_two(argv, tmp_path, capsys):

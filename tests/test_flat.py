@@ -55,6 +55,11 @@ def test_center_map_parse_and_validation():
         EFunction.parse("cbrt")
     with pytest.raises(LayoutError):
         EFunction("bad", power=Fraction(3, 2))
+    # a rational power outside (0, 1) is reported as out of range
+    with pytest.raises(LayoutError, match=r"\(0, 1\)"):
+        EFunction.parse("power:2")
+    with pytest.raises(LayoutError, match="rational"):
+        EFunction.parse("power:abc")
 
 
 def test_greedy_layout_shape(greedy_layout):
