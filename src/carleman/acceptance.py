@@ -241,7 +241,8 @@ def _crit_sharpness() -> Outcome:
 
 
 def _crit_schedule() -> Outcome:
-    report = full_verification(8)
+    checks = {c.name: c for c in full_verification(8)}
+    all_ok = all(c.ok for c in checks.values())
     seq = counterexample_sequence(8)
     scan_ok = True
     prev = -math.inf
@@ -256,15 +257,15 @@ def _crit_schedule() -> Outcome:
         math.fsum(seq.gap_terms[: j + 1]) >= 0.9 * (j + 1)
         for j in range(len(seq.gap_terms))
     )
-    ok = report["all_ok"] and scan_ok and b_max <= 4.0 and partials_ok
-    window = report["checks"]["strict-gap-window"]
+    ok = all_ok and scan_ok and b_max <= 4.0 and partials_ok
+    window = checks["strict-gap-window"].details
     return (
         ok,
         f"schedule checks pass to k=5000; b max {b_max:.4f}, "
         f"g bottoms out at {window['g_min']:.4f} (k={window['g_min_at']}), "
-        f"gap sum {report['checks']['gap-sums']['sum']:.4f}",
+        f"gap sum {checks['gap-sums'].details['sum']:.4f}",
         {
-            "all_ok": report["all_ok"],
+            "all_ok": all_ok,
             "b_max": b_max,
             "monotone_to_5000": scan_ok,
             "partials_ok": partials_ok,

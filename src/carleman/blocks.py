@@ -5,10 +5,11 @@ The base function for a weight sequence M is
     h(x) = sum_{k>=1} w_k / (1 + x1^2 + (m_k x2)^2),  w_k = m_k^2 / (2^k phi(m_k)),
 
 where m_k = M_{k+1}/M_k and phi is the trace-growth function (the sum starts
-at k = 1). Two facts make h certifiable at finite order: the weights are
-summable with an explicit geometric tail (w_k m_k^j <= M_j 2^-k for every j),
-and pure-x2 derivatives on the axis have a closed form whose terms all share
-one sign, so truncation error is controlled and no cancellation occurs.
+at k = 1); nondecreasing ratios give phi(m_k) = m_k^(k+2)/M_k. Two facts
+make h certifiable at finite order: the weights are summable with an explicit
+geometric tail (w_k m_k^j <= M_j 2^-k for every j), and pure-x2 derivatives
+on the axis have a closed form whose terms all share one sign, so truncation
+error is controlled and no cancellation occurs.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c.
@@ -26,7 +27,6 @@ from .bricks import SweepResult, polar_sample_radii
 from .intervals import RInterval
 from .jets import EXACT, FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, log_diff, log_of_fraction, logsumexp
-from .ostrowski import phi_at_ratio
 from .weights import WeightError, WeightSequence
 
 DEFAULT_TERMS = 40
@@ -50,16 +50,17 @@ class BaseFunction:
         self._log_w: dict[int, float] = {}
         self._exact_w: Optional[dict[int, Fraction]] = {} if M.has_exact else None
         self._moments: dict[int, Fraction] = {}
+        # phi(m_k) = m_k^(k+2)/M_k needs nondecreasing ratios through m_terms
+        M.validate(terms + 1)
         for k in range(1, terms + 1):
-            pv = phi_at_ratio(M, k)
-            if pv.saturated:
-                self._log_w[k] = LOG_ZERO
-                if self._exact_w is not None:
-                    self._exact_w[k] = Fraction(0)
-                continue
-            self._log_w[k] = 2 * M.log_ratio(k) - k * math.log(2) - pv.log_phi
             if self._exact_w is not None:
-                self._exact_w[k] = M.exact_ratio(k) ** 2 / (2**k * pv.exact)
+                m = M.exact_ratio(k)
+                phi = m ** (k + 2) / M.exact(k)  # the one big reduction per term
+                log_phi = log_of_fraction(phi)
+                self._exact_w[k] = m**2 / (2**k * phi)
+            else:
+                log_phi = (k + 2) * M.log_ratio(k) - M.log_weight(k)
+            self._log_w[k] = 2 * M.log_ratio(k) - k * math.log(2) - log_phi
 
     @property
     def k_range(self) -> range:
@@ -225,6 +226,8 @@ def base_lower_check(
 ) -> list[LowerBoundRow]:
     """|d^(2n) h / dx2^(2n) (0,0)| >= (2n)! M_2n / 4^n for n >= 1, checked
     with the rigorous tail bound subtracted from the truncated sum."""
+    if not orders:
+        raise ValueError("no orders to check")
     h = BaseFunction(M, terms)
     rows = []
     for order in orders:
@@ -336,6 +339,8 @@ def block_lower_check(
 ) -> list[LowerBoundRow]:
     """At the block center, |d^(2n)/dx2^(2n) f| >= (2n)! M_2n / (4^n rho^2n),
     with the rigorous tail subtracted."""
+    if not orders:
+        raise ValueError("no orders to check")
     h = BaseFunction(M, terms)
     rows = []
     for q, rho in geometries:

@@ -85,9 +85,12 @@ def _fraction(text: str) -> Fraction:
 
 def _orders(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t]
+        values = [int(t) for t in text.split(",") if t]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if not values:
+        raise argparse.ArgumentTypeError(f"no integers in {text!r}")
+    return values
 
 
 def _criteria(text: str) -> list[int]:
@@ -194,6 +197,8 @@ def _cmd_verify_bounds(args) -> int:
             bricks = [BrickParams(args.q, args.m, args.rho)]
         elif target in ("block", "polar-block"):
             geom = [Block.geometry(args.q, args.rho)]
+        if target in ("base", "block") and args.Dmax < 1:
+            raise ValueError("the lower-bound rows need --Dmax >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -356,20 +361,18 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    report = full_verification(args.pairs)
     seq = counterexample_sequence(args.pairs)
     rb = ReportBuilder(
         "counterexample", {"pairs": args.pairs, "k_max": args.k_max, "seed": None}
     )
-    for name, body in report["checks"].items():
-        payload = {k: v for k, v in body.items() if k != "ok"}
-        rb.add(name, body["ok"], payload)
+    for c in full_verification(args.pairs):
+        rb.add(c.name, c.ok, c.details)
     rb.add_diagnostic(
         "schedule-size",
         {
-            "entries": report["entry_count"],
-            "last_entry_digits": report["last_entry_digits"],
-            "build_seconds": report["build_seconds"],
+            "entries": len(seq.boundaries),
+            "last_entry_digits": seq.last_digits,
+            "build_seconds": seq.build_seconds,
         },
     )
     rows = [
@@ -381,9 +384,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    only = args.only if args.only else None
-    results = run_all(only)
-    rb = ReportBuilder("selftest", {"only": only, "seed": None})
+    results = run_all(args.only)
+    rb = ReportBuilder("selftest", {"only": args.only, "seed": None})
     for r in results:
         print(r.line())
         rb.add(

@@ -17,8 +17,8 @@ The boundary schedule has three parts:
 
 Boundary values reach ~10^700000, so nothing here converts them to floats
 or decimal strings: k-th-root quantities go through math.log on integers
-(exact for the sizes involved to ~1e-15 relative), and reports serialize
-big entries by their log10.
+(exact for the sizes involved to ~1e-15 relative), and reports give the
+size of the last entry by its log10.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .weights import WeightError, WeightSequence
 
@@ -60,71 +59,43 @@ def v_sq(n: int) -> float:
     return math.exp(2 * log_v(n))
 
 
-@dataclass
-class ScheduleData:
-    pairs: int
-    boundaries: list[int]
-    levels: list[float]  # levels[i] rules (boundaries[i], boundaries[i+1]]; last rules the tail
-    doubled: list[int]  # the mu with both mu and 2 mu in the schedule
-    gap_terms: list[float]  # m * log3 / v^2 at each generated append decision
-    build_seconds: float
-
-
-def build_schedule(pairs: int = 8) -> ScheduleData:
+def build_schedule(pairs: int = 8) -> tuple[list[int], list[int], list[float]]:
+    """(boundaries, doubled, gap_terms): the burst, pairs - 1 generated
+    doubling pairs and the closing boundary. doubled lists the mu with both
+    mu and 2 mu in the schedule; gap_terms holds m * log3 / v^2 at each
+    generated append decision."""
     if pairs < 2:
         raise ValueError("need at least 2 pairs (the burst plus one generated)")
-    t0 = time.perf_counter()
     lam = list(BURST)
     doubled = [100]
     gap_terms = []
-    for _ in range(2, pairs + 1):
+    for j in range(2, pairs + 2):
         pos = len(lam) - 1
         m = math.ceil(v_sq(pos) / LOG3)
         gap_terms.append(m * LOG3 / v_sq(pos))
         mu = 2 * lam[-1] * 3**m
         lam.append(mu)
-        lam.append(2 * mu)
-        doubled.append(mu)
-    pos = len(lam) - 1
-    m = math.ceil(v_sq(pos) / LOG3)
-    gap_terms.append(m * LOG3 / v_sq(pos))
-    lam.append(2 * lam[-1] * 3**m)
-    levels = [log_v(n) for n in range(len(lam))]
-    return ScheduleData(
-        pairs, lam, levels, doubled, gap_terms, time.perf_counter() - t0
-    )
+        if j <= pairs:  # the last pass appends the closing boundary alone
+            lam.append(2 * mu)
+            doubled.append(mu)
+    return lam, doubled, gap_terms
 
 
 class CounterexampleSequence:
     def __init__(self, pairs: int = 8):
-        self.schedule = build_schedule(pairs)
+        t0 = time.perf_counter()
         self.pairs = pairs
-        lam = self.schedule.boundaries
+        self.boundaries, self.doubled, self.gap_terms = build_schedule(pairs)
+        lam = self.boundaries
+        # levels[i] rules (lam[i], lam[i+1]]; the last rules the tail
+        self.levels = [log_v(n) for n in range(len(lam))]
+        self.build_seconds = time.perf_counter() - t0
         # float prefix of log M at boundaries, only while it fits a float
         self._prefix: list[float] = [0.0]
         for i in range(len(lam) - 1):
             if lam[i + 1].bit_length() > FLOAT_SAFE_BITS:
                 break
-            self._prefix.append(
-                self._prefix[-1] + (lam[i + 1] - lam[i]) * self.schedule.levels[i]
-            )
-        self._weights: Optional[WeightSequence] = None
-
-    @property
-    def boundaries(self) -> list[int]:
-        return self.schedule.boundaries
-
-    @property
-    def levels(self) -> list[float]:
-        return self.schedule.levels
-
-    @property
-    def doubled(self) -> list[int]:
-        return self.schedule.doubled
-
-    @property
-    def gap_terms(self) -> list[float]:
-        return self.schedule.gap_terms
+            self._prefix.append(self._prefix[-1] + (lam[i + 1] - lam[i]) * self.levels[i])
 
     @property
     def last_digits(self) -> float:
@@ -169,12 +140,9 @@ class CounterexampleSequence:
             terms.append(math.exp(math.log(k - lam[-1]) - lk) * self.levels[-1])
         return math.fsum(terms)
 
-    def gap_ratio_log(self, k: int) -> float:
-        """log g_k with g_k = (M_k^2 / M_{2k})^(1/k), via k-th roots."""
-        return 2 * (self.root_log(k) - self.root_log(2 * k))
-
     def g(self, k: int) -> float:
-        return math.exp(self.gap_ratio_log(k))
+        """g_k = (M_k^2 / M_{2k})^(1/k), via k-th roots."""
+        return math.exp(2 * (self.root_log(k) - self.root_log(2 * k)))
 
     def b(self, k: int) -> float:
         """(M_{k+1}/M_k)^(1/k), computed without converting k to float."""
@@ -183,13 +151,9 @@ class CounterexampleSequence:
             return 1.0
         return math.exp(math.exp(math.log(lv) - math.log(k)))
 
-    @property
+    @functools.cached_property
     def weights(self) -> WeightSequence:
-        if self._weights is None:
-            self._weights = WeightSequence(
-                f"counterexample:{self.pairs}", self.log_weight, validate_on_init=8
-            )
-        return self._weights
+        return WeightSequence(f"counterexample:{self.pairs}", self.log_weight, validate_on_init=8)
 
 
 @functools.lru_cache(maxsize=4)
@@ -328,37 +292,13 @@ def verify_level_growth(seq: CounterexampleSequence) -> CheckReport:
     )
 
 
-def full_verification(pairs: int = 8) -> dict:
-    """All five checks plus schedule statistics, JSON-ready (big boundaries
-    reported by log10, never expanded)."""
+def full_verification(pairs: int = 8) -> list[CheckReport]:
+    """The five checks on the cached sequence, in report order."""
     seq = counterexample_sequence(pairs)
-    checks = [
+    return [
         verify_log_convex(seq),
         verify_diff_closed(seq),
         verify_gap_sums(seq),
         verify_strict_window(seq),
         verify_level_growth(seq),
     ]
-    entries = []
-    for i, lam in enumerate(seq.boundaries):
-        small = lam.bit_length() < 64
-        entries.append(
-            {
-                "index": i,
-                "value": lam if small else None,
-                "log10": 0.0 if lam == 0 else lam.bit_length() * math.log10(2),
-                "level": seq.levels[i],
-            }
-        )
-    return {
-        "pairs": pairs,
-        "entry_count": len(seq.boundaries),
-        "doubled_count": len(seq.doubled),
-        "last_entry_digits": seq.last_digits,
-        "build_seconds": seq.schedule.build_seconds,
-        "boundaries": entries,
-        "checks": {
-            c.name: {"ok": c.ok, **c.details} for c in checks
-        },
-        "all_ok": all(c.ok for c in checks),
-    }

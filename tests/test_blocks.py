@@ -2,7 +2,7 @@
 
 For the factorial family the bump weights have the closed form
 w_k = k! / (2^k (k+1)^k), which the tests recompute independently of the
-trace-growth machinery the implementation uses.
+phi identity the implementation uses.
 """
 
 import math
@@ -22,7 +22,16 @@ from carleman.blocks import (
 )
 from carleman.intervals import RInterval
 from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
-from carleman.weights import analytic, gevrey, log_power, shift
+from carleman.ostrowski import phi
+from carleman.weights import (
+    ConvexityError,
+    analytic,
+    custom_table,
+    gevrey,
+    log_power,
+    parse_family,
+    shift,
+)
 
 
 def closed_form_weight(k: int) -> Fraction:
@@ -37,6 +46,32 @@ def test_weights_match_closed_form():
         assert bf.weight_log(k) == pytest.approx(
             math.log(closed_form_weight(k)), rel=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "spec", ["gevrey:1", "gevrey:2", "analytic", "shift:2:gevrey:1", "power:2:gevrey:1"]
+)
+def test_exact_weights_match_the_phi_search(spec):
+    # reference: w_k = m_k^2 / (2^k phi(m_k)) with phi found by its argmax search
+    M = parse_family(spec)
+    bf = BaseFunction(M, terms=40)
+    for k in bf.k_range:
+        pv = phi(M, M.exact_ratio(k))
+        assert bf.weight_exact(k) == M.exact_ratio(k) ** 2 / (2**k * pv.exact)
+        assert bf.weight_log(k) == 2 * M.log_ratio(k) - k * math.log(2) - pv.log_phi
+
+
+def test_table_weights_need_no_entries_past_the_last_ratio():
+    # 40 terms read M_0 .. M_41; a longer table gives the same weights
+    short = BaseFunction(custom_table([k * (k - 1) / 2 for k in range(43)]), terms=40)
+    long = BaseFunction(custom_table([k * (k - 1) / 2 for k in range(70)]), terms=40)
+    assert [short.weight_log(k) for k in short.k_range] == [long.weight_log(k) for k in long.k_range]
+
+
+def test_weights_need_nondecreasing_ratios():
+    table = [k * (k - 1) / 2 - 5 * max(0, k - 12) for k in range(43)]  # m_12 < m_11
+    with pytest.raises(ConvexityError, match="k=12"):
+        BaseFunction(custom_table(table), terms=40)
 
 
 def test_needs_minimum_terms():
@@ -129,6 +164,10 @@ def test_base_lower_rejects_bad_orders():
         base_lower_check(gevrey(1), [0], terms=40)
     with pytest.raises(ValueError):
         base_lower_check(gevrey(1), [42], terms=40)
+    with pytest.raises(ValueError):
+        base_lower_check(gevrey(1), [], terms=40)
+    with pytest.raises(ValueError):
+        block_lower_check(gevrey(1), [(Fraction(2), Fraction(1, 2))], [], terms=40)
 
 
 def test_base_upper_sweep():

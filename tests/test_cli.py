@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from carleman.cli import main
-from carleman.reports import ReportBuilder, strip_volatile
+from carleman.counterexample import full_verification
+from carleman.reports import ReportBuilder, strip_volatile, to_jsonable
 
 
 def run(*argv):
@@ -173,6 +174,16 @@ def test_counterexample_schedule_csv(tmp_path):
     }
 
 
+def test_counterexample_payloads_are_the_check_details(tmp_path):
+    assert run("counterexample", "--pairs", "3", "--k-max", "8", "--out", str(tmp_path)) == 0
+    env = read_json(tmp_path / "counterexample.json")
+    checks = full_verification(3)
+    assert [c["name"] for c in env["checks"]] == [c.name for c in checks] + ["schedule-size"]
+    for got, c in zip(env["checks"], checks):
+        assert got["status"] == ("pass" if c.ok else "fail")
+        assert got["payload"] == json.loads(json.dumps(to_jsonable(c.details)))
+
+
 def test_reports_stable_across_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -219,6 +230,11 @@ def test_selftest_single_criterion(tmp_path, capsys):
     assert env["checks"][0]["name"] == "trace-growth-identity"
 
 
+# log M_k = k(k-1)/2 through k = 12, then ratio 7 after ratio 11: the
+# ratio drops at k = 12, past the table's own 8-entry validation
+RATIO_DROP_TABLE = "table:" + ",".join(str(k * (k - 1) / 2 - 5 * max(0, k - 12)) for k in range(43))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -246,6 +262,11 @@ def test_selftest_single_criterion(tmp_path, capsys):
         ("verify-bounds", "--target", "block", "--rho", "0"),
         ("verify-bounds", "--target", "polar-block", "--family", "shift:2:gevrey:1"),
         ("verify-bounds", "--target", "polar-block", "--family", "logpow:3"),
+        ("verify-bounds", "--target", "base", "--Dmax", "0"),
+        ("verify-bounds", "--target", "block", "--Dmax", "0"),
+        ("verify-bounds", "--target", "base", "--family", RATIO_DROP_TABLE),
+        ("construct-flat", "--family", "gevrey:1", "--orders", ","),
+        ("selftest", "--only", ","),
     ],
 )
 def test_bad_input_exits_two(argv, tmp_path, capsys):

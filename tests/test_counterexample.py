@@ -141,21 +141,15 @@ def test_level_growth_direction(seq):
 
 
 def test_full_verification_envelope():
-    out = full_verification(8)
-    assert out["all_ok"]
-    assert out["entry_count"] == 25
-    assert out["doubled_count"] == 8
-    assert out["last_entry_digits"] == pytest.approx(714262.2995518068, rel=1e-9)
-    assert set(out["checks"]) == {
+    checks = full_verification(8)
+    assert [c.name for c in checks] == [
         "log-convexity",
         "difference-closedness",
         "gap-sums",
         "strict-gap-window",
         "level-growth-direction",
-    }
-    # huge boundaries are reported by size only, never expanded
-    big = [e for e in out["boundaries"] if e["value"] is None]
-    assert big and all(e["log10"] > 19 for e in big)
+    ]
+    assert all(c.ok for c in checks)
 
 
 def test_schedule_needs_two_pairs():
