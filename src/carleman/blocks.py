@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .bricks import SweepResult, polar_sample_radii
+from .bricks import SweepResult, polar_samples
 from .intervals import RInterval
 from .jets import EXACT, FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, log_diff, log_of_fraction, logsumexp
@@ -403,9 +403,7 @@ def polar_block_bound_check(
             norm = math.log(coef) - a[1] * growth - M.log_weight(n)
             return math.exp(norm / (n + 1))
 
-        for r in polar_sample_radii(rng, radii):
-            for _ in range(angles):
-                th = rng.uniform(-math.pi, math.pi)
-                jet = polar_block_jet(blk, (r, th), degree, FLOAT)
-                res.sweep(jet, ((q, rho), r, th), log_bound=log_bound, constant=constant)
+        for r, th in polar_samples(rng, radii, angles):
+            jet = polar_block_jet(blk, (r, th), degree, FLOAT)
+            res.sweep(jet, ((q, rho), r, th), log_bound=log_bound, constant=constant)
     return res

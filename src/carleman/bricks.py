@@ -56,11 +56,14 @@ def brick_value(p: BrickParams, x1: Scalar, x2: Scalar) -> Scalar:
     return p.rho**2 / (p.rho**2 + (x1 - p.rho * p.q) ** 2 + (p.m * x2) ** 2)
 
 
-def brick_jet(p: BrickParams, base: tuple, degree: int, kind: str = EXACT) -> Jet2:
-    x1 = Jet2.variable(0, base, degree, kind)
-    x2 = Jet2.variable(1, base, degree, kind)
+def _brick_of(p: BrickParams, x1: Jet2, x2: Jet2) -> Jet2:
+    """The bump composed with coordinate jets x1, x2."""
     denom = p.rho**2 + (x1 - p.rho * p.q) ** 2 + (p.m * x2) ** 2
     return denom.reciprocal().scale(p.rho**2)
+
+
+def brick_jet(p: BrickParams, base: tuple, degree: int, kind: str = EXACT) -> Jet2:
+    return _brick_of(p, Jet2.variable(0, base, degree, kind), Jet2.variable(1, base, degree, kind))
 
 
 def polar_brick_jet(p: BrickParams, base: tuple, degree: int, kind: str = EXACT) -> Jet2:
@@ -69,9 +72,7 @@ def polar_brick_jet(p: BrickParams, base: tuple, degree: int, kind: str = EXACT)
     Exact kind requires base theta = 0 (the angle jet must have no constant
     term for the exact sine/cosine expansion).
     """
-    x1, x2 = polar_coordinates(base, degree, kind)
-    denom = p.rho**2 + (x1 - p.rho * p.q) ** 2 + (p.m * x2) ** 2
-    return denom.reciprocal().scale(p.rho**2)
+    return _brick_of(p, *polar_coordinates(base, degree, kind))
 
 
 @dataclass
@@ -224,13 +225,12 @@ def brick_taylor_check(
     return res
 
 
-def polar_sample_radii(rng: random.Random, n: int) -> list[float]:
-    """Log-uniform radii in [1e-4, 10], always including r = 0."""
-    out = [0.0]
+def polar_samples(rng: random.Random, radii: int, angles: int) -> list[tuple[float, float]]:
+    """(r, theta) points: r = 0 and radii - 1 log-uniform radii in [1e-4, 10],
+    all drawn first, then angles uniform thetas in [-pi, pi] per radius."""
     lo, hi = math.log(1e-4), math.log(10.0)
-    while len(out) < n:
-        out.append(math.exp(rng.uniform(lo, hi)))
-    return out
+    rs = [0.0] + [math.exp(rng.uniform(lo, hi)) for _ in range(radii - 1)]
+    return [(r, rng.uniform(-math.pi, math.pi)) for r in rs for _ in range(angles)]
 
 
 def polar_brick_bound_check(
@@ -257,10 +257,8 @@ def polar_brick_bound_check(
             norm = coef / (m**n * growth2 ** a[1])
             return norm ** (1.0 / (n + 1))
 
-        for r in polar_sample_radii(rng, radii):
-            for _ in range(angles):
-                th = rng.uniform(-math.pi, math.pi)
-                jet = polar_brick_jet(p, (r, th), degree, FLOAT)
-                res.sweep(jet, (p, r, th), rhs_sq=rhs_sq, constant=constant)
+        for r, th in polar_samples(rng, radii, angles):
+            jet = polar_brick_jet(p, (r, th), degree, FLOAT)
+            res.sweep(jet, (p, r, th), rhs_sq=rhs_sq, constant=constant)
     return res
 

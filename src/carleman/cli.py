@@ -202,6 +202,8 @@ def _cmd_verify_bounds(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    radii = max(2, int(math.sqrt(args.samples)))
+    angles = max(1, -(-args.samples // radii))
     rb = ReportBuilder(
         "verify-bounds",
         {
@@ -225,8 +227,6 @@ def _cmd_verify_bounds(args) -> int:
         )
         rb.add("brick-taylor-bound", chk.ok, chk)
     elif target == "polar-brick":
-        radii = max(2, int(math.sqrt(args.samples)))
-        angles = max(1, -(-args.samples // radii))
         chk = polar_brick_bound_check(
             bricks,
             degree=args.Dmax,
@@ -263,8 +263,6 @@ def _cmd_verify_bounds(args) -> int:
         low = block_lower_check(args.family, geom, orders, terms=args.terms)
         rb.add("block-lower-bound", all(r.ok for r in low), low)
     elif target == "polar-block":
-        radii = max(2, int(math.sqrt(args.samples)))
-        angles = max(1, -(-args.samples // radii))
         chk = polar_block_bound_check(
             args.family, geom, degree=args.Dmax,
             radii=radii, angles=angles, terms=args.terms, seed=args.seed,

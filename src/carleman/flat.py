@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .blocks import MIN_TERMS, BaseFunction, Block
-from .bricks import SweepResult, polar_sample_radii
+from .bricks import SweepResult, polar_samples
 from .intervals import RInterval
 from .jets import FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, log_of_fraction, logsumexp
@@ -34,6 +34,9 @@ LAMBDA0_CAP = 10**6  # last order the lambda0 scan tries
 SHARPNESS_COMPARE_HORIZON = 64  # K of the sharpness hypothesis comparison
 LOG2 = math.log(2.0)
 LOG8 = math.log(8.0)
+# the fields of a saved layout and their JSON types
+LAYOUT_FIELDS = {"m_family": str, "e_spec": str, "lambda_max": int, "sparsity_enforced": bool,
+                 "terms": int, "orders": list, "entries": list}
 
 
 class LayoutError(ValueError):
@@ -151,18 +154,32 @@ class Layout:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Layout":
+        # exact types: a JSON true or false is no number
+        if not isinstance(data, dict) or any(
+            type(data.get(k)) is not t for k, t in LAYOUT_FIELDS.items()
+        ):
+            fields = ", ".join(f"{k} ({t.__name__})" for k, t in LAYOUT_FIELDS.items())
+            raise LayoutError(f"layout must be a JSON object with fields {fields}")
+        orders, entries = data["orders"], data["entries"]
+        if not (
+            len(entries) == len(orders)
+            and all(type(order) is int for order in orders)
+            and all(isinstance(e, dict) and type(e.get("rho")) is str
+                    and type(e.get("center")) in (int, float) for e in entries)
+        ):
+            raise LayoutError("layout needs one entry (rho: str, center: number) per integer order")
         M = parse_family(data["m_family"])
         E = EFunction.parse(data["e_spec"])
         rebuilt = layout_from_orders(
             M,
             E,
-            data["orders"],
+            orders,
             lambda_max=data["lambda_max"],
             require_sparsity=data["sparsity_enforced"],
             terms=data["terms"],
         )
-        for want, have in zip(data["entries"], rebuilt.entries):
-            if Fraction(want["rho"]) != have.rho or abs(want["center"] - have.center) > 1e-9:
+        for want, have in zip(entries, rebuilt.entries):
+            if Fraction(want["rho"]) != have.rho or not abs(want["center"] - have.center) <= 1e-9:
                 raise LayoutError("stored layout disagrees with its rebuild")
         return rebuilt
 
@@ -279,9 +296,9 @@ def layout_from_orders(
 class FlatFunction:
     """The weighted sum of blocks described by a layout."""
 
-    def __init__(self, layout: Layout, M: Optional[WeightSequence] = None):
+    def __init__(self, layout: Layout):
         self.layout = layout
-        self.M = M if M is not None else parse_family(layout.m_family)
+        self.M = parse_family(layout.m_family)
         self.base = BaseFunction(self.M, layout.terms)
         self._blocks = [
             Block(self.base, Fraction(e.center) / e.rho, e.rho)
@@ -548,10 +565,8 @@ def polar_flat_check(
         ]
         return tail_logs, (n + 1) * log2C + fn.M.log_weight(n)
 
-    for r in polar_sample_radii(rng, radii):
-        for _ in range(angles):
-            th = rng.uniform(-math.pi, math.pi)
-            res.sweep(fn.polar_jet((r, th), degree), (r, th), log_bound=log_bound)
+    for r, th in polar_samples(rng, radii, angles):
+        res.sweep(fn.polar_jet((r, th), degree), (r, th), log_bound=log_bound)
     return res
 
 

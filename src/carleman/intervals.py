@@ -6,17 +6,11 @@ both endpoints are rationals whose correctness is checkable by raising back
 to the nth power. Inequality certificates then compare conservative
 endpoints only; an interval answer of "unknown" is reported, never guessed.
 
-Endpoints grow to hundreds of thousands of bits, so two shortcuts keep the
-work near one big multiplication per endpoint without changing any result:
-
-- Products are sign-aware. When both factors are nonnegative the product is
-  (lo lo', hi hi'); only the other sign cases form and order all four
-  endpoint products.
-- Endpoint comparisons (the empty-interval check on every construction and
-  the general product's min/max) are screened. p/q > r/s is decided from the
-  top SCREEN_BITS bits of p, q, r and s with floor/ceil bounds on p s and
-  r q, and falls back to the exact Fraction comparison only when those
-  bounds overlap.
+Endpoints grow to hundreds of thousands of bits, so no operation compares
+them more than it must. Only the constructor and the root enclosures check
+lo <= hi; every arithmetic result is ordered by construction. Products are
+sign-aware: when both factors are nonnegative the product is (lo lo', hi hi'),
+and only the other sign cases form and order all four endpoint products.
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ from fractions import Fraction
 from typing import Union
 
 ROOT_DIGITS = 40  # decimal digits of every root enclosure
-SCREEN_BITS = 256  # leading bits per integer in a screened comparison
 
 Number = Union[int, Fraction]
 
@@ -90,51 +83,6 @@ def nth_root_bounds(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _scaled_above(a: int, ea: int, b: int, eb: int) -> bool:
-    """a 2^ea > b 2^eb for a, b > 0."""
-    la, lb = a.bit_length() + ea, b.bit_length() + eb
-    if la != lb:
-        return la > lb
-    e = min(ea, eb)
-    return a << (ea - e) > b << (eb - e)
-
-
-def _top(n: int) -> tuple[int, int, int]:
-    """(f, c, k) with f 2^k <= n <= c 2^k and f = c = n when n has at most
-    SCREEN_BITS bits, else f = n >> k of SCREEN_BITS bits and c = f + 1;
-    for n > 0."""
-    k = n.bit_length() - SCREEN_BITS
-    if k <= 0:
-        return n, n, 0
-    f = n >> k
-    return f, f + 1, k
-
-
-def _gt(a: Fraction, b: Fraction) -> bool:
-    """a > b, screened on the leading bits of both numerators and
-    denominators; exact in every case."""
-    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    sa, sb = (p > 0) - (p < 0), (r > 0) - (r < 0)
-    if sa != sb or sa == 0:
-        return sa > sb
-    if sa < 0:  # a > b iff |b| > |a|
-        p, q, r, s = -r, s, -p, q
-    if max(p.bit_length(), q.bit_length(), r.bit_length(), s.bit_length()) <= SCREEN_BITS:
-        return p * s > r * q
-    # a > b iff p s > r q; bracket both products by their leading bits
-    pf, pc, pk = _top(p)
-    qf, qc, qk = _top(q)
-    rf, rc, rk = _top(r)
-    sf, sc, sk = _top(s)
-    if _scaled_above(pf * sf, pk + sk, rc * qc, rk + qk):
-        return True
-    if not _scaled_above(pc * sc, pk + sk, rf * qf, rk + qk):
-        return False
-    if p == r and q == s:  # equal reduced fractions, as in every point interval
-        return False
-    return p * s > r * q
-
-
 @dataclass(frozen=True)
 class RInterval:
     lo: Fraction
@@ -143,13 +91,21 @@ class RInterval:
     def __post_init__(self):
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
-        if _gt(self.lo, self.hi):
+        if self.lo > self.hi:
             raise ValueError("empty interval")
+
+    @classmethod
+    def _ordered(cls, lo: Fraction, hi: Fraction) -> "RInterval":
+        """[lo, hi] for Fractions the calling operation orders; unchecked."""
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "lo", lo)
+        object.__setattr__(iv, "hi", hi)
+        return iv
 
     @classmethod
     def exactly(cls, v: Number) -> "RInterval":
         f = Fraction(v)
-        return cls(f, f)
+        return cls._ordered(f, f)
 
     @classmethod
     def nth_root(cls, x: Number, n: int) -> "RInterval":
@@ -181,12 +137,12 @@ class RInterval:
 
     def __add__(self, other) -> "RInterval":
         o = self._coerce(other)
-        return RInterval(self.lo + o.lo, self.hi + o.hi)
+        return RInterval._ordered(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RInterval":
-        return RInterval(-self.hi, -self.lo)
+        return RInterval._ordered(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "RInterval":
         return self + (-self._coerce(other))
@@ -197,21 +153,16 @@ class RInterval:
     def __mul__(self, other) -> "RInterval":
         o = self._coerce(other)
         if self.lo.numerator >= 0 and o.lo.numerator >= 0:
-            return RInterval(self.lo * o.lo, self.hi * o.hi)
-        lo = hi = self.lo * o.lo
-        for v in (self.lo * o.hi, self.hi * o.lo, self.hi * o.hi):
-            if _gt(lo, v):
-                lo = v
-            elif _gt(v, hi):
-                hi = v
-        return RInterval(lo, hi)
+            return RInterval._ordered(self.lo * o.lo, self.hi * o.hi)
+        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return RInterval._ordered(min(products), max(products))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RInterval":
         if self.lo <= 0 <= self.hi:
             raise ZeroDivisionError("interval straddles zero")
-        return RInterval(1 / self.hi, 1 / self.lo)
+        return RInterval._ordered(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other) -> "RInterval":
         return self * self._coerce(other).reciprocal()
@@ -224,19 +175,14 @@ class RInterval:
             return RInterval.exactly(1)
         if n < 0:
             return (self**-n).reciprocal()
-        if self.lo >= 0:
-            return RInterval(self.lo**n, self.hi**n)
-        if self.hi <= 0:
-            lo, hi = self.lo**n, self.hi**n
-            return RInterval(min(lo, hi), max(lo, hi))
-        if n % 2 == 0:
-            return RInterval(Fraction(0), max(self.lo**n, self.hi**n))
-        return RInterval(self.lo**n, self.hi**n)
+        if n % 2 or self.lo >= 0:  # t -> t^n increases here
+            return RInterval._ordered(self.lo**n, self.hi**n)
+        if self.hi <= 0:  # even power of a nonpositive interval decreases
+            return RInterval._ordered(self.hi**n, self.lo**n)
+        return RInterval._ordered(Fraction(0), max(self.lo**n, self.hi**n))
 
     def sqrt(self) -> "RInterval":
-        lo, _ = nth_root_bounds(self.lo, 2)
-        _, hi = nth_root_bounds(self.hi, 2)
-        return RInterval(lo, hi)
+        return self.root(2)
 
     def root(self, n: int) -> "RInterval":
         lo, _ = nth_root_bounds(self.lo, n)
@@ -248,7 +194,7 @@ class RInterval:
             return self
         if self.hi <= 0:
             return -self
-        return RInterval(Fraction(0), max(-self.lo, self.hi))
+        return RInterval._ordered(Fraction(0), max(-self.lo, self.hi))
 
     # certified comparisons: True/False only when the intervals prove it
     def certainly_ge(self, other) -> bool:

@@ -1,5 +1,7 @@
 """Tests for the rational bump, its jets, and the certified derivative bounds."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,9 @@ from carleman.bricks import (
     cauchy_kernel_check,
     polar_brick_bound_check,
     polar_brick_jet,
-    polar_sample_radii,
+    polar_samples,
 )
 from carleman.jets import EXACT, JetError
-import random
 
 
 def test_params_validation():
@@ -108,9 +109,16 @@ def test_polar_jet_matches_cartesian_on_axis():
         assert polar.coefficient((k, 0)) == cart.coefficient((k, 0))
 
 
-def test_polar_sample_radii_shape():
+def test_polar_samples_shape():
     rng = random.Random(11)
-    radii = polar_sample_radii(rng, 6)
+    samples = polar_samples(rng, 6, 3)
+    assert len(samples) == 18
+    radii = [r for r, _ in samples[::3]]
     assert radii[0] == 0.0
-    assert len(radii) == 6
+    assert all(r == radii[i // 3] for i, (r, _) in enumerate(samples))
     assert all(1e-4 <= r <= 10 for r in radii[1:])
+    assert all(-math.pi <= th <= math.pi for _, th in samples)
+    # every radius is drawn before the first angle
+    rng = random.Random(11)
+    lo, hi = math.log(1e-4), math.log(10.0)
+    assert radii[1:] == [math.exp(rng.uniform(lo, hi)) for _ in range(5)]

@@ -160,6 +160,42 @@ def test_certify_missing_layout(tmp_path, capsys):
     assert "cannot load layout" in capsys.readouterr().err
 
 
+def _with_center(data, value):
+    first = {**data["entries"][0], "center": value}
+    return {**data, "entries": [first, *data["entries"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda d: {**d, "orders": 5},
+        lambda d: {**d, "orders": [2.0, 12, 52]},
+        lambda d: {**d, "terms": "abc"},
+        lambda d: {**d, "m_family": 3},
+        lambda d: {**d, "e_spec": 5},
+        lambda d: _with_center(d, "x"),
+        lambda d: _with_center(d, float("nan")),
+        lambda d: {**d, "entries": []},
+        lambda d: {k: v for k, v in d.items() if k != "terms"},
+        lambda d: d["orders"],
+    ],
+    ids=["orders-int", "orders-float", "terms-str", "family-int", "E-int",
+         "center-str", "center-nan", "no-entries", "missing-terms", "list"],
+)
+def test_certify_rejects_malformed_layout(tamper, tmp_path, capsys):
+    assert run(
+        "construct-flat", "--family", "gevrey:1", "--lambda-max", "64", "--out", str(tmp_path)
+    ) == 0
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(tamper(read_json(path))))
+    capsys.readouterr()
+    assert run("certify", "--gamma", str(path), "--out", str(tmp_path / "cert")) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot load layout:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cert").exists()
+
+
 def test_counterexample_schedule_csv(tmp_path):
     assert run("counterexample", "--k-max", "32", "--out", str(tmp_path)) == 0
     lines = (tmp_path / "schedule.csv").read_text().splitlines()

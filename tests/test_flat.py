@@ -221,8 +221,10 @@ def test_upper_sweeps(flat_fn):
     assert polar.ok
 
 
-def test_polar_check_requires_normalized_family(greedy_layout):
-    fn = FlatFunction(greedy_layout, M=shift(gevrey(1), 2))
+def test_polar_check_requires_normalized_family():
+    # the greedy shift:2:gevrey:1 layout keeps orders [2, 6, 14, 30, 62]; M_1 = 2
+    fn = FlatFunction(build_layout(shift(gevrey(1), 2), EFunction.parse("sqrt"), 64))
+    assert fn.layout.orders == [2, 6, 14, 30, 62]
     with pytest.raises(LayoutError):
         polar_flat_check(fn, degree=3, radii=2, angles=2)
 
