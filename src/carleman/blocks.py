@@ -92,10 +92,6 @@ class BaseFunction:
             logs.append(self._log_w[k] - math.log(1 + x1 * x1 + (m * x2) ** 2))
         return math.exp(logsumexp(logs))
 
-    def value_tail_log(self) -> float:
-        """The dropped k > terms part of the value series is below this."""
-        return self.M.log_weight(0) - self.terms * math.log(2)
-
     def kernel_sum(self, y1: Jet2, y2: Jet2) -> Jet2:
         """sum_k w_k / (A + (m_k y2)^2), A = 1 + y1^2, for coordinate jets
         y1, y2; exact weights and ratios for exact jets, float ones otherwise."""

@@ -114,6 +114,10 @@ def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (default $CARLEMAN_OUT or cwd)")
 
 
+class UsageError(ValueError):
+    """Bad input a handler finds after parsing; main exits 2 with its message."""
+
+
 def _finish(rb: ReportBuilder, out: Optional[str], filename: str, quiet: bool = False) -> int:
     path = rb.write(output_dir(out) / filename)
     if not quiet:
@@ -124,12 +128,12 @@ def _finish(rb: ReportBuilder, out: Optional[str], filename: str, quiet: bool = 
 
 
 # -- subcommand handlers -----------------------------------------------------
+# Each handler fills the report main opened for it and raises UsageError for
+# bad input before it writes anything.
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, rb: ReportBuilder) -> None:
     M = args.family
-    rb = ReportBuilder(
-        "analyze", {"family": M.name, "K": args.K, "seed": None}
-    )
+    rb.config = {"family": M.name, "K": args.K}
     try:
         M.validate(args.K)
         rb.add("log-convexity", True, {"K": args.K})
@@ -142,41 +146,31 @@ def _cmd_analyze(args) -> int:
     sq = square_vs_shift_diagnostic(M, args.K // 2)
     rb.add("square-vs-shift-inequality", sq.inequality_ok, sq)
     print(f"{M.name}: summation trend {qa.verdict}")
-    return _finish(rb, args.out, "analyze.json")
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, rb: ReportBuilder) -> None:
     rep = compare(args.N, args.M, args.K)
-    rb = ReportBuilder(
-        "compare",
-        {"N": args.N.name, "M": args.M.name, "K": args.K, "seed": None},
-    )
+    rb.config = {"N": args.N.name, "M": args.M.name, "K": args.K}
     rb.add_diagnostic("root-comparison", rep)
     print(f"{args.N.name} vs {args.M.name}: {rep.verdict}")
-    return _finish(rb, args.out, "compare.json")
 
 
-def _cmd_ostrowski(args) -> int:
+def _cmd_ostrowski(args, rb: ReportBuilder) -> None:
     M = args.family
     if not 0 < args.r_min < args.r_max < math.inf:  # also rejects nan
-        print("error: need finite 0 < r-min < r-max", file=sys.stderr)
-        return 2
+        raise UsageError("need finite 0 < r-min < r-max")
     lo, hi = math.log(args.r_min), math.log(args.r_max)
     radii = [
         math.exp(lo + (hi - lo) * i / (args.count - 1)) for i in range(args.count)
     ]
     rows = phi_grid(M, radii, horizon=args.horizon)
-    rb = ReportBuilder(
-        "ostrowski",
-        {
-            "family": M.name,
-            "r_min": args.r_min,
-            "r_max": args.r_max,
-            "count": args.count,
-            "horizon": args.horizon,
-            "seed": None,
-        },
-    )
+    rb.config = {
+        "family": M.name,
+        "r_min": args.r_min,
+        "r_max": args.r_max,
+        "count": args.count,
+        "horizon": args.horizon,
+    }
     saturated = sum(1 for r in rows if r[2] < 0)
     rb.add("grid-computed", True, {"rows": len(rows), "saturated_rows": saturated})
     ident = [verify_phi_identity(M, k) for k in range(1, args.identity_k + 1)]
@@ -187,37 +181,32 @@ def _cmd_ostrowski(args) -> int:
     )
     csv_path = write_csv(output_dir(args.out) / "ostrowski.csv", OSTROWSKI_HEADER, rows)
     print(f"grid: {csv_path}")
-    return _finish(rb, args.out, "ostrowski.json")
 
 
-def _cmd_verify_bounds(args) -> int:
+def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
     target = args.target
     try:
         if target in ("brick", "polar-brick"):
             bricks = [BrickParams(args.q, args.m, args.rho)]
         elif target in ("block", "polar-block"):
             geom = [Block.geometry(args.q, args.rho)]
-        if target in ("base", "block") and args.Dmax < 1:
-            raise ValueError("the lower-bound rows need --Dmax >= 1")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
+    if target in ("base", "block") and args.Dmax < 1:
+        raise UsageError("the lower-bound rows need --Dmax >= 1")
     radii = max(2, int(math.sqrt(args.samples)))
     angles = max(1, -(-args.samples // radii))
-    rb = ReportBuilder(
-        "verify-bounds",
-        {
-            "target": target,
-            "family": args.family.name if target not in ("brick", "polar-brick") else None,
-            "q": args.q,
-            "m": args.m,
-            "rho": args.rho,
-            "Dmax": args.Dmax,
-            "samples": args.samples,
-            "terms": args.terms,
-            "seed": args.seed,
-        },
-    )
+    rb.config = {
+        "target": target,
+        "family": args.family.name if target not in ("brick", "polar-brick") else None,
+        "q": args.q,
+        "m": args.m,
+        "rho": args.rho,
+        "Dmax": args.Dmax,
+        "samples": args.samples,
+        "terms": args.terms,
+        "seed": args.seed,
+    }
     if target == "brick":
         chk = brick_taylor_check(
             bricks,
@@ -268,34 +257,23 @@ def _cmd_verify_bounds(args) -> int:
             radii=radii, angles=angles, terms=args.terms, seed=args.seed,
         )
         rb.add("polar-block-bound", chk.ok, chk)
-    return _finish(rb, args.out, "bounds.json")
 
 
-def _cmd_construct_flat(args) -> int:
-    try:
-        E = EFunction.parse(args.E)
-        if args.orders:
-            layout = layout_from_orders(
-                args.family, E, args.orders, terms=args.terms
-            )
-        else:
-            layout = build_layout(args.family, E, args.lambda_max, terms=args.terms)
-    except (LayoutError, WeightError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_construct_flat(args, rb: ReportBuilder) -> None:
+    E = EFunction.parse(args.E)
+    if args.orders:
+        layout = layout_from_orders(args.family, E, args.orders, terms=args.terms)
+    else:
+        layout = build_layout(args.family, E, args.lambda_max, terms=args.terms)
     path = output_dir(args.out) / args.gamma
     layout.save(path)
-    rb = ReportBuilder(
-        "construct-flat",
-        {
-            "family": args.family.name,
-            "E": args.E,
-            "lambda_max": args.lambda_max,
-            "orders": args.orders,
-            "terms": layout.terms,
-            "seed": None,
-        },
-    )
+    rb.config = {
+        "family": args.family.name,
+        "E": args.E,
+        "lambda_max": args.lambda_max,
+        "orders": args.orders,
+        "terms": layout.terms,
+    }
     rb.add(
         "layout-built",
         True,
@@ -308,26 +286,20 @@ def _cmd_construct_flat(args) -> int:
         },
     )
     print(f"layout orders {layout.orders} -> {path}")
-    return _finish(rb, args.out, "construct_flat.json")
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args, rb: ReportBuilder) -> None:
     try:
         layout = Layout.load(Path(args.gamma))
     except (OSError, LayoutError, KeyError, ValueError) as exc:
-        print(f"error: cannot load layout: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot load layout: {exc}") from None
     fn = FlatFunction(layout)
     cert = lower_bound_certificate(fn)
-    rb = ReportBuilder(
-        "certify",
-        {
-            "gamma": str(args.gamma),
-            "family": layout.m_family,
-            "N": args.N.name if args.N is not None else None,
-            "seed": None,
-        },
-    )
+    rb.config = {
+        "gamma": str(args.gamma),
+        "family": layout.m_family,
+        "N": args.N.name if args.N is not None else None,
+    }
     rb.add(
         "lower-certificate",
         cert.all_ok,
@@ -355,53 +327,39 @@ def _cmd_certify(args) -> int:
         ]
         spath = write_csv(output_dir(args.out) / "sharpness.csv", SHARPNESS_HEADER, rows)
         print(f"sharpness ({sharp.verdict}): {spath}")
-    return _finish(rb, args.out, "certify.json")
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args, rb: ReportBuilder) -> None:
     seq = counterexample_sequence(args.pairs)
-    rb = ReportBuilder(
-        "counterexample", {"pairs": args.pairs, "k_max": args.k_max, "seed": None}
-    )
+    rb.config = {"pairs": args.pairs, "k_max": args.k_max}
     for c in full_verification(args.pairs):
         rb.add(c.name, c.ok, c.details)
     rb.add_diagnostic(
         "schedule-size",
-        {
-            "entries": len(seq.boundaries),
-            "last_entry_digits": seq.last_digits,
-            "build_seconds": seq.build_seconds,
-        },
+        {"entries": len(seq.boundaries), "last_entry_digits": seq.last_digits},
     )
+    rb.timings["schedule_build_s"] = seq.build_seconds
     rows = [
         (k, seq.level(k), seq.b(k), seq.g(k)) for k in range(1, args.k_max + 1)
     ]
     cpath = write_csv(output_dir(args.out) / "schedule.csv", SCHEDULE_HEADER, rows)
     print(f"schedule: {cpath}")
-    return _finish(rb, args.out, "counterexample.json")
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, rb: ReportBuilder) -> None:
     results = run_all(args.only)
-    rb = ReportBuilder("selftest", {"only": args.only, "seed": None})
+    rb.config = {"only": args.only}
+    rb.timings["criteria"] = {r.name: r.seconds for r in results}
     for r in results:
         print(r.line())
         rb.add(
             r.name,
             r.ok and r.in_budget,
-            {
-                "index": r.index,
-                "seconds": round(r.seconds, 3),
-                "budget": r.budget,
-                "detail": r.detail,
-                **r.extras,
-            },
+            {"index": r.index, "budget": r.budget, "detail": r.detail, **r.extras},
         )
-    code = _finish(rb, args.out, "selftest.json", quiet=True)
     total = sum(r.seconds for r in results)
     n_ok = sum(1 for r in results if r.ok and r.in_budget)
     print(f"{n_ok}/{len(results)} criteria passed in {total:.1f}s")
-    return code
 
 
 # -- parser ------------------------------------------------------------------
@@ -417,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--K", type=int, default=200)
     _add_out(p)
-    p.set_defaults(handler=_cmd_analyze)
+    p.set_defaults(handler=_cmd_analyze, report="analyze.json")
 
     p = sub.add_parser("compare", help="k-th-root comparison of two families")
     p.add_argument("--N", type=_family, required=True)
     p.add_argument("--M", type=_family, required=True)
     p.add_argument("--K", type=int, default=200)
     _add_out(p)
-    p.set_defaults(handler=_cmd_compare)
+    p.set_defaults(handler=_cmd_compare, report="compare.json")
 
     p = sub.add_parser("ostrowski", help="trace-growth function on a radius grid")
     p.add_argument("--family", type=_family, required=True)
@@ -434,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_at_least(1), default=10**6)
     p.add_argument("--identity-k", type=_at_least(1), default=20)
     _add_out(p)
-    p.set_defaults(handler=_cmd_ostrowski)
+    p.set_defaults(handler=_cmd_ostrowski, report="ostrowski.json")
 
     p = sub.add_parser("verify-bounds", help="finite-order derivative bounds")
     p.add_argument(
@@ -451,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=_at_least(MIN_TERMS), default=40)
     p.add_argument("--seed", type=int, default=0)
     _add_out(p)
-    p.set_defaults(handler=_cmd_verify_bounds)
+    p.set_defaults(handler=_cmd_verify_bounds, report="bounds.json")
 
     p = sub.add_parser("construct-flat", help="build and save a layout")
     p.add_argument("--family", type=_family, required=True)
@@ -462,37 +420,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=None)
     p.add_argument("--gamma", default="layout.json", help="layout filename")
     _add_out(p)
-    p.set_defaults(handler=_cmd_construct_flat)
+    p.set_defaults(handler=_cmd_construct_flat, report="construct_flat.json")
 
     p = sub.add_parser("certify", help="lower-bound certificate for a layout")
     p.add_argument("--gamma", required=True, help="layout JSON file")
     p.add_argument("--N", type=_family, default=None,
                    help="target family for the sharpness scan")
     _add_out(p)
-    p.set_defaults(handler=_cmd_certify)
+    p.set_defaults(handler=_cmd_certify, report="certify.json")
 
     p = sub.add_parser("counterexample", help="ratio-step schedule and checks")
     p.add_argument("--pairs", type=_at_least(2), default=8)
     p.add_argument("--k-max", type=_at_least(1), default=256)
     _add_out(p)
-    p.set_defaults(handler=_cmd_counterexample)
+    p.set_defaults(handler=_cmd_counterexample, report="counterexample.json")
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--only", type=_criteria, default=None,
                    help="comma-separated criterion indices")
     _add_out(p)
-    p.set_defaults(handler=_cmd_selftest)
+    p.set_defaults(handler=_cmd_selftest, report="selftest.json")
 
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    rb = ReportBuilder(args.command, {})  # starts the clock
     try:
-        return args.handler(args)
-    except (WeightError, LayoutError) as exc:
+        args.handler(args, rb)
+    except (UsageError, WeightError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rb.config.setdefault("seed", None)
+    return _finish(rb, args.out, args.report, quiet=args.command == "selftest")
 
 
 if __name__ == "__main__":

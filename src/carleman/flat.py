@@ -261,6 +261,9 @@ def layout_from_orders(
         entries.append(e)
         prev = e.center_iv
     top = orders[-1]
+    lambda_max = lambda_max if lambda_max is not None else top
+    if lambda_max < top:
+        raise LayoutError(f"lambda_max {lambda_max} is below the largest order {top}")
     terms = terms if terms is not None else max(64, top + 12)
     if terms <= top or terms < MIN_TERMS:
         raise LayoutError(
@@ -280,7 +283,7 @@ def layout_from_orders(
     return Layout(
         m_family=M.name,
         e_spec=E.spec,
-        lambda_max=lambda_max if lambda_max is not None else top,
+        lambda_max=lambda_max,
         sparsity_enforced=require_sparsity,
         terms=terms,
         entries=entries,

@@ -120,10 +120,6 @@ class RInterval:
         return cls.nth_root(base, p.denominator)
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

@@ -1,10 +1,11 @@
 """Report envelopes and serialization shared by the command-line tools.
 
 Every tool emits the same JSON shape: tool name and version, the echoed
-configuration (including any RNG seed), a wall-clock duration, and a list of
-checks, each with a name, a status of pass / fail / diagnostic, and a free
-payload. Field order is fixed so reruns differ only in the duration field;
-the golden tests rely on that.
+configuration (including any RNG seed), a `timings` block of wall-clock
+seconds, and a list of checks, each with a name, a status of pass / fail /
+diagnostic, and a free payload. Field order is fixed and every wall-clock
+value lives in `timings`, so reruns differ only in that block; the golden
+tests rely on that.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ OUTPUT_DIR_ENV = "CARLEMAN_OUT"
 PASS = "pass"
 FAIL = "fail"
 DIAGNOSTIC = "diagnostic"
-
-VOLATILE_FIELDS = ("duration_seconds",)
 
 
 def output_dir(override: Optional[str] = None) -> Path:
@@ -77,7 +76,9 @@ class ReportBuilder:
         self.tool = tool
         self.config = dict(config)
         self.checks: list[CheckEntry] = []
-        self._t0 = time.monotonic()
+        # unrounded seconds on one clock, so total_s bounds any stage's sum
+        self.timings: dict[str, Any] = {}
+        self._t0 = time.perf_counter()
 
     def add(self, name: str, ok: bool, payload: Any = None) -> None:
         self.checks.append(CheckEntry(name, PASS if ok else FAIL, payload))
@@ -94,7 +95,7 @@ class ReportBuilder:
             "tool": self.tool,
             "version": __version__,
             "config": to_jsonable(self.config),
-            "duration_seconds": round(time.monotonic() - self._t0, 3),
+            "timings": {"total_s": time.perf_counter() - self._t0, **self.timings},
             "checks": [
                 {"name": c.name, "status": c.status, "payload": to_jsonable(c.payload)}
                 for c in self.checks
@@ -114,13 +115,8 @@ def render_json(envelope: dict) -> str:
 
 
 def strip_volatile(envelope: dict) -> dict:
-    """Drop the wall-clock field so byte comparisons across reruns work."""
-    clean = {k: v for k, v in envelope.items() if k not in VOLATILE_FIELDS}
-    if "config" in clean and isinstance(clean["config"], dict):
-        clean["config"] = {
-            k: v for k, v in clean["config"].items() if k not in VOLATILE_FIELDS
-        }
-    return clean
+    """Drop the timings block so byte comparisons across reruns work."""
+    return {k: v for k, v in envelope.items() if k != "timings"}
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:

@@ -96,7 +96,8 @@ def test_value_truncation_tail_is_honest():
     for x in [(Fraction(0), Fraction(0)), (Fraction(3, 2), Fraction(-2, 3))]:
         gap = fine.value(*x, exact=True) - coarse.value(*x, exact=True)
         assert 0 <= gap
-        assert float(gap) <= math.exp(coarse.value_tail_log())
+        # the dropped k > K terms sum below M_0 2^-K
+        assert gap <= coarse.M.exact(0) / 2**coarse.terms
 
 
 def test_jet_constant_term_is_value_at_base():

@@ -1,8 +1,8 @@
 """End-to-end tests for the command-line front end.
 
 These drive main() in process and pin the external contract: exit codes,
-report filenames, CSV headers, and rerun stability modulo the wall-clock
-field.
+report filenames, CSV headers, and rerun stability modulo the `timings`
+block.
 """
 
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from carleman.cli import main
-from carleman.counterexample import full_verification
+from carleman.counterexample import counterexample_sequence, full_verification
 from carleman.reports import ReportBuilder, strip_volatile, to_jsonable
 
 
@@ -178,9 +178,12 @@ def _with_center(data, value):
         lambda d: {**d, "entries": []},
         lambda d: {k: v for k, v in d.items() if k != "terms"},
         lambda d: d["orders"],
+        lambda d: {**d, "lambda_max": -5},
+        lambda d: {**d, "lambda_max": 50},
     ],
     ids=["orders-int", "orders-float", "terms-str", "family-int", "E-int",
-         "center-str", "center-nan", "no-entries", "missing-terms", "list"],
+         "center-str", "center-nan", "no-entries", "missing-terms", "list",
+         "lambda-max-negative", "lambda-max-below-top"],
 )
 def test_certify_rejects_malformed_layout(tamper, tmp_path, capsys):
     assert run(
@@ -239,6 +242,15 @@ def test_reports_stable_across_reruns(tmp_path):
     ea["config"].pop("gamma")
     eb["config"].pop("gamma")
     assert ea == eb
+    for argv, report in (
+        (("counterexample", "--pairs", "3"), "counterexample.json"),
+        (("selftest", "--only", "3,6"), "selftest.json"),
+    ):
+        for out in (a, b):
+            counterexample_sequence.cache_clear()  # a rerun builds the schedule afresh
+            assert run(*argv, "--out", str(out)) == 0
+        assert strip_volatile(read_json(a / report)) == strip_volatile(read_json(b / report))
+    assert (a / "schedule.csv").read_bytes() == (b / "schedule.csv").read_bytes()
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):
@@ -264,6 +276,11 @@ def test_selftest_single_criterion(tmp_path, capsys):
     assert "1/1 criteria passed" in out
     env = read_json(tmp_path / "selftest.json")
     assert env["checks"][0]["name"] == "trace-growth-identity"
+    # the clock starts at dispatch, so the total covers the criterion
+    timings = env["timings"]
+    assert list(timings["criteria"]) == ["trace-growth-identity"]
+    assert timings["total_s"] >= timings["criteria"]["trace-growth-identity"] > 0
+    assert "seconds" not in env["checks"][0]["payload"]
 
 
 # log M_k = k(k-1)/2 through k = 12, then ratio 7 after ratio 11: the

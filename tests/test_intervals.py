@@ -90,7 +90,7 @@ def test_interval_arithmetic_contains_truth():
     b = RInterval.nth_root(Fraction(3), 2)  # sqrt 3
     s = a + b
     assert float(s) == pytest.approx(math.sqrt(2) + math.sqrt(3), rel=1e-14)
-    assert float(s.width) < 1e-30
+    assert float(s.hi - s.lo) < 1e-30
     p = a * b  # sqrt 6
     assert p.lo**2 <= 6 <= p.hi**2
     d = b - a
@@ -126,7 +126,7 @@ def test_rational_power():
     # (8/27)^(2/3) = 4/9 exactly
     iv = RInterval.rational_power(Fraction(8, 27), Fraction(2, 3))
     assert iv.lo <= Fraction(4, 9) <= iv.hi
-    assert float(iv.width) < 1e-30
+    assert float(iv.hi - iv.lo) < 1e-30
     # sqrt of 1/3 via power 1/2
     iv = RInterval.rational_power(Fraction(1, 3), Fraction(1, 2))
     assert iv.lo**2 <= Fraction(1, 3) <= iv.hi**2

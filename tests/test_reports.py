@@ -65,7 +65,8 @@ def test_envelope_shape_and_order():
     rb.add_diagnostic("second", "note")
     rb.add("third", False)
     env = rb.envelope()
-    assert list(env) == ["tool", "version", "config", "duration_seconds", "checks", "failed"]
+    assert list(env) == ["tool", "version", "config", "timings", "checks", "failed"]
+    assert list(env["timings"]) == ["total_s"]
     assert env["tool"] == "demo"
     assert env["version"] == __version__
     assert env["config"] == {"seed": 7}
@@ -75,14 +76,15 @@ def test_envelope_shape_and_order():
 
 
 def test_strip_volatile_makes_reruns_identical():
-    def build():
+    def build(seconds):
         rb = ReportBuilder("demo", {"seed": 7})
         rb.add("only", True, {"v": Fraction(2, 3)})
+        rb.timings["stage_s"] = seconds
         return rb.envelope()
 
-    a, b = build(), build()
+    a, b = build(0.5), build(2.0)
     assert strip_volatile(a) == strip_volatile(b)
-    assert "duration_seconds" not in strip_volatile(a)
+    assert list(strip_volatile(a)) == ["tool", "version", "config", "checks", "failed"]
 
 
 def test_write_and_render(tmp_path):
