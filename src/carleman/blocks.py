@@ -36,31 +36,72 @@ POLAR_BLOCK_C = 2 * 8**5
 Scalar = Union[int, float, Fraction]
 
 
+def _prime_factors(n: int) -> dict[int, int]:
+    """{p: v_p(n)} for a positive integer, by trial division."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[int], list[float]]:
+    """M_0 .. M_(terms+1) and m_0 .. m_terms as integers, and log phi(m_k)
+    for k = 1 .. terms.
+
+    phi(m_k) = m_k^(k+2)/M_k is read in lowest terms, so its log is the one
+    `log_of_fraction` would give; the common factor is the product over
+    p | m_k of p^min(v_p(M_k), (k+2) v_p(m_k)), from a running count of
+    M_k's prime exponents instead of a gcd."""
+    Ms, ms, log_phi = [1], [], []
+    valuations: dict[int, int] = {}
+    for k in range(terms + 1):
+        m = Fraction(M.exact_ratio(k))
+        if m.denominator != 1:
+            raise WeightError(f"{M.name}: exact ratio m_{k} = {m} is not an integer")
+        m = m.numerator
+        factors = _prime_factors(m)
+        if k:
+            g = math.prod(p ** min(valuations.get(p, 0), (k + 2) * v) for p, v in factors.items())
+            log_phi.append(math.log(m ** (k + 2) // g) - math.log(Ms[k] // g))
+        ms.append(m)
+        Ms.append(Ms[k] * m)
+        for p, v in factors.items():
+            valuations[p] = valuations.get(p, 0) + v
+    return Ms, ms, log_phi
+
+
 class BaseFunction:
     """K-term truncation of h; exact weights when the family has them.
 
-    Every pure-x2 axis sum is the exact moment sum_k w_k m_k^order, computed
-    once per order by `axis_moment`, over (1+t^2)^(order/2+1)."""
+    An exact family must have integer ratios m_k; they and their running
+    product M_k are kept as integers, and each log weight comes from the
+    prime valuations of the ratios (`_integer_weights`). The exact weights
+    M_k/(2^k m_k^k) are built on demand; the certificate builds none. Every
+    pure-x2 axis sum is the exact moment sum_k w_k m_k^order, read from M_k
+    and m_k once per order by `axis_moment`, over (1+t^2)^(order/2+1)."""
 
     def __init__(self, M: WeightSequence, terms: int = DEFAULT_TERMS):
         if terms < MIN_TERMS:
             raise ValueError(f"need at least {MIN_TERMS} bump terms")
         self.M = M
         self.terms = terms  # series runs over 1 <= k <= terms
-        self._log_w: dict[int, float] = {}
-        self._exact_w: Optional[dict[int, Fraction]] = {} if M.has_exact else None
+        self._exact_w: dict[int, Fraction] = {}  # weight_exact's memo
         self._moments: dict[int, Fraction] = {}
         # phi(m_k) = m_k^(k+2)/M_k needs nondecreasing ratios through m_terms
         M.validate(terms + 1)
-        for k in range(1, terms + 1):
-            if self._exact_w is not None:
-                m = M.exact_ratio(k)
-                phi = m ** (k + 2) / M.exact(k)  # the one big reduction per term
-                log_phi = log_of_fraction(phi)
-                self._exact_w[k] = m**2 / (2**k * phi)
-            else:
-                log_phi = (k + 2) * M.log_ratio(k) - M.log_weight(k)
-            self._log_w[k] = 2 * M.log_ratio(k) - k * math.log(2) - log_phi
+        if M.has_exact:
+            self._M_int, self._m_int, log_phi = _integer_weights(M, terms)
+        else:
+            log_phi = [(k + 2) * M.log_ratio(k) - M.log_weight(k) for k in self.k_range]
+        self._log_w = {
+            k: 2 * M.log_ratio(k) - k * math.log(2) - lp for k, lp in zip(self.k_range, log_phi)
+        }
 
     @property
     def k_range(self) -> range:
@@ -70,9 +111,13 @@ class BaseFunction:
         return self._log_w[k]
 
     def weight_exact(self, k: int) -> Fraction:
-        if self._exact_w is None:
+        """w_k = M_k / (2^k m_k^k), built and memoised on first use."""
+        if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
-        return self._exact_w[k]
+        w = self._exact_w.get(k)
+        if w is None:
+            w = self._exact_w[k] = Fraction(self._M_int[k], 2**k * self._m_int[k] ** k)
+        return w
 
     def ratio_exact(self, k: int) -> Fraction:
         return self.M.exact_ratio(k)
@@ -125,11 +170,20 @@ class BaseFunction:
     def axis_moment(self, order: int) -> Fraction:
         """sum_k w_k m_k^order over the truncation, exact, memoised per order.
 
-        The terms are summed as a balanced tree: each addition's gcd then
-        works on operands of like size instead of the growing partial sum."""
+        Each term w_k m_k^order = M_k m_k^(order-k) / 2^k is read from the
+        integers M_k and m_k: a dyadic for k <= order. The terms are summed
+        as a balanced tree: each addition's gcd then works on operands of
+        like size instead of the growing partial sum."""
+        if not self.M.has_exact:
+            raise ValueError(f"{self.M.name} has no exact rational path")
         moment = self._moments.get(order)
         if moment is None:
-            terms = [self.weight_exact(k) * self.ratio_exact(k) ** order for k in self.k_range]
+            terms = [
+                Fraction(self._M_int[k] * self._m_int[k] ** (order - k), 2**k)
+                if k <= order
+                else Fraction(self._M_int[k], self._m_int[k] ** (k - order) * 2**k)
+                for k in self.k_range
+            ]
             while len(terms) > 1:
                 odd = terms[-1:] if len(terms) % 2 else []
                 terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
@@ -143,7 +197,7 @@ class BaseFunction:
     def axis_tail_exact(self, order: int) -> Fraction:
         """Rigorous bound on the dropped k > terms part of the order's moment:
         M_order 2^-K."""
-        if self._exact_w is None or self.M.exact(order) is None:
+        if not self.M.has_exact:
             raise ValueError("exact tail needs an exact family")
         return self.M.exact(order) / 2**self.terms
 

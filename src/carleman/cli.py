@@ -270,7 +270,7 @@ def _cmd_construct_flat(args, rb: ReportBuilder) -> None:
     rb.config = {
         "family": args.family.name,
         "E": args.E,
-        "lambda_max": args.lambda_max,
+        "lambda_max": layout.lambda_max,
         "orders": args.orders,
         "terms": layout.terms,
     }

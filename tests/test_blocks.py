@@ -22,9 +22,12 @@ from carleman.blocks import (
 )
 from carleman.intervals import RInterval
 from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
+from carleman.logscale import log_of_fraction
 from carleman.ostrowski import phi
 from carleman.weights import (
     ConvexityError,
+    WeightError,
+    WeightSequence,
     analytic,
     custom_table,
     gevrey,
@@ -48,17 +51,36 @@ def test_weights_match_closed_form():
         )
 
 
+DEEP_K = (500, 1000, 3424)  # 3424 bump terms: the sixth greedy block's layout
+
+
 @pytest.mark.parametrize(
-    "spec", ["gevrey:1", "gevrey:2", "analytic", "shift:2:gevrey:1", "power:2:gevrey:1"]
+    "spec, ks",
+    [
+        pytest.param("gevrey:1", [*range(1, 65), *DEEP_K], id="gevrey:1"),
+        *[
+            pytest.param(spec, list(range(1, 65)), id=spec)
+            for spec in ("gevrey:2", "analytic", "shift:2:gevrey:1", "power:2:gevrey:1")
+        ],
+    ],
 )
-def test_exact_weights_match_the_phi_search(spec):
-    # reference: w_k = m_k^2 / (2^k phi(m_k)) with phi found by its argmax search
+def test_exact_weights_match_the_phi_search(spec, ks):
+    # reference: w_k = m_k^2 / (2^k phi(m_k)) with phi found by its argmax
+    # search; the log reads the reduced phi(m_k) = m_k^(k+2)/M_k, bit for bit
     M = parse_family(spec)
-    bf = BaseFunction(M, terms=40)
-    for k in bf.k_range:
-        pv = phi(M, M.exact_ratio(k))
-        assert bf.weight_exact(k) == M.exact_ratio(k) ** 2 / (2**k * pv.exact)
-        assert bf.weight_log(k) == 2 * M.log_ratio(k) - k * math.log(2) - pv.log_phi
+    bf = BaseFunction(M, terms=max(ks))
+    for k in ks:
+        m = M.exact_ratio(k)
+        assert bf.weight_exact(k) == m**2 / (2**k * phi(M, m).exact)
+        log_phi = log_of_fraction(m ** (k + 2) / M.exact(k))
+        assert bf.weight_log(k) == 2 * M.log_ratio(k) - k * math.log(2) - log_phi
+
+
+def test_exact_family_needs_integer_ratios():
+    half = Fraction(3, 2)
+    M = WeightSequence("threehalves", lambda k: k * math.log(1.5), lambda k: half**k, lambda k: half)
+    with pytest.raises(WeightError, match="not an integer"):
+        BaseFunction(M, terms=8)
 
 
 def test_table_weights_need_no_entries_past_the_last_ratio():

@@ -146,6 +146,15 @@ def test_construct_flat_greedy_and_certify(tmp_path, capsys):
     assert len(sharp) == 4
 
 
+def test_construct_flat_reports_the_layouts_lambda_max(tmp_path):
+    # with --orders the layout's top order, not the --lambda-max default, is built
+    argv = ("construct-flat", "--family", "gevrey:1", "--orders", "2,12,52,212")
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    report = read_json(tmp_path / "construct_flat.json")
+    assert read_json(tmp_path / "layout.json")["lambda_max"] == 212
+    assert report["config"]["lambda_max"] == 212
+
+
 def test_construct_flat_rejects_bad_orders(tmp_path, capsys):
     for argv in (("--orders", "3"), ("--E", "power:abc"), ("--terms", "2")):
         assert run("construct-flat", "--family", "gevrey:1", *argv, "--out", str(tmp_path)) == 2

@@ -200,6 +200,13 @@ def test_certificate_frozen_values(flat_fn):
     assert cert.lambda0_estimate == 636
 
 
+def test_certificate_builds_no_exact_weights():
+    # the moments read the integers M_k, m_k; no weight Fraction is formed
+    fn = FlatFunction(build_layout(gevrey(1), EFunction.parse("sqrt"), 256))
+    assert lower_bound_certificate(fn).all_ok
+    assert fn.base._exact_w == {}
+
+
 def test_certificate_rhs_formula(flat_fn):
     cert = lower_bound_certificate(flat_fn)
     eps = Fraction(1, 3)
