@@ -123,7 +123,7 @@ def _crit_kernel_taylor() -> Outcome:
 
 
 def _crit_base_lower() -> Outcome:
-    rows = base_lower_check(gevrey(1), orders=range(2, 17, 2), terms=60)
+    rows = base_lower_check(BaseFunction(gevrey(1), 60), orders=range(2, 17, 2))
     bad = [r.order for r in rows if not r.ok]
     margin = min(r.log_lhs - r.log_rhs for r in rows)
     return (
@@ -134,7 +134,7 @@ def _crit_base_lower() -> Outcome:
 
 
 def _crit_base_upper() -> Outcome:
-    res = base_upper_check(gevrey(1), degree=6, points=25, terms=60, seed=23)
+    res = base_upper_check(BaseFunction(gevrey(1), 60), degree=6, points=25, seed=23)
     return (
         res.ok,
         f"{res.checked} coefficient bounds with truncation tail folded in, "
@@ -158,7 +158,7 @@ def _crit_polar_bounds() -> Outcome:
         (Fraction(5), Fraction(1, 5)),
     ]
     block = polar_block_bound_check(
-        gevrey(1), geoms, degree=5, radii=5, angles=10, seed=25
+        BaseFunction(gevrey(1)), geoms, degree=5, radii=5, angles=10, seed=25
     )
     ok = brick.ok and block.ok
     return (

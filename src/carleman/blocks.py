@@ -12,7 +12,9 @@ on the axis have a closed form whose terms all share one sign, so truncation
 error is controlled and no cancellation occurs.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
-concentrates the same profile at scale rho around c.
+concentrates the same profile at scale rho around c. Every bound check takes
+the `BaseFunction` it checks; one loop gives the lower rows of both the base
+and the blocks, the base being the case rho = 1.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class BaseFunction:
     prime valuations of the ratios (`_integer_weights`). The exact weights
     M_k/(2^k m_k^k) are built on demand; the certificate builds none. Every
     pure-x2 axis sum is the exact moment sum_k w_k m_k^order, read from M_k
-    and m_k once per order by `axis_moment`, over (1+t^2)^(order/2+1)."""
+    and m_k by `axis_moment` on each call, over (1+t^2)^(order/2+1)."""
 
     def __init__(self, M: WeightSequence, terms: int = DEFAULT_TERMS):
         if terms < MIN_TERMS:
@@ -92,7 +94,6 @@ class BaseFunction:
         self.M = M
         self.terms = terms  # series runs over 1 <= k <= terms
         self._exact_w: dict[int, Fraction] = {}  # weight_exact's memo
-        self._moments: dict[int, Fraction] = {}
         # phi(m_k) = m_k^(k+2)/M_k needs nondecreasing ratios through m_terms
         M.validate(terms + 1)
         if M.has_exact:
@@ -158,17 +159,13 @@ class BaseFunction:
 
     # -- axis derivatives ----------------------------------------------------
 
-    def axis_sum_log(self, order: int, log_one_plus_t2: float) -> float:
-        """log of sum_k w_k m_k^order / (1+t^2)^(order/2+1), truncated."""
-        p = order // 2 + 1
-        logs = [
-            self._log_w[k] + order * self.M.log_ratio(k) - p * log_one_plus_t2
-            for k in self.k_range
-        ]
-        return logsumexp(logs)
+    def axis_sum_log(self, order: int) -> float:
+        """log of the moment sum_k w_k m_k^order, truncated, in floats; at
+        1+t^2 the axis sum's log is this minus (order/2+1) log(1+t^2)."""
+        return logsumexp(self._log_w[k] + order * self.M.log_ratio(k) for k in self.k_range)
 
     def axis_moment(self, order: int) -> Fraction:
-        """sum_k w_k m_k^order over the truncation, exact, memoised per order.
+        """sum_k w_k m_k^order over the truncation, exact.
 
         Each term w_k m_k^order = M_k m_k^(order-k) / 2^k is read from the
         integers M_k and m_k: a dyadic for k <= order. The terms are summed
@@ -176,19 +173,16 @@ class BaseFunction:
         like size instead of the growing partial sum."""
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
-        moment = self._moments.get(order)
-        if moment is None:
-            terms = [
-                Fraction(self._M_int[k] * self._m_int[k] ** (order - k), 2**k)
-                if k <= order
-                else Fraction(self._M_int[k], self._m_int[k] ** (k - order) * 2**k)
-                for k in self.k_range
-            ]
-            while len(terms) > 1:
-                odd = terms[-1:] if len(terms) % 2 else []
-                terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
-            moment = self._moments[order] = terms[0]
-        return moment
+        terms = [
+            Fraction(self._M_int[k] * self._m_int[k] ** (order - k), 2**k)
+            if k <= order
+            else Fraction(self._M_int[k], self._m_int[k] ** (k - order) * 2**k)
+            for k in self.k_range
+        ]
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) % 2 else []
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
+        return terms[0]
 
     def axis_sum_interval(self, order: int, one_plus_t2: RInterval) -> RInterval:
         """sum_k w_k m_k^order / (1+t^2)^(order/2+1) for an enclosure of 1+t^2."""
@@ -202,14 +196,12 @@ class BaseFunction:
         return self.M.exact(order) / 2**self.terms
 
 
-# -- finite-order bound checks on the base ----------------------------------
+# -- finite-order bound checks -----------------------------------------------
+# Each check takes the truncated base function it checks and reads the
+# family and term count K from it.
 
 def base_upper_check(
-    M: WeightSequence,
-    degree: int = 6,
-    points: int = 25,
-    terms: int = DEFAULT_TERMS,
-    seed: int = 3,
+    h: BaseFunction, degree: int = 6, points: int = 25, seed: int = 3
 ) -> SweepResult:
     """Sweep |d^a h| <= 64 * 8^(|a|+1) a! M_a2 / (1+|x|^2)^(1+|a|/2).
 
@@ -218,7 +210,7 @@ def base_upper_check(
     the left side, so the certified inequality covers the full series.
     """
     rng = random.Random(seed)
-    h = BaseFunction(M, terms)
+    M = h.M
     res = SweepResult()
     pts = [(0.0, 0.0)] + [
         (rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(points - 1)
@@ -230,7 +222,7 @@ def base_upper_check(
 
         def log_bound(a, n):
             scale = (1 + n / 2) * log_opt
-            log_tail = (n + 1) * log8 + M.log_weight(a[1]) - terms * math.log(2) - scale
+            log_tail = (n + 1) * log8 + M.log_weight(a[1]) - h.terms * math.log(2) - scale
             log_rhs = math.log(64) + (n + 1) * log8 + M.log_weight(a[1]) - scale
             return [log_tail], log_rhs
 
@@ -252,43 +244,42 @@ class LowerBoundRow:
         return self.log_lhs >= self.log_rhs - 1e-12
 
 
-def _lower_row(h: BaseFunction, order: int, log_rhs: float, rho: Fraction) -> LowerBoundRow:
-    """|d^order/dx2^order| at a block centre, order! axis_moment(order) /
-    rho^order, minus its tail order! M_order / (2^K rho^order), against
-    order! M_order / (4^(order/2) rho^order): decided exactly for an exact
-    family, else in logs."""
-    exact_ok = None
-    if h.M.has_exact:
-        scale = Fraction(math.factorial(order)) / rho**order
-        lhs = scale * (h.axis_moment(order) - h.axis_tail_exact(order))
-        exact_ok = lhs >= scale * h.M.exact(order) / 4 ** (order // 2)
-        log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
-    else:
-        lf, log_scale = math.lgamma(order + 1), order * log_of_fraction(rho)
-        value = lf + h.axis_sum_log(order, 0.0) - log_scale
-        tail = lf + (h.M.log_weight(order) - h.terms * math.log(2)) - log_scale
-        log_lhs = log_diff(value, tail)
-    return LowerBoundRow(order, log_lhs, log_rhs, exact_ok)
-
-
-def base_lower_check(
-    M: WeightSequence, orders: Sequence[int], terms: int = DEFAULT_TERMS
+def _lower_rows(
+    h: BaseFunction, rhos: Sequence[Fraction], orders: Sequence[int]
 ) -> list[LowerBoundRow]:
-    """|d^(2n) h / dx2^(2n) (0,0)| >= (2n)! M_2n / 4^n for n >= 1, checked
-    with the rigorous tail bound subtracted from the truncated sum."""
+    """One row per (rho, order): at the centre of a block of scale rho,
+    |d^order f/dx2^order| = order! axis_moment(order) / rho^order; minus its
+    tail order! M_order / (2^K rho^order), it must reach order! M_order /
+    (4^(order/2) rho^order). Decided exactly for an exact family, else in
+    logs. The base itself is rho = 1."""
     if not orders:
         raise ValueError("no orders to check")
-    h = BaseFunction(M, terms)
+    if any(order % 2 or not 2 <= order <= h.terms for order in orders):
+        raise ValueError(f"orders must be even, >= 2 and <= terms = {h.terms}")
+    M = h.M
     rows = []
-    for order in orders:
-        if order % 2 or order < 2:
-            raise ValueError("orders must be even and >= 2")
-        if order > terms:
-            raise ValueError(f"need terms >= order, got {terms} < {order}")
-        n = order // 2
-        log_rhs = math.lgamma(order + 1) + M.log_weight(order) - n * math.log(4)
-        rows.append(_lower_row(h, order, log_rhs, Fraction(1)))
+    for rho in rhos:
+        for order in orders:
+            lf, log_scale = math.lgamma(order + 1), order * log_of_fraction(rho)
+            log_rhs = lf + M.log_weight(order) - (order // 2) * math.log(4) - log_scale
+            exact_ok = None
+            if M.has_exact:
+                scale = Fraction(math.factorial(order)) / rho**order
+                lhs = scale * (h.axis_moment(order) - h.axis_tail_exact(order))
+                exact_ok = lhs >= scale * M.exact(order) / 4 ** (order // 2)
+                log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
+            else:
+                value = lf + h.axis_sum_log(order) - log_scale
+                tail = lf + (M.log_weight(order) - h.terms * math.log(2)) - log_scale
+                log_lhs = log_diff(value, tail)
+            rows.append(LowerBoundRow(order, log_lhs, log_rhs, exact_ok))
     return rows
+
+
+def base_lower_check(h: BaseFunction, orders: Sequence[int]) -> list[LowerBoundRow]:
+    """|d^(2n) h / dx2^(2n) (0,0)| >= (2n)! M_2n / 4^n for n >= 1, checked
+    with the rigorous tail bound subtracted from the truncated sum."""
+    return _lower_rows(h, [Fraction(1)], orders)
 
 
 # -- blocks ------------------------------------------------------------------
@@ -337,16 +328,15 @@ class Block:
 
 
 def block_upper_check(
-    M: WeightSequence,
+    h: BaseFunction,
     geometries: Sequence[tuple[Fraction, Fraction]],
     degree: int = 6,
     points: int = 6,
-    terms: int = DEFAULT_TERMS,
     seed: int = 4,
 ) -> SweepResult:
     """Sweep |d^a f| <= 64 rho^2 8^(|a|+1) a! M_a2 / (|x-c|^2 + rho^2)^(1+|a|/2)."""
     rng = random.Random(seed)
-    h = BaseFunction(M, terms)
+    M = h.M
     res = SweepResult()
     log8 = math.log(8)
     for q, rho in geometries:
@@ -365,7 +355,7 @@ def block_upper_check(
                     2 * math.log(rr)
                     + (n + 1) * log8
                     + M.log_weight(a[1])
-                    - terms * math.log(2)
+                    - h.terms * math.log(2)
                     - scale
                 )
                 log_rhs = (
@@ -382,31 +372,13 @@ def block_upper_check(
 
 
 def block_lower_check(
-    M: WeightSequence,
+    h: BaseFunction,
     geometries: Sequence[tuple[Fraction, Fraction]],
     orders: Sequence[int],
-    terms: int = DEFAULT_TERMS,
 ) -> list[LowerBoundRow]:
     """At the block center, |d^(2n)/dx2^(2n) f| >= (2n)! M_2n / (4^n rho^2n),
     with the rigorous tail subtracted."""
-    if not orders:
-        raise ValueError("no orders to check")
-    h = BaseFunction(M, terms)
-    rows = []
-    for q, rho in geometries:
-        _, rho = Block.geometry(q, rho)
-        for order in orders:
-            if order % 2 or order < 2 or order > terms:
-                raise ValueError("orders must be even, >= 2 and <= terms")
-            n = order // 2
-            log_rhs = (
-                math.lgamma(order + 1)
-                + M.log_weight(order)
-                - n * math.log(4)
-                - order * log_of_fraction(rho)
-            )
-            rows.append(_lower_row(h, order, log_rhs, rho))
-    return rows
+    return _lower_rows(h, [Block.geometry(q, rho)[1] for q, rho in geometries], orders)
 
 
 # -- polar composition -------------------------------------------------------
@@ -417,23 +389,22 @@ def polar_block_jet(blk: Block, base_pt: tuple, degree: int, kind: str = FLOAT) 
 
 
 def polar_block_bound_check(
-    M: WeightSequence,
+    h: BaseFunction,
     geometries: Sequence[tuple[Fraction, Fraction]],
     degree: int = 5,
     radii: int = 5,
     angles: int = 4,
     C: float = POLAR_BLOCK_C,
-    terms: int = DEFAULT_TERMS,
     seed: int = 5,
 ) -> SweepResult:
     """Sweep |d^a (f o polar)| <= (1 + q rho)^a2 C^(|a|+1) a! M_|a| in float.
 
     Needs M_1 = 1 (the lemma's normalization; it makes the weighted ratio
     sums collapse to M_|a|)."""
+    M = h.M
     if abs(M.log_weight(1)) > 1e-12:
         raise WeightError("polar block bound requires M_1 = 1")
     rng = random.Random(seed)
-    h = BaseFunction(M, terms)
     res = SweepResult()
     logC = math.log(C)
     for q, rho in geometries:
@@ -445,7 +416,7 @@ def polar_block_bound_check(
                 a[1] * growth
                 + 5 * (n + 1) * math.log(8)
                 + M.log_weight(n)
-                - terms * math.log(2)
+                - h.terms * math.log(2)
             )
             return [log_tail], a[1] * growth + (n + 1) * logC + M.log_weight(n)
 

@@ -128,8 +128,9 @@ def _finish(rb: ReportBuilder, out: Optional[str], filename: str, quiet: bool = 
 
 
 # -- subcommand handlers -----------------------------------------------------
-# Each handler fills the report main opened for it and raises UsageError for
-# bad input before it writes anything.
+# Each handler fills the report main opened for it. Bad input raises
+# UsageError, WeightError or LayoutError before the handler writes anything;
+# main exits 2 on those and on an OSError from writing the outputs.
 
 def _cmd_analyze(args, rb: ReportBuilder) -> None:
     M = args.family
@@ -185,11 +186,11 @@ def _cmd_ostrowski(args, rb: ReportBuilder) -> None:
 
 def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
     target = args.target
+    is_brick = target in ("brick", "polar-brick")
     try:
-        if target in ("brick", "polar-brick"):
-            bricks = [BrickParams(args.q, args.m, args.rho)]
-        elif target in ("block", "polar-block"):
-            geom = [Block.geometry(args.q, args.rho)]
+        # the one brick or block the sweep checks; the base target has neither
+        bricks = [BrickParams(args.q, args.m, args.rho)] if is_brick else []
+        geom = [Block.geometry(args.q, args.rho)] if target in ("block", "polar-block") else []
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if target in ("base", "block") and args.Dmax < 1:
@@ -198,7 +199,7 @@ def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
     angles = max(1, -(-args.samples // radii))
     rb.config = {
         "target": target,
-        "family": args.family.name if target not in ("brick", "polar-brick") else None,
+        "family": None if is_brick else args.family.name,
         "q": args.q,
         "m": args.m,
         "rho": args.rho,
@@ -207,33 +208,23 @@ def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
         "terms": args.terms,
         "seed": args.seed,
     }
-    if target == "brick":
-        chk = brick_taylor_check(
-            bricks,
-            degree=args.Dmax,
-            points=args.samples,
-            seed=args.seed,
-        )
-        rb.add("brick-taylor-bound", chk.ok, chk)
-    elif target == "polar-brick":
-        chk = polar_brick_bound_check(
-            bricks,
-            degree=args.Dmax,
-            radii=radii,
-            angles=angles,
-            seed=args.seed,
-        )
-        rb.add("polar-brick-bound", chk.ok, chk)
-    elif target == "base":
-        up = base_upper_check(
-            args.family, degree=args.Dmax, points=args.samples,
-            terms=args.terms, seed=args.seed,
-        )
+    if is_brick:
+        if target == "brick":
+            chk = brick_taylor_check(bricks, degree=args.Dmax, points=args.samples, seed=args.seed)
+            rb.add("brick-taylor-bound", chk.ok, chk)
+        else:
+            chk = polar_brick_bound_check(
+                bricks, degree=args.Dmax, radii=radii, angles=angles, seed=args.seed
+            )
+            rb.add("polar-brick-bound", chk.ok, chk)
+        return
+    h = BaseFunction(args.family, args.terms)
+    orders = list(range(2, min(2 * args.Dmax, args.terms) + 1, 2))
+    if target == "base":
+        up = base_upper_check(h, degree=args.Dmax, points=args.samples, seed=args.seed)
         rb.add("base-upper-bound", up.ok, up)
-        orders = list(range(2, min(2 * args.Dmax, args.terms) + 1, 2))
-        low = base_lower_check(args.family, orders, terms=args.terms)
+        low = base_lower_check(h, orders)
         rb.add("base-lower-bound", all(r.ok for r in low), low)
-        h = BaseFunction(args.family, args.terms)
         xs = [i / 4 for i in range(-40, 41)]
         profile = [(x, h.value(x, 0.0), h.value(0.0, x)) for x in xs]
         ppath = write_csv(
@@ -243,18 +234,13 @@ def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
         )
         print(f"profile: {ppath}")
     elif target == "block":
-        up = block_upper_check(
-            args.family, geom, degree=args.Dmax, points=args.samples,
-            terms=args.terms, seed=args.seed,
-        )
+        up = block_upper_check(h, geom, degree=args.Dmax, points=args.samples, seed=args.seed)
         rb.add("block-upper-bound", up.ok, up)
-        orders = list(range(2, min(2 * args.Dmax, args.terms) + 1, 2))
-        low = block_lower_check(args.family, geom, orders, terms=args.terms)
+        low = block_lower_check(h, geom, orders)
         rb.add("block-lower-bound", all(r.ok for r in low), low)
-    elif target == "polar-block":
+    else:
         chk = polar_block_bound_check(
-            args.family, geom, degree=args.Dmax,
-            radii=radii, angles=angles, terms=args.terms, seed=args.seed,
+            h, geom, degree=args.Dmax, radii=radii, angles=angles, seed=args.seed
         )
         rb.add("polar-block-bound", chk.ok, chk)
 
@@ -300,6 +286,9 @@ def _cmd_certify(args, rb: ReportBuilder) -> None:
         "family": layout.m_family,
         "N": args.N.name if args.N is not None else None,
     }
+    # the scan rejects a target family too short for the layout, so it runs
+    # before either CSV is written
+    sharp = sharpness_scan(fn, args.N, cert.rows) if args.N is not None else None
     rb.add(
         "lower-certificate",
         cert.all_ok,
@@ -313,8 +302,7 @@ def _cmd_certify(args, rb: ReportBuilder) -> None:
         output_dir(args.out) / "certificate.csv", CERTIFICATE_HEADER, cert.csv_rows()
     )
     print(f"certificate: {cpath}")
-    if args.N is not None:
-        sharp = sharpness_scan(fn, args.N, cert.rows)
+    if sharp is not None:
         rb.add_diagnostic("sharpness", sharp)
         rows = [
             (
@@ -449,11 +437,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rb = ReportBuilder(args.command, {})  # starts the clock
     try:
         args.handler(args, rb)
-    except (UsageError, WeightError, LayoutError) as exc:
+        rb.config.setdefault("seed", None)
+        return _finish(rb, args.out, args.report, quiet=args.command == "selftest")
+    except (UsageError, WeightError, LayoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rb.config.setdefault("seed", None)
-    return _finish(rb, args.out, args.report, quiet=args.command == "selftest")
 
 
 if __name__ == "__main__":

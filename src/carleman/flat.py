@@ -377,7 +377,8 @@ def flat_axis_derivative(
         return e.weight * fact / e.rho**order
 
     target_scale = scale(target)
-    dom_log = target.weight_log + lf - order * log_of_fraction(target.rho) + base.axis_sum_log(order, 0.0)
+    log_moment = base.axis_sum_log(order)
+    dom_log = target.weight_log + lf - order * log_of_fraction(target.rho) + log_moment
 
     # every source's axis sum is the order's moment over (1+t^2)^p, so sum the
     # small factors first and multiply by the (huge) moment once per endpoint
@@ -398,7 +399,7 @@ def flat_axis_derivative(
             e.weight_log
             + lf
             - order * log_of_fraction(e.rho)
-            + base.axis_sum_log(order, math.log1p(t_f * t_f))
+            + (log_moment - p * math.log1p(t_f * t_f))
         )
 
     moment = base.axis_moment(order)

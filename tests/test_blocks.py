@@ -163,7 +163,7 @@ def test_axis_odd_orders_vanish():
     jet = bf.jet((Fraction(1, 3), Fraction(0)), 7, EXACT)
     assert all(jet.coefficient((0, order)) == 0 for order in (1, 3, 5, 7))
     with pytest.raises(ValueError):
-        base_lower_check(gevrey(1), [3], terms=40)
+        base_lower_check(BaseFunction(gevrey(1), 40), [3])
 
 
 def test_axis_truncation_bound_is_honest():
@@ -175,33 +175,33 @@ def test_axis_truncation_bound_is_honest():
 
 
 def test_base_lower_rows():
-    rows = base_lower_check(gevrey(1), [2, 4, 6, 8], terms=40)
+    rows = base_lower_check(BaseFunction(gevrey(1), 40), [2, 4, 6, 8])
     assert [r.order for r in rows] == [2, 4, 6, 8]
     assert all(r.exact_ok and r.ok for r in rows)
 
 
 def test_base_lower_rejects_bad_orders():
     with pytest.raises(ValueError):
-        base_lower_check(gevrey(1), [3], terms=40)
+        base_lower_check(BaseFunction(gevrey(1), 40), [3])
     with pytest.raises(ValueError):
-        base_lower_check(gevrey(1), [0], terms=40)
+        base_lower_check(BaseFunction(gevrey(1), 40), [0])
     with pytest.raises(ValueError):
-        base_lower_check(gevrey(1), [42], terms=40)
+        base_lower_check(BaseFunction(gevrey(1), 40), [42])
     with pytest.raises(ValueError):
-        base_lower_check(gevrey(1), [], terms=40)
+        base_lower_check(BaseFunction(gevrey(1), 40), [])
     with pytest.raises(ValueError):
-        block_lower_check(gevrey(1), [(Fraction(2), Fraction(1, 2))], [], terms=40)
+        block_lower_check(BaseFunction(gevrey(1), 40), [(Fraction(2), Fraction(1, 2))], [])
 
 
 def test_base_upper_sweep():
-    res = base_upper_check(gevrey(1), degree=4, points=6, terms=40, seed=3)
+    res = base_upper_check(BaseFunction(gevrey(1), 40), degree=4, points=6, seed=3)
     assert res.ok
     assert res.checked == 6 * 15
     assert res.max_log_ratio <= 0
 
 
 def test_base_upper_other_family():
-    res = base_upper_check(analytic(), degree=4, points=4, terms=40)
+    res = base_upper_check(BaseFunction(analytic(), 40), degree=4, points=4)
     assert res.ok
 
 
@@ -250,12 +250,12 @@ def test_block_axis_derivative_rescales():
 
 def test_block_sweeps():
     geoms = [(Fraction(1), Fraction(1, 2)), (Fraction(4), Fraction(1, 8))]
-    up = block_upper_check(gevrey(1), geoms, degree=4, points=4, terms=40)
+    up = block_upper_check(BaseFunction(gevrey(1), 40), geoms, degree=4, points=4)
     assert up.ok
-    low = block_lower_check(gevrey(1), geoms, [2, 4], terms=40)
+    low = block_lower_check(BaseFunction(gevrey(1), 40), geoms, [2, 4])
     assert all(r.exact_ok and r.ok for r in low)
     with pytest.raises(ValueError):
-        block_lower_check(gevrey(1), geoms, [5], terms=40)
+        block_lower_check(BaseFunction(gevrey(1), 40), geoms, [5])
 
 
 def test_polar_block_jet_value_and_axis():
@@ -317,12 +317,14 @@ def test_superposition_jets_match_per_term_formula(kind, pt):
 
 def test_polar_block_sweep_and_normalization():
     res = polar_block_bound_check(
-        gevrey(1), [(Fraction(1), Fraction(1, 2))], degree=3, radii=3, angles=2, terms=12
+        BaseFunction(gevrey(1), 12), [(Fraction(1), Fraction(1, 2))], degree=3, radii=3, angles=2
     )
     assert res.ok
     assert res.empirical_constant > 0
     with pytest.raises(ValueError):
-        polar_block_bound_check(shift(gevrey(1), 2), [(Fraction(1), Fraction(1, 2))])
+        polar_block_bound_check(
+            BaseFunction(shift(gevrey(1), 2)), [(Fraction(1), Fraction(1, 2))]
+        )
 
 
 # -- axis sums pinned against the per-term loops they replaced ---------------
@@ -404,11 +406,11 @@ FAMILIES = {"gevrey:1": lambda: gevrey(1), "logpow:e": lambda: log_power(math.e)
 def test_lower_check_rows_frozen(family):
     M = FAMILIES[family]()
     orders = [r[0] for r in BASE_LOWER_ROWS[family]]
-    rows = base_lower_check(M, orders, terms=40)
+    rows = base_lower_check(BaseFunction(M, 40), orders)
     assert [(r.order, r.log_lhs, r.log_rhs, r.exact_ok) for r in rows] == BASE_LOWER_ROWS[family]
     assert all(r.ok for r in rows)
     geoms = [(Fraction(1), Fraction(1, 2)), (Fraction(4), Fraction(1, 8))]
-    rows = block_lower_check(M, geoms, [2, 4], terms=40)
+    rows = block_lower_check(BaseFunction(M, 40), geoms, [2, 4])
     assert [(r.order, r.log_lhs, r.log_rhs, r.exact_ok) for r in rows] == BLOCK_LOWER_ROWS[family]
     assert all(r.ok for r in rows)
 
@@ -426,6 +428,6 @@ OFF_DYADIC_LOWER_ROWS = [
 
 def test_block_lower_rows_frozen_off_dyadic_centre():
     geoms = [(Fraction(5, 2), Fraction(1, 6))]
-    rows = block_lower_check(log_power(math.e), geoms, [2, 4, 6, 8], terms=40)
+    rows = block_lower_check(BaseFunction(log_power(math.e), 40), geoms, [2, 4, 6, 8])
     assert [(r.order, r.log_lhs, r.log_rhs, r.exact_ok) for r in rows] == OFF_DYADIC_LOWER_ROWS
     assert all(r.ok for r in rows)

@@ -5,14 +5,16 @@ report filenames, CSV headers, and rerun stability modulo the `timings`
 block.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from carleman.blocks import BaseFunction
 from carleman.cli import main
 from carleman.counterexample import counterexample_sequence, full_verification
-from carleman.reports import ReportBuilder, strip_volatile, to_jsonable
+from carleman.reports import ReportBuilder, render_json, strip_volatile, to_jsonable
 
 
 def run(*argv):
@@ -86,6 +88,14 @@ SWEEP_CHECKS = {
     "block": "block-upper-bound",
     "polar-block": "polar-block-bound",
 }
+# sha256 of each target's bounds.json below, without its timings block
+BOUNDS_PINS = {
+    "brick": "acecfd5f47a98212121902adb6c9945c281b45afd39a497688e997d5fd5bc267",
+    "polar-brick": "4ae5ca8d3533773bfe45f57aaa0e19636f82a83ec895349663dc2c51f68480d3",
+    "base": "01e987a59e75c59540a9556a9e31cc94d94c69cdbc2d6aa1c1de724475cdbf88",
+    "block": "5d88de27404dbf45406d0b8128304ce6d24a028d2ec78345f5dacd21bdd75ce2",
+    "polar-block": "ca72911aa521436b41c2dc060919b8b82ae32ff3a6f4a34bb437e15fe64a7ef4",
+}
 
 
 @pytest.mark.parametrize("target", list(SWEEP_CHECKS))
@@ -102,6 +112,24 @@ def test_verify_bounds_target(target, tmp_path):
     assert env["checks"][0]["name"] == SWEEP_CHECKS[target]
     assert env["checks"][0]["payload"]["checked"] > 0
     assert not env["failed"]
+    text = render_json(strip_volatile(env))
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUNDS_PINS[target]
+
+
+@pytest.mark.parametrize("target", ["base", "block"])
+def test_verify_bounds_builds_one_base_function(target, tmp_path, monkeypatch):
+    # the upper sweep, the lower rows and the base profile share one h
+    builds = []
+    init = BaseFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BaseFunction, "__init__", counting_init)
+    argv = ("verify-bounds", "--target", target, "--Dmax", "3", "--samples", "2")
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    assert len(builds) == 1
 
 
 def test_verify_bounds_base_writes_profile(tmp_path):
@@ -167,6 +195,32 @@ def test_construct_flat_rejects_bad_orders(tmp_path, capsys):
 def test_certify_missing_layout(tmp_path, capsys):
     assert run("certify", "--gamma", str(tmp_path / "absent.json")) == 2
     assert "cannot load layout" in capsys.readouterr().err
+
+
+def test_certify_rejects_a_short_target_family_before_writing(tmp_path, capsys):
+    # table:0,1 has no M_2, so the sharpness scan fails on the order-2 row;
+    # the certificate is already computed then, but nothing may be written
+    layout_dir, out = tmp_path / "layout", tmp_path / "cert"
+    argv = ("construct-flat", "--family", "gevrey:1", "--orders", "2,4")
+    assert run(*argv, "--out", str(layout_dir)) == 0
+    capsys.readouterr()
+    gamma = str(layout_dir / "layout.json")
+    assert run("certify", "--gamma", gamma, "--N", "table:0,1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "error: custom table has no entry for k=2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    # an --out that is a regular file fails in the report writer, after the handler
+    blocker = tmp_path / "report-here"
+    blocker.write_text("")
+    assert run("analyze", "--family", "gevrey:1", "--K", "16", "--out", str(blocker)) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 def _with_center(data, value):
@@ -328,6 +382,7 @@ RATIO_DROP_TABLE = "table:" + ",".join(str(k * (k - 1) / 2 - 5 * max(0, k - 12))
         ("verify-bounds", "--target", "block", "--Dmax", "0"),
         ("verify-bounds", "--target", "base", "--family", RATIO_DROP_TABLE),
         ("construct-flat", "--family", "gevrey:1", "--orders", ","),
+        ("construct-flat", "--family", "gevrey:1", "--gamma", "nosuchdir/layout.json"),
         ("selftest", "--only", ","),
     ],
 )

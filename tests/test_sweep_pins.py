@@ -14,7 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from carleman.blocks import base_upper_check, block_upper_check, polar_block_bound_check
+from carleman.blocks import (
+    BaseFunction,
+    base_upper_check,
+    block_upper_check,
+    polar_block_bound_check,
+)
 from carleman.bricks import (
     BrickParams,
     brick_taylor_check,
@@ -62,13 +67,17 @@ SWEEPS = {
     "polar-brick-failing": lambda: polar_brick_bound_check(
         POLAR_PARAMS, degree=4, radii=3, angles=2, C=1.0, seed=24
     ),
-    "base-upper": lambda: base_upper_check(gevrey(1), degree=6, points=25, terms=60, seed=23),
-    "block-upper": lambda: block_upper_check(gevrey(1), BLOCK_GEOMS, degree=4, points=4, terms=40),
+    "base-upper": lambda: base_upper_check(
+        BaseFunction(gevrey(1), 60), degree=6, points=25, seed=23
+    ),
+    "block-upper": lambda: block_upper_check(
+        BaseFunction(gevrey(1), 40), BLOCK_GEOMS, degree=4, points=4
+    ),
     "polar-block": lambda: polar_block_bound_check(
-        gevrey(1), POLAR_GEOMS, degree=5, radii=5, angles=10, seed=25
+        BaseFunction(gevrey(1)), POLAR_GEOMS, degree=5, radii=5, angles=10, seed=25
     ),
     "polar-block-failing": lambda: polar_block_bound_check(
-        gevrey(1), POLAR_GEOMS, degree=3, radii=3, angles=2, C=1.0, terms=12, seed=25
+        BaseFunction(gevrey(1), 12), POLAR_GEOMS, degree=3, radii=3, angles=2, C=1.0, seed=25
     ),
     "flat-upper": lambda: flat_upper_check(_greedy_flat(), degree=5, points=48, seed=26),
     "polar-flat": lambda: polar_flat_check(_greedy_flat(), degree=5, radii=5, angles=10, seed=27),
