@@ -9,97 +9,3 @@ with explicit truncation control; nothing is certified by float coincidence.
 """
 
 __version__ = "0.1.0"
-
-from .blocks import (
-    BaseFunction,
-    Block,
-    base_lower_check,
-    base_upper_check,
-    block_lower_check,
-    block_upper_check,
-    polar_block_bound_check,
-)
-from .bricks import (
-    BrickParams,
-    brick_taylor_check,
-    brick_value,
-    cauchy_kernel_check,
-    polar_brick_bound_check,
-)
-from .counterexample import counterexample_sequence, full_verification
-from .flat import (
-    FlatFunction,
-    Layout,
-    build_layout,
-    flat_axis_derivative,
-    flat_upper_check,
-    layout_from_orders,
-    lower_bound_certificate,
-    polar_flat_check,
-    sharpness_scan,
-)
-from .intervals import RInterval
-from .jets import Jet2, finite_difference
-from .logscale import LogMagnitude
-from .ostrowski import phi, phi_at_ratio, phi_grid, verify_phi_identity
-from .weights import (
-    WeightSequence,
-    abel_identity_terms,
-    analytic,
-    compare,
-    custom_table,
-    gevrey,
-    log_power,
-    parse_family,
-    power,
-    quasianalyticity_diagnostic,
-    shift,
-    square_vs_shift_diagnostic,
-)
-
-__all__ = [
-    "__version__",
-    "BaseFunction",
-    "Block",
-    "BrickParams",
-    "FlatFunction",
-    "Jet2",
-    "Layout",
-    "LogMagnitude",
-    "RInterval",
-    "WeightSequence",
-    "abel_identity_terms",
-    "analytic",
-    "base_lower_check",
-    "base_upper_check",
-    "block_lower_check",
-    "block_upper_check",
-    "brick_taylor_check",
-    "brick_value",
-    "build_layout",
-    "cauchy_kernel_check",
-    "compare",
-    "counterexample_sequence",
-    "custom_table",
-    "finite_difference",
-    "flat_axis_derivative",
-    "flat_upper_check",
-    "full_verification",
-    "gevrey",
-    "layout_from_orders",
-    "log_power",
-    "lower_bound_certificate",
-    "parse_family",
-    "phi",
-    "phi_at_ratio",
-    "phi_grid",
-    "polar_block_bound_check",
-    "polar_brick_bound_check",
-    "polar_flat_check",
-    "power",
-    "quasianalyticity_diagnostic",
-    "sharpness_scan",
-    "shift",
-    "square_vs_shift_diagnostic",
-    "verify_phi_identity",
-]

@@ -120,16 +120,13 @@ class BaseFunction:
             w = self._exact_w[k] = Fraction(self._M_int[k], 2**k * self._m_int[k] ** k)
         return w
 
-    def ratio_exact(self, k: int) -> Fraction:
-        return self.M.exact_ratio(k)
-
     # -- evaluation ----------------------------------------------------------
 
     def value(self, x1: Scalar, x2: Scalar, exact: bool = False) -> Scalar:
         if exact:
             return sum(
                 self.weight_exact(k)
-                / (1 + Fraction(x1) ** 2 + (self.ratio_exact(k) * Fraction(x2)) ** 2)
+                / (1 + Fraction(x1) ** 2 + (self.M.exact_ratio(k) * Fraction(x2)) ** 2)
                 for k in self.k_range
             )
         logs = []
@@ -145,7 +142,7 @@ class BaseFunction:
         total = Jet2.constant(0, y1.base, y1.degree, y1.kind)
         for k in self.k_range:
             if y1.kind == EXACT:
-                w, m = self.weight_exact(k), self.ratio_exact(k)
+                w, m = self.weight_exact(k), self.M.exact_ratio(k)
             else:
                 w, m = math.exp(self._log_w[k]), math.exp(self.M.log_ratio(k))
             ym = y2.scale(m)

@@ -97,6 +97,8 @@ def _criteria(text: str) -> list[int]:
     indices = _orders(text)
     if not all(1 <= i <= len(CRITERIA) for i in indices):
         raise argparse.ArgumentTypeError(f"criterion indices run from 1 to {len(CRITERIA)}")
+    if len(set(indices)) != len(indices):
+        raise argparse.ArgumentTypeError(f"repeated criterion index in {text!r}")
     return indices
 
 
@@ -246,12 +248,17 @@ def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
 
 
 def _cmd_construct_flat(args, rb: ReportBuilder) -> None:
+    # the layout's directory must exist, or be --out itself, before --out is made
+    root = output_dir(args.out, create=False)
+    path = root / args.gamma
+    if path.parent != root and not path.parent.is_dir():
+        raise UsageError(f"--gamma: directory {path.parent} does not exist")
     E = EFunction.parse(args.E)
     if args.orders:
         layout = layout_from_orders(args.family, E, args.orders, terms=args.terms)
     else:
         layout = build_layout(args.family, E, args.lambda_max, terms=args.terms)
-    path = output_dir(args.out) / args.gamma
+    output_dir(args.out)
     layout.save(path)
     rb.config = {
         "family": args.family.name,

@@ -2,8 +2,8 @@
 
 A Jet2 holds the Taylor coefficients of a smooth function of two variables at a
 base point, complete through a fixed total degree. coefficient(alpha) is the
-normalized derivative d^alpha f / alpha!, so derivative(alpha) multiplies the
-factorials back in. Arithmetic truncates at the common degree; reciprocals are
+normalized derivative d^alpha f / alpha!; callers multiply the factorials back
+in themselves. Arithmetic truncates at the common degree; reciprocals are
 solved order by order; sin/cos split off the (possibly irrational) angle
 constant and run Maclaurin series on the nilpotent part, which also gives the
 polar coordinate jets (r cos theta, r sin theta).
@@ -163,12 +163,6 @@ class Jet2:
         if i < 0 or j < 0 or i + j > self.degree:
             raise JetError(f"multi-index {alpha} outside degree {self.degree}")
         return self.coeffs.get((i, j), _coerce(self.kind, 0))
-
-    def derivative(self, alpha) -> object:
-        i, j = alpha
-        f = math.factorial(i) * math.factorial(j)
-        c = self.coefficient(alpha)
-        return c * (f if self.kind == EXACT else float(f))
 
     def value(self) -> object:
         return self.coeffs.get((0, 0), _coerce(self.kind, 0))

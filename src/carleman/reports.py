@@ -28,11 +28,12 @@ FAIL = "fail"
 DIAGNOSTIC = "diagnostic"
 
 
-def output_dir(override: Optional[str] = None) -> Path:
-    """Reports land in --out if given, else $CARLEMAN_OUT, else cwd."""
-    root = override or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+def output_dir(override: Optional[str] = None, create: bool = True) -> Path:
+    """Reports land in --out if given, else $CARLEMAN_OUT, else cwd; the
+    directory is made unless create is false."""
+    path = Path(override or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    if create:
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 

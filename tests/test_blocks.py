@@ -283,7 +283,7 @@ def _per_term_sum(bf, y1, y2):
     total = Jet2.constant(0, y1.base, y1.degree, y1.kind)
     for k in bf.k_range:
         if y1.kind == EXACT:
-            w, m = bf.weight_exact(k), bf.ratio_exact(k)
+            w, m = bf.weight_exact(k), bf.M.exact_ratio(k)
         else:
             w, m = math.exp(bf.weight_log(k)), math.exp(bf.M.log_ratio(k))
         total = total + (1 + y1 * y1 + (y2.scale(m)) ** 2).reciprocal().scale(w)
@@ -334,14 +334,14 @@ def _per_term_axis_interval(bf, order, one_plus_t2):
     inv = (one_plus_t2 ** (order // 2 + 1)).reciprocal()
     total = RInterval.exactly(0)
     for k in bf.k_range:
-        total = total + inv * (bf.weight_exact(k) * bf.ratio_exact(k) ** order)
+        total = total + inv * (bf.weight_exact(k) * bf.M.exact_ratio(k) ** order)
     return total
 
 
 def _per_term_axis_exact(bf, order, one_plus_t2):
     p = order // 2 + 1
     return sum(
-        bf.weight_exact(k) * bf.ratio_exact(k) ** order / one_plus_t2**p
+        bf.weight_exact(k) * bf.M.exact_ratio(k) ** order / one_plus_t2**p
         for k in bf.k_range
     )
 

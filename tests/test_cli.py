@@ -7,6 +7,9 @@ block.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -384,6 +387,7 @@ RATIO_DROP_TABLE = "table:" + ",".join(str(k * (k - 1) / 2 - 5 * max(0, k - 12))
         ("construct-flat", "--family", "gevrey:1", "--orders", ","),
         ("construct-flat", "--family", "gevrey:1", "--gamma", "nosuchdir/layout.json"),
         ("selftest", "--only", ","),
+        ("selftest", "--only", "3,3"),
     ],
 )
 def test_bad_input_exits_two(argv, tmp_path, capsys):
@@ -397,3 +401,35 @@ def test_bad_input_exits_two(argv, tmp_path, capsys):
     assert "error:" in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--K", "5"),
+        ("compare", "--K", "5"),
+        ("ostrowski", "--family", "gevrey:1", "--r-min", "2", "--r-max", "1"),
+        ("verify-bounds", "--target", "block", "--rho", "2"),
+        ("construct-flat", "--family", "logpow:3"),
+        ("construct-flat", "--family", "gevrey:1", "--gamma", "nosuchdir/layout.json"),
+        ("certify", "--gamma", "absent.json"),
+        ("counterexample", "--pairs", "1"),
+        ("selftest", "--only", "0"),
+    ],
+)
+def test_bad_input_in_subprocess_exits_two(argv, tmp_path):
+    # a fresh interpreter, so an uncaught exception would print a traceback
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("CARLEMAN_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "carleman.cli", *argv, "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -96,7 +96,7 @@ def test_known_expansion_kernel_at_offset():
     x = Jet2.variable(0, base, 3, EXACT)
     g = (2 + x * x).reciprocal()
     assert g.coefficient((0, 0)) == Fraction(1, 3)
-    assert g.derivative((1, 0)) == Fraction(-2, 9)
+    assert g.coefficient((1, 0)) == Fraction(-2, 9)
 
 
 def test_sin_cos_pythagoras_exact():
@@ -141,8 +141,8 @@ def test_float_scalar_in_exact_jet_rejected():
 def test_value_and_derivative_conventions():
     f = poly_jet({(0, 0): Fraction(7), (2, 1): Fraction(5)})
     assert f.value() == 7
-    # derivative multiplies the factorials back in: 5 * 2! * 1!
-    assert f.derivative((2, 1)) == 10
+    # the coefficient is the derivative over the factorials: 10 / (2! * 1!)
+    assert f.coefficient((2, 1)) == 5
 
 
 def test_finite_difference_matches_analytic():
