@@ -11,6 +11,16 @@ geometric tail (w_k m_k^j <= M_j 2^-k for every j), and pure-x2 derivatives
 on the axis have a closed form whose terms all share one sign, so truncation
 error is controlled and no cancellation occurs.
 
+For an exact family the log weights are bit-identical to the logs of the
+reduced quotients m_k^(k+2)/g and M_k/g, yet neither quotient is formed.
+Two facts make that possible: math.log of an int reads only the int
+correctly rounded to 53 bits, so the leading bits and whether any bit below
+them is set decide it; and floor division composes, (N >> s) // g ==
+(N // g) >> s, so the leading bits of a quotient cost a short division.
+The numerator is bracketed instead, and formed exactly only when its bracket
+straddles a rounding boundary; gevrey:1 to 13664 terms, gevrey:2, gevrey:3,
+shift:2:gevrey:1 and power:2:gevrey:1 never do.
+
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
 the `BaseFunction` it checks; one loop gives the lower rows of both the base
@@ -23,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .bricks import SweepResult, polar_samples
 from .intervals import RInterval
@@ -34,6 +44,8 @@ from .weights import WeightError, WeightSequence
 DEFAULT_TERMS = 40
 MIN_TERMS = 4
 POLAR_BLOCK_C = 2 * 8**5
+BRACKET_BITS = 128  # width of the integer brackets a log weight is read from
+GUARD_BITS = 64  # leading bits of M_k/g kept past the 53 a double rounds to
 
 Scalar = Union[int, float, Fraction]
 
@@ -52,14 +64,64 @@ def _prime_factors(n: int) -> dict[int, int]:
     return factors
 
 
+def _trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
+    """[lo, hi] 2^t rounded outward to at most BRACKET_BITS-bit ends."""
+    r = hi.bit_length() - BRACKET_BITS
+    if r <= 0:
+        return lo, hi, t
+    return lo >> r, -(-hi >> r), t + r
+
+
+def _log_bracketed(lo: int, hi: int, t: int, exact: Callable[[], int]) -> float:
+    """math.log(N) for an integer N with lo 2^t <= N <= hi 2^t, t >= 0.
+
+    For an int, math.log reads only N rounded to 53 bits (round half to
+    even, as `float(N)` rounds), and that rounding is monotone: when lo and
+    hi round alike, N rounds with them and lo 2^t stands in for it. Only
+    when the bracket straddles a rounding boundary is N formed, by `exact`."""
+    lo, hi, t = _trim(lo, hi, t)
+    if float(lo) == float(hi):
+        return math.log(lo << t)
+    return math.log(exact())
+
+
+def _power_bracket(powers: dict[int, int]) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo 2^t <= prod p^e <= hi 2^t over {p: e}: square
+    and multiply, each step rounded outward to BRACKET_BITS bits."""
+    lo = hi = 1
+    t = 0
+    for p, e in powers.items():
+        plo = phi = 1
+        pt = 0
+        for bit in bin(e)[2:]:
+            plo, phi, pt = _trim(plo * plo, phi * phi, 2 * pt)
+            if bit == "1":
+                plo, phi, pt = _trim(plo * p, phi * p, pt)
+        lo, hi, t = _trim(lo * plo, hi * phi, t + pt)
+    return lo, hi, t
+
+
 def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[int], list[float]]:
     """M_0 .. M_(terms+1) and m_0 .. m_terms as integers, and log phi(m_k)
     for k = 1 .. terms.
 
     phi(m_k) = m_k^(k+2)/M_k is read in lowest terms, so its log is the one
-    `log_of_fraction` would give; the common factor is the product over
+    `log_of_fraction` would give; the common factor g is the product over
     p | m_k of p^min(v_p(M_k), (k+2) v_p(m_k)), from a running count of
-    M_k's prime exponents instead of a gcd."""
+    M_k's prime exponents instead of a gcd. Neither quotient is formed:
+    math.log of an int reads only the int rounded to 53 bits, so each log
+    needs only enough leading bits to decide that rounding.
+
+    - M_k/g: floor division composes, (M_k >> s) // g == (M_k // g) >> s,
+      which gives at least GUARD_BITS leading bits; the bits below s are
+      nonzero exactly when v_2(M_k/g) < s, which the valuation count knows.
+      The top bits, that sticky bit and the scale round as M_k/g does, so
+      this log is exact with no fallback.
+    - m_k^(k+2)/g = prod p^((k+2) v_p(m_k) - min_p): bracketed by
+      `_power_bracket` and read by `_log_bracketed`, which forms the exact
+      product only when the bracket straddles a rounding boundary: its
+      relative width stays under 2^-115 for these families, so that
+      happens at a k with odds of about 2^-62."""
     Ms, ms, log_phi = [1], [], []
     valuations: dict[int, int] = {}
     for k in range(terms + 1):
@@ -69,8 +131,17 @@ def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[int
         m = m.numerator
         factors = _prime_factors(m)
         if k:
-            g = math.prod(p ** min(valuations.get(p, 0), (k + 2) * v) for p, v in factors.items())
-            log_phi.append(math.log(m ** (k + 2) // g) - math.log(Ms[k] // g))
+            common = {p: min(valuations.get(p, 0), (k + 2) * v) for p, v in factors.items()}
+            g = math.prod(p**c for p, c in common.items())
+            num = {p: (k + 2) * v - common[p] for p, v in factors.items()}
+            log_num = _log_bracketed(
+                *_power_bracket(num), lambda: math.prod(p**e for p, e in num.items())
+            )
+            s = max(Ms[k].bit_length() - g.bit_length() - GUARD_BITS, 1)
+            top = (Ms[k] >> s) // g
+            sticky = valuations.get(2, 0) - common.get(2, 0) < s
+            log_den = math.log(((top << 1) | sticky) << (s - 1))
+            log_phi.append(log_num - log_den)
         ms.append(m)
         Ms.append(Ms[k] * m)
         for p, v in factors.items():
@@ -83,7 +154,8 @@ class BaseFunction:
 
     An exact family must have integer ratios m_k; they and their running
     product M_k are kept as integers, and each log weight comes from the
-    prime valuations of the ratios (`_integer_weights`). The exact weights
+    prime valuations of the ratios and the leading bits of two quotients
+    (`_integer_weights`). The exact weights
     M_k/(2^k m_k^k) are built on demand; the certificate builds none. Every
     pure-x2 axis sum is the exact moment sum_k w_k m_k^order, read from M_k
     and m_k by `axis_moment` on each call, over (1+t^2)^(order/2+1)."""

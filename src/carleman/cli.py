@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -248,9 +249,12 @@ def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
 
 
 def _cmd_construct_flat(args, rb: ReportBuilder) -> None:
-    # the layout's directory must exist, or be --out itself, before --out is made
+    # --gamma must name a file, in a directory that exists or is --out itself,
+    # before --out is made
     root = output_dir(args.out, create=False)
     path = root / args.gamma
+    if Path(args.gamma).name in ("", "..") or path.is_dir():
+        raise UsageError(f"--gamma: {args.gamma} names a directory, not a layout file")
     if path.parent != root and not path.parent.is_dir():
         raise UsageError(f"--gamma: directory {path.parent} does not exist")
     E = EFunction.parse(args.E)
@@ -282,12 +286,18 @@ def _cmd_construct_flat(args, rb: ReportBuilder) -> None:
 
 
 def _cmd_certify(args, rb: ReportBuilder) -> None:
+    t0 = time.perf_counter()
     try:
         layout = Layout.load(Path(args.gamma))
     except (OSError, LayoutError, KeyError, ValueError) as exc:
         raise UsageError(f"cannot load layout: {exc}") from None
+    t1 = time.perf_counter()
     fn = FlatFunction(layout)
+    t2 = time.perf_counter()
     cert = lower_bound_certificate(fn)
+    rb.timings.update(
+        layout_load_s=t1 - t0, flat_build_s=t2 - t1, certificate_s=time.perf_counter() - t2
+    )
     rb.config = {
         "gamma": str(args.gamma),
         "family": layout.m_family,

@@ -9,8 +9,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carleman.blocks import (
+    BRACKET_BITS,
     BaseFunction,
     Block,
     base_lower_check,
@@ -19,6 +21,10 @@ from carleman.blocks import (
     block_upper_check,
     polar_block_bound_check,
     polar_block_jet,
+    _integer_weights,
+    _log_bracketed,
+    _power_bracket,
+    _prime_factors,
 )
 from carleman.intervals import RInterval
 from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
@@ -74,6 +80,78 @@ def test_exact_weights_match_the_phi_search(spec, ks):
         assert bf.weight_exact(k) == m**2 / (2**k * phi(M, m).exact)
         log_phi = log_of_fraction(m ** (k + 2) / M.exact(k))
         assert bf.weight_log(k) == 2 * M.log_ratio(k) - k * math.log(2) - log_phi
+
+
+def exact_division_log_phi(M, terms):
+    """log phi(m_k) for k = 1 .. terms from the exact quotients m_k^(k+2)//g
+    and M_k//g, g the common factor from M_k's prime valuations: the formula
+    the bracketed logs replace, kept here as their oracle."""
+    Mk, log_phi, valuations = 1, [], {}
+    for k in range(terms + 1):
+        m = M.exact_ratio(k).numerator
+        factors = _prime_factors(m)
+        if k:
+            g = math.prod(p ** min(valuations.get(p, 0), (k + 2) * v) for p, v in factors.items())
+            log_phi.append(math.log(m ** (k + 2) // g) - math.log(Mk // g))
+        Mk *= m
+        for p, v in factors.items():
+            valuations[p] = valuations.get(p, 0) + v
+    return log_phi
+
+
+def test_bracketed_weights_match_exact_division_at_every_k():
+    # the sixth greedy block's 3424 terms, every k
+    M = gevrey(1)
+    M.validate(3425)
+    Ms, ms, log_phi = _integer_weights(M, 3424)
+    assert log_phi == exact_division_log_phi(M, 3424)
+    assert ms == [k + 1 for k in range(3425)]
+    assert Ms == [math.factorial(k) for k in range(3426)]
+
+
+def bracketed_quotient_log(N, g):
+    """_log_bracketed on the bracket the leading bits of N // g give:
+    (N >> s) // g == (N // g) >> s; also returns how often N // g was formed."""
+    formed = []
+    s = max(N.bit_length() - g.bit_length() - 64, 0)
+    top = (N >> s) // g
+
+    def exact():
+        formed.append(1)
+        return N // g
+
+    return _log_bracketed(top, top + 1, s, exact), len(formed)
+
+
+@given(st.integers(1, 2**6000), st.integers(1, 2**3000))
+@settings(max_examples=200, deadline=None)
+def test_bracketed_log_of_a_quotient_is_bit_identical(q, g):
+    assert bracketed_quotient_log(q * g, g)[0] == math.log(q)
+
+
+@pytest.mark.parametrize("s", [0, 70, 2000])
+def test_bracket_straddling_a_tie_forms_the_exact_integer(s):
+    # (2^53 + 1) 2^s is a half-ulp tie: it rounds down to even, one more rounds up
+    tie = (2**53 + 1) << s
+    straddling = [(N, tie - 1, tie + 1) for N in (tie - 1, tie, tie + 1)]
+    straddling += [(N, tie, tie + 1) for N in (tie, tie + 1)]
+    for N, lo, hi in straddling:
+        formed = []
+        log = _log_bracketed(lo, hi, 0, lambda: formed.append(N) or N)
+        assert log == math.log(N)
+        assert formed == [N]
+    # below the tie both ends round down: no exact integer is needed
+    log = _log_bracketed(tie - 1, tie, 0, lambda: pytest.fail("formed the exact integer"))
+    assert log == math.log(tie) == math.log(tie - 1)
+
+
+@given(st.dictionaries(st.integers(2, 10**6), st.integers(0, 5000), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_power_bracket_encloses_the_product(powers):
+    lo, hi, t = _power_bracket(powers)
+    exact = math.prod(p**e for p, e in powers.items())
+    assert lo << t <= exact <= hi << t
+    assert hi.bit_length() <= BRACKET_BITS
 
 
 def test_exact_family_needs_integer_ratios():

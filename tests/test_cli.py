@@ -195,6 +195,31 @@ def test_construct_flat_rejects_bad_orders(tmp_path, capsys):
         assert not list(tmp_path.iterdir())
 
 
+def test_construct_flat_rejects_a_directory_as_the_layout(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    argv = ("construct-flat", "--family", "gevrey:1", "--gamma", "taken")
+    assert run(*argv, "--out", str(tmp_path)) == 2
+    assert "names a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert not list((tmp_path / "taken").iterdir())
+
+
+def test_certify_records_stage_timings(tmp_path):
+    layout = tmp_path / "layout.json"
+    argv = ("construct-flat", "--family", "gevrey:1", "--lambda-max", "64")
+    assert run(*argv, "--gamma", str(layout), "--out", str(tmp_path)) == 0
+    reports = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run("certify", "--gamma", str(layout), "--out", str(out)) == 0
+        reports.append(read_json(out / "certify.json"))
+    for env in reports:
+        timings = env["timings"]
+        stages = [timings[key] for key in ("layout_load_s", "flat_build_s", "certificate_s")]
+        assert all(s >= 0 for s in stages)
+        assert sum(stages) <= timings["total_s"]
+    assert strip_volatile(reports[0]) == strip_volatile(reports[1])
+
+
 def test_certify_missing_layout(tmp_path, capsys):
     assert run("certify", "--gamma", str(tmp_path / "absent.json")) == 2
     assert "cannot load layout" in capsys.readouterr().err
@@ -415,6 +440,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         ("verify-bounds", "--target", "block", "--rho", "2"),
         ("construct-flat", "--family", "logpow:3"),
         ("construct-flat", "--family", "gevrey:1", "--gamma", "nosuchdir/layout.json"),
+        ("construct-flat", "--family", "gevrey:1", "--gamma", "."),
+        ("construct-flat", "--family", "gevrey:1", "--gamma", ".."),
         ("certify", "--gamma", "absent.json"),
         ("counterexample", "--pairs", "1"),
         ("selftest", "--only", "0"),
