@@ -109,24 +109,14 @@ def test_bracketed_weights_match_exact_division_at_every_k():
     assert Ms == [math.factorial(k) for k in range(3426)]
 
 
-def bracketed_quotient_log(N, g):
-    """_log_bracketed on the bracket the leading bits of N // g give:
-    (N >> s) // g == (N // g) >> s; also returns how often N // g was formed."""
-    formed = []
-    s = max(N.bit_length() - g.bit_length() - 64, 0)
-    top = (N >> s) // g
-
-    def exact():
-        formed.append(1)
-        return N // g
-
-    return _log_bracketed(top, top + 1, s, exact), len(formed)
-
-
 @given(st.integers(1, 2**6000), st.integers(1, 2**3000))
 @settings(max_examples=200, deadline=None)
 def test_bracketed_log_of_a_quotient_is_bit_identical(q, g):
-    assert bracketed_quotient_log(q * g, g)[0] == math.log(q)
+    # (N >> s) // g == (N // g) >> s puts N // g between top 2^s and (top + 1) 2^s
+    N = q * g
+    s = max(N.bit_length() - g.bit_length() - 64, 0)
+    top = (N >> s) // g
+    assert _log_bracketed(top, top + 1, s, lambda: N // g) == math.log(N // g)
 
 
 @pytest.mark.parametrize("s", [0, 70, 2000])
