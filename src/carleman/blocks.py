@@ -153,12 +153,13 @@ class BaseFunction:
     """K-term truncation of h; exact weights when the family has them.
 
     An exact family must have integer ratios m_k; they and their running
-    product M_k are kept as integers, and each log weight comes from the
+    product M_k are kept as integer tables, checked once here, and every
+    exact quantity reads them, not the family: exact values and jets, the
+    exact weights M_k/(2^k m_k^k) (built on demand; the certificate builds
+    none), the moment sum_k w_k m_k^order (`axis_moment`; an axis sum is it
+    over (1+t^2)^(order/2+1)) and its tail. Each log weight comes from the
     prime valuations of the ratios and the leading bits of two quotients
-    (`_integer_weights`). The exact weights
-    M_k/(2^k m_k^k) are built on demand; the certificate builds none. Every
-    pure-x2 axis sum is the exact moment sum_k w_k m_k^order, read from M_k
-    and m_k by `axis_moment` on each call, over (1+t^2)^(order/2+1)."""
+    (`_integer_weights`)."""
 
     def __init__(self, M: WeightSequence, terms: int = DEFAULT_TERMS):
         if terms < MIN_TERMS:
@@ -198,7 +199,7 @@ class BaseFunction:
         if exact:
             return sum(
                 self.weight_exact(k)
-                / (1 + Fraction(x1) ** 2 + (self.M.exact_ratio(k) * Fraction(x2)) ** 2)
+                / (1 + Fraction(x1) ** 2 + (self._m_int[k] * Fraction(x2)) ** 2)
                 for k in self.k_range
             )
         logs = []
@@ -214,7 +215,7 @@ class BaseFunction:
         total = Jet2.constant(0, y1.base, y1.degree, y1.kind)
         for k in self.k_range:
             if y1.kind == EXACT:
-                w, m = self.weight_exact(k), self.M.exact_ratio(k)
+                w, m = self.weight_exact(k), self._m_int[k]
             else:
                 w, m = math.exp(self._log_w[k]), math.exp(self.M.log_ratio(k))
             ym = y2.scale(m)
@@ -262,7 +263,7 @@ class BaseFunction:
         M_order 2^-K."""
         if not self.M.has_exact:
             raise ValueError("exact tail needs an exact family")
-        return self.M.exact(order) / 2**self.terms
+        return Fraction(self._M_int[order], 2**self.terms)
 
 
 # -- finite-order bound checks -----------------------------------------------
@@ -335,7 +336,7 @@ def _lower_rows(
             if M.has_exact:
                 scale = Fraction(math.factorial(order)) / rho**order
                 lhs = scale * (h.axis_moment(order) - h.axis_tail_exact(order))
-                exact_ok = lhs >= scale * M.exact(order) / 4 ** (order // 2)
+                exact_ok = lhs >= scale * h._M_int[order] / 4 ** (order // 2)
                 log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
             else:
                 value = lf + h.axis_sum_log(order) - log_scale

@@ -190,7 +190,7 @@ class Layout:
 
 
 def _entry_for(M: WeightSequence, E: EFunction, order: int) -> LayoutEntry:
-    rho = 1 / M.exact_ratio(order)
+    rho = Fraction(1, M.exact_ratio(order))
     return LayoutEntry(
         order=order,
         rho=rho,
@@ -218,7 +218,7 @@ def build_layout(
     orders: list[int] = []
     prev: Optional[RInterval] = None
     for order in range(2, lambda_max + 1, 2):
-        rho = 1 / M.exact_ratio(order)
+        rho = Fraction(1, M.exact_ratio(order))
         center = E.interval(rho)
         if not center.certainly_gt(rho):
             continue
@@ -469,23 +469,25 @@ def _lambda0_scan(M: WeightSequence, layout: Layout) -> Optional[int]:
 def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
     layout = fn.layout
     M = fn.M
+    # the cross envelope divides by the least separation of two centres
+    if len(layout.entries) < 2:
+        raise LayoutError("the certificate needs a layout of at least two blocks")
     rows = []
     for target in layout.entries:
         lam = target.order
         ax = flat_axis_derivative(fn, lam, lam)
         fact = Fraction(math.factorial(lam))
+        M_lam = M.exact(lam)
 
-        rhs_hi = layout.eps_hi**lam * fact * M.exact(lam) ** 2 / 4**lam
+        rhs_hi = layout.eps_hi**lam * fact * M_lam**2 / 4**lam
         ok = ax.total_lower >= rhs_hi
 
-        floor = fact * target.rho**2 * M.exact(lam) ** 2 / 4**lam
+        floor = fact * target.rho**2 * M_lam**2 / 4**lam
         dominant_ok = ax.dominant_exact >= floor
 
         others = [o for o in layout.orders if o != lam]
         s2 = sum(Fraction(1, 2**o) for o in others)
-        cross_bound = (
-            fact * M.exact(lam) * Fraction(8) ** (lam + 3) / layout.delta_min_lo**lam * s2
-        )
+        cross_bound = fact * M_lam * Fraction(8) ** (lam + 3) / layout.delta_min_lo**lam * s2
         cross_ok = ax.cross_iv.hi + ax.tail_exact <= cross_bound
 
         lhs_log = log_of_fraction(ax.total_lower)

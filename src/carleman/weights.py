@@ -1,10 +1,10 @@
 """Log-convex weight sequences and their comparison/quasianalyticity diagnostics.
 
-A WeightSequence serves log M_k (always) and exact rational M_k and
-m_k = M_{k+1}/M_k (when the family supports it), normalized to M_0 = 1. An
-exact family supplies m_k itself, so no ratio is formed by dividing
-factorials. Construction validates that the ratio sequence is nondecreasing
-over every queried range; a violation is a hard error, not a warning.
+A WeightSequence serves log M_k, normalized to M_0 = 1. An exact family is
+given by its ratios m_k = M_{k+1}/M_k alone (integers for the built-in
+families), and its exact M_k is their product m_0 ... m_(k-1). Construction
+validates that the ratio sequence is nondecreasing over every queried range;
+a violation is a hard error, not a warning.
 
 Trend verdicts ("diverging-like", "strictly-contained-diagnostic", ...) are
 finite-horizon diagnostics with documented thresholds, never claims about
@@ -17,7 +17,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .logscale import LogMagnitude
 
@@ -35,21 +35,18 @@ class ConvexityError(WeightError):
 
 
 class WeightSequence:
-    """log M_k provider with memoization and ratio validation."""
+    """log M_k provider with memoization and ratio validation; `ratio_fn`,
+    when given, supplies the exact m_k, and M_k is their running product."""
 
     def __init__(
         self,
         name: str,
         log_weight_fn: Callable[[int], float],
-        exact_fn: Optional[Callable[[int], Fraction]] = None,
-        ratio_fn: Optional[Callable[[int], Fraction]] = None,
+        ratio_fn: Optional[Callable[[int], Union[int, Fraction]]] = None,
         validate_on_init: int = 8,
     ):
-        if (exact_fn is None) != (ratio_fn is None):
-            raise WeightError(f"{name}: an exact family supplies both M_k and m_k")
         self.name = name
         self._log_fn = log_weight_fn
-        self._exact_fn = exact_fn
         self._ratio_fn = ratio_fn
         self._memo: dict[int, float] = {}
         self._checked_to = 0
@@ -70,19 +67,20 @@ class WeightSequence:
         return v
 
     def exact(self, k: int) -> Optional[Fraction]:
-        if self._exact_fn is None:
+        """M_k = m_0 ... m_(k-1), exact."""
+        if self._ratio_fn is None:
             return None
-        return self._exact_fn(k)
+        return Fraction(math.prod(self._ratio_fn(j) for j in range(k)))
 
     @property
     def has_exact(self) -> bool:
-        return self._exact_fn is not None
+        return self._ratio_fn is not None
 
     def log_ratio(self, k: int) -> float:
         """log m_k = log(M_{k+1}/M_k)."""
         return self.log_weight(k + 1) - self.log_weight(k)
 
-    def exact_ratio(self, k: int) -> Optional[Fraction]:
+    def exact_ratio(self, k: int) -> Optional[Union[int, Fraction]]:
         """m_k = M_{k+1}/M_k, exact, as the family supplies it."""
         if self._ratio_fn is None:
             return None
@@ -105,22 +103,19 @@ class WeightSequence:
 # -- families ----------------------------------------------------------------
 
 def analytic() -> WeightSequence:
-    return WeightSequence(
-        "analytic", lambda k: 0.0, lambda k: Fraction(1), lambda k: Fraction(1)
-    )
+    return WeightSequence("analytic", lambda k: 0.0, lambda k: 1)
 
 
 def gevrey(s: float) -> WeightSequence:
-    """M_k = (k!)^s, m_k = (k+1)^s. Exact rationals for integer s >= 0."""
+    """M_k = (k!)^s, m_k = (k+1)^s. Exact for integer s >= 0."""
     if s < 0:
         raise WeightError("gevrey exponent must be >= 0")
-    exact = ratio = None
+    ratio = None
     if float(s).is_integer():
         si = int(s)
-        exact = lambda k: Fraction(math.factorial(k) ** si)
-        ratio = lambda k: Fraction((k + 1) ** si)
+        ratio = lambda k: (k + 1) ** si
     name = f"gevrey:{int(s) if float(s).is_integer() else s}"
-    return WeightSequence(name, lambda k: s * math.lgamma(k + 1), exact, ratio)
+    return WeightSequence(name, lambda k: s * math.lgamma(k + 1), ratio)
 
 
 def log_power(c: float) -> WeightSequence:
@@ -151,26 +146,22 @@ def shift(M: WeightSequence, p: int) -> WeightSequence:
     """The p-step shift M^(p): k -> M_{pk}, with ratio m_{pk} ... m_{pk+p-1}."""
     if p < 1:
         raise WeightError("shift step must be >= 1")
-    exact = ratio = None
+    ratio = None
     if M.has_exact:
-        exact = lambda k: M.exact(p * k)
         ratio = lambda k: math.prod(M.exact_ratio(p * k + j) for j in range(p))
-    return WeightSequence(
-        f"shift:{p}:{M.name}", lambda k: M.log_weight(p * k), exact, ratio
-    )
+    return WeightSequence(f"shift:{p}:{M.name}", lambda k: M.log_weight(p * k), ratio)
 
 
 def power(M: WeightSequence, p: float) -> WeightSequence:
     """The termwise power M^p: k -> (M_k)^p, with ratio m_k^p."""
     if p <= 0:
         raise WeightError("power exponent must be > 0")
-    exact = ratio = None
+    ratio = None
     if M.has_exact and float(p).is_integer():
         pi = int(p)
-        exact = lambda k: M.exact(k) ** pi
         ratio = lambda k: M.exact_ratio(k) ** pi
     name = f"power:{int(p) if float(p).is_integer() else p}:{M.name}"
-    return WeightSequence(name, lambda k: p * M.log_weight(k), exact, ratio)
+    return WeightSequence(name, lambda k: p * M.log_weight(k), ratio)
 
 
 def parse_family(spec: str) -> WeightSequence:

@@ -146,7 +146,7 @@ def test_power_bracket_encloses_the_product(powers):
 
 def test_exact_family_needs_integer_ratios():
     half = Fraction(3, 2)
-    M = WeightSequence("threehalves", lambda k: k * math.log(1.5), lambda k: half**k, lambda k: half)
+    M = WeightSequence("threehalves", lambda k: k * math.log(1.5), lambda k: half)
     with pytest.raises(WeightError, match="not an integer"):
         BaseFunction(M, terms=8)
 

@@ -17,7 +17,9 @@ import pytest
 from carleman.blocks import BaseFunction
 from carleman.cli import main
 from carleman.counterexample import counterexample_sequence, full_verification
+from carleman.flat import EFunction, layout_from_orders
 from carleman.reports import ReportBuilder, render_json, strip_volatile, to_jsonable
+from carleman.weights import gevrey
 
 
 def run(*argv):
@@ -443,12 +445,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         ("construct-flat", "--family", "gevrey:1", "--gamma", "."),
         ("construct-flat", "--family", "gevrey:1", "--gamma", ".."),
         ("certify", "--gamma", "absent.json"),
+        ("certify", "--gamma", "one-block.json"),
         ("counterexample", "--pairs", "1"),
         ("selftest", "--only", "0"),
     ],
 )
 def test_bad_input_in_subprocess_exits_two(argv, tmp_path):
     # a fresh interpreter, so an uncaught exception would print a traceback
+    layout_from_orders(gevrey(1), EFunction.parse("sqrt"), [12]).save(tmp_path / "one-block.json")
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("CARLEMAN_OUT", None)

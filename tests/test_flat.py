@@ -207,6 +207,19 @@ def test_certificate_builds_no_exact_weights():
     assert fn.base._exact_w == {}
 
 
+def test_certificate_needs_two_blocks():
+    # a lone block has no second centre to bound its cross terms by
+    E = EFunction.parse("sqrt")
+    for layout in (
+        layout_from_orders(gevrey(1), E, [12]),
+        build_layout(gevrey(1), E, 2),
+        build_layout(gevrey(1), EFunction.parse("power:1/1000"), 64),
+    ):
+        assert len(layout.entries) == 1 and layout.delta_min_lo == 0
+        with pytest.raises(LayoutError, match="at least two blocks"):
+            lower_bound_certificate(FlatFunction(layout))
+
+
 def test_certificate_rhs_formula(flat_fn):
     cert = lower_bound_certificate(flat_fn)
     eps = Fraction(1, 3)

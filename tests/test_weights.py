@@ -116,19 +116,37 @@ def test_gevrey_ratio_identity(k, s):
     ],
 )
 def test_family_ratio_is_the_weight_quotient(spec):
-    # each exact family supplies m_k itself; it must be M_{k+1}/M_k exactly
+    # each built-in exact family supplies m_k itself as an integer, and M_k
+    # is their product, so m_k is M_{k+1}/M_k exactly
     M = parse_family(spec)
     for k in range(61):
         m = M.exact_ratio(k)
-        assert isinstance(m, Fraction)
+        assert isinstance(m, int)
         assert m == M.exact(k + 1) / M.exact(k)
 
 
-def test_exact_family_needs_both_weight_and_ratio():
-    with pytest.raises(WeightError):
-        WeightSequence("half", lambda k: 0.0, lambda k: Fraction(1))
-    with pytest.raises(WeightError):
-        WeightSequence("half", lambda k: 0.0, ratio_fn=lambda k: Fraction(1))
+GREEDY_KS = (0, 1, 2, 12, 52, 212, 852, 3412)  # 0, 1 and the greedy gevrey:1 orders
+
+
+@pytest.mark.parametrize(
+    "spec, closed_form",
+    [
+        *[
+            pytest.param(f"gevrey:{s}", lambda k, s=s: math.factorial(k) ** s, id=f"gevrey:{s}")
+            for s in range(4)
+        ],
+        pytest.param("analytic", lambda k: 1, id="analytic"),
+        pytest.param("shift:2:gevrey:1", lambda k: math.factorial(2 * k), id="shift:2:gevrey:1"),
+        pytest.param("shift:3:gevrey:2", lambda k: math.factorial(3 * k) ** 2, id="shift:3:gevrey:2"),
+        pytest.param("power:2:gevrey:1", lambda k: math.factorial(k) ** 2, id="power:2:gevrey:1"),
+    ],
+)
+def test_ratio_product_is_the_closed_form(spec, closed_form):
+    # the closed forms the families no longer carry, as oracles for the
+    # product of their ratios
+    M = parse_family(spec)
+    for k in GREEDY_KS:
+        assert M.exact(k) == closed_form(k)
 
 
 def test_quasianalyticity_verdicts():
