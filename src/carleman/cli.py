@@ -258,12 +258,18 @@ def _cmd_construct_flat(args, rb: ReportBuilder) -> None:
     if path.parent != root and not path.parent.is_dir():
         raise UsageError(f"--gamma: directory {path.parent} does not exist")
     E = EFunction.parse(args.E)
+    t0 = time.perf_counter()
     if args.orders:
-        layout = layout_from_orders(args.family, E, args.orders, terms=args.terms)
+        layout = layout_from_orders(
+            args.family, E, args.orders, lambda_max=args.lambda_max, terms=args.terms
+        )
     else:
-        layout = build_layout(args.family, E, args.lambda_max, terms=args.terms)
+        lambda_max = args.lambda_max if args.lambda_max is not None else 64
+        layout = build_layout(args.family, E, lambda_max, terms=args.terms)
+    t1 = time.perf_counter()
     output_dir(args.out)
     layout.save(path)
+    rb.timings.update(layout_build_s=t1 - t0, layout_save_s=time.perf_counter() - t1)
     rb.config = {
         "family": args.family.name,
         "E": args.E,
@@ -419,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct-flat", help="build and save a layout")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--E", default="sqrt")
-    p.add_argument("--lambda-max", type=int, default=64)
+    p.add_argument("--lambda-max", type=int, default=None,
+                   help="greedy scan limit (default 64); with --orders, the layout's lambda_max")
     p.add_argument("--orders", type=_orders, default=None,
                    help="comma-separated explicit orders (skips greedy selection)")
     p.add_argument("--terms", type=int, default=None)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .blocks import MIN_TERMS, BaseFunction, Block
 from .bricks import SweepResult, polar_samples
-from .intervals import RInterval
+from .intervals import ROOT_DIGITS, RInterval
 from .jets import FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 from .weights import WeightSequence, compare, parse_family, shift
@@ -34,6 +34,9 @@ LAMBDA0_CAP = 10**6  # last order the lambda0 scan tries
 SHARPNESS_COMPARE_HORIZON = 64  # K of the sharpness hypothesis comparison
 LOG2 = math.log(2.0)
 LOG8 = math.log(8.0)
+# float logs decide a comparison of roots only when they differ by more than
+# this, relative to the larger log; their rounding error is far below it
+FLOAT_LOG_MARGIN = 2.0**-30
 # the fields of a saved layout and their JSON types
 LAYOUT_FIELDS = {"m_family": str, "e_spec": str, "lambda_max": int, "sparsity_enforced": bool,
                  "terms": int, "orders": list, "entries": list}
@@ -199,6 +202,12 @@ def _entry_for(M: WeightSequence, E: EFunction, order: int) -> LayoutEntry:
     )
 
 
+def _clearly_above(a: float, b: float) -> bool:
+    """True when the exact logs that floats a and b approximate certainly
+    satisfy a > b."""
+    return a - b > FLOAT_LOG_MARGIN * max(1.0, abs(a), abs(b))
+
+
 def _require_exact(M: WeightSequence) -> None:
     if not M.has_exact:
         raise LayoutError(f"layout requires an exact weight family, got {M.name}")
@@ -213,12 +222,21 @@ def build_layout(
     """Greedy selection: even orders whose center is below half the previous
     accepted center, starting from the first admissible order (offset ratio
     above one, so the block sits to the right of its own scale). The scan
-    reads only rho and its center; entries are built for the kept orders."""
+    reads only rho and its center; entries are built for the kept orders.
+
+    A center's enclosure reaches up to its true value, so a center whose
+    float log clears half the last kept center's lower end cannot halve: it
+    is skipped without an enclosure, and the enclosures decide the rest."""
     _require_exact(M)
     orders: list[int] = []
     prev: Optional[RInterval] = None
+    half_prev_log = 0.0
+    power = float(E.power)
     for order in range(2, lambda_max + 1, 2):
-        rho = Fraction(1, M.exact_ratio(order))
+        m = M.exact_ratio(order)
+        if prev is not None and _clearly_above(-power * log_of_fraction(m), half_prev_log):
+            continue
+        rho = Fraction(1, m)
         center = E.interval(rho)
         if not center.certainly_gt(rho):
             continue
@@ -226,6 +244,7 @@ def build_layout(
             continue
         orders.append(order)
         prev = center
+        half_prev_log = log_of_fraction(center.lo / 2)
     if not orders:
         raise LayoutError(f"no admissible orders up to {lambda_max}")
     return layout_from_orders(
@@ -271,8 +290,18 @@ def layout_from_orders(
             f"{MIN_TERMS}, got {terms}"
         )
     # a rational root comes back as a point, so eps is exact when the
-    # minima agree: the root with the least upper end is then a point there
-    roots = [RInterval.nth_root(e.rho**2, e.order) for e in entries]
+    # minima agree: the root with the least upper end is then a point there.
+    # A root whose float log clears the least one's truly exceeds it by about
+    # least * margin; once that is 100 enclosure widths, its enclosure lies
+    # above both minima and is left out. Tinier roots are all enclosed.
+    logs = [2 * log_of_fraction(e.rho) / e.order for e in entries]
+    least = min(logs)
+    tiny = math.exp(least) * FLOAT_LOG_MARGIN <= 100 * 10.0**-ROOT_DIGITS
+    roots = [
+        RInterval.nth_root(e.rho**2, e.order)
+        for e, log in zip(entries, logs)
+        if tiny or not _clearly_above(log, least)
+    ]
     eps_lo = min(r.lo for r in roots)
     eps_hi = min(r.hi for r in roots)
     gaps = [

@@ -13,6 +13,8 @@ def log_of_fraction(x: Fraction | int) -> float:
     """log|x| for an exact rational, safe for huge numerators/denominators."""
     if x == 0:
         return LOG_ZERO
+    if type(x) is int:
+        return math.log(abs(x))
     n, d = abs(Fraction(x)).as_integer_ratio()
     return math.log(n) - math.log(d)
 

@@ -188,6 +188,13 @@ def test_construct_flat_reports_the_layouts_lambda_max(tmp_path):
     assert report["config"]["lambda_max"] == 212
 
 
+def test_construct_flat_orders_keep_an_explicit_lambda_max(tmp_path):
+    argv = ("construct-flat", "--family", "gevrey:1", "--orders", "2,12", "--lambda-max", "64")
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    assert read_json(tmp_path / "layout.json")["lambda_max"] == 64
+    assert read_json(tmp_path / "construct_flat.json")["config"]["lambda_max"] == 64
+
+
 def test_construct_flat_rejects_bad_orders(tmp_path, capsys):
     for argv in (("--orders", "3"), ("--E", "power:abc"), ("--terms", "2")):
         assert run("construct-flat", "--family", "gevrey:1", *argv, "--out", str(tmp_path)) == 2
@@ -204,6 +211,15 @@ def test_construct_flat_rejects_a_directory_as_the_layout(tmp_path, capsys):
     assert "names a directory" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert not list((tmp_path / "taken").iterdir())
+
+
+def test_construct_flat_records_stage_timings(tmp_path):
+    argv = ("construct-flat", "--family", "gevrey:1", "--lambda-max", "64")
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    timings = read_json(tmp_path / "construct_flat.json")["timings"]
+    stages = [timings[key] for key in ("layout_build_s", "layout_save_s")]
+    assert all(s >= 0 for s in stages)
+    assert sum(stages) <= timings["total_s"]
 
 
 def test_certify_records_stage_timings(tmp_path):
@@ -444,6 +460,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         ("construct-flat", "--family", "gevrey:1", "--gamma", "nosuchdir/layout.json"),
         ("construct-flat", "--family", "gevrey:1", "--gamma", "."),
         ("construct-flat", "--family", "gevrey:1", "--gamma", ".."),
+        ("construct-flat", "--family", "gevrey:1", "--orders", "2,12", "--lambda-max", "8"),
         ("certify", "--gamma", "absent.json"),
         ("certify", "--gamma", "one-block.json"),
         ("counterexample", "--pairs", "1"),

@@ -25,9 +25,10 @@ from carleman.flat import (
     polar_flat_check,
     sharpness_scan,
 )
+from carleman.intervals import RInterval
 from carleman.jets import FLOAT, Jet2
 from carleman.logscale import log_of_fraction
-from carleman.weights import analytic, gevrey, log_power, shift
+from carleman.weights import WeightSequence, analytic, gevrey, log_power, parse_family, shift
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +275,116 @@ def test_sharpness_reads_the_certified_axis_value(flat_fn, cert_rows):
     for row in rep.rows:
         ax = flat_axis_derivative(flat_fn, row.order, row.order)
         assert row.deriv_log == log_of_fraction(ax.total_lower)
+
+
+# -- the float-log pre-check in front of the root enclosures -----------------
+
+def _reference_orders(M, E, lambda_max):
+    """The greedy scan with every center enclosed."""
+    orders, prev = [], None
+    for order in range(2, lambda_max + 1, 2):
+        rho = Fraction(1, M.exact_ratio(order))
+        center = E.interval(rho)
+        if not center.certainly_gt(rho):
+            continue
+        if prev is not None and not center.certainly_lt(prev * Fraction(1, 2)):
+            continue
+        orders.append(order)
+        prev = center
+    return orders
+
+
+def _reference_summary(M, E, orders):
+    """Entries, eps and separation of a layout with every eps root enclosed."""
+    entries = [(Fraction(1, M.exact_ratio(o)), E.interval(Fraction(1, M.exact_ratio(o))))
+               for o in orders]
+    roots = [RInterval.nth_root(rho**2, o) for o, (rho, _) in zip(orders, entries)]
+    eps_lo = min(r.lo for r in roots)
+    eps_hi = min(r.hi for r in roots)
+    gaps = [(a[1] - b[1]).abs().lo for i, a in enumerate(entries) for b in entries[i + 1:]]
+    return (list(orders), entries, eps_lo, eps_hi, eps_lo if eps_lo == eps_hi else None,
+            min(gaps) if gaps else Fraction(0))
+
+
+def _summary(layout):
+    return (layout.orders, [(e.rho, e.center_iv) for e in layout.entries], layout.eps_lo,
+            layout.eps_hi, layout.eps_exact, layout.delta_min_lo)
+
+
+def _ratio_family(name, ratio):
+    return WeightSequence(name, lambda k: math.fsum(math.log(ratio(j)) for j in range(k)), ratio)
+
+
+@pytest.mark.parametrize("e_spec", ["sqrt", "power:1/3", "power:2/3"])
+@pytest.mark.parametrize(
+    "family", ["gevrey:1", "gevrey:2", "gevrey:3", "shift:2:gevrey:1", "power:2:gevrey:1"]
+)
+def test_precheck_layout_matches_full_enclosure(family, e_spec):
+    M, E = parse_family(family), EFunction.parse(e_spec)
+    layout = build_layout(M, E, 1024)
+    assert _summary(layout) == _reference_summary(M, E, _reference_orders(M, E, 1024))
+
+
+def test_precheck_exact_ties_match_full_enclosure():
+    sqrt = EFunction.parse("sqrt")
+    # the order-4 center sqrt(1/12) is exactly half the order-2 one, sqrt(1/3)
+    M = _ratio_family("halving-tie", lambda k: (1, 1, 3, 3, 12, 12)[k] if k < 6 else k + 7)
+    layout = build_layout(M, sqrt, 16)
+    assert 4 not in layout.orders
+    assert _summary(layout) == _reference_summary(M, sqrt, _reference_orders(M, sqrt, 16))
+    # the eps roots of orders 2 and 4 are both exactly 1/4
+    M = _ratio_family("eps-tie", lambda k: (1, 1, 4, 4)[k] if k < 4 else 16)
+    layout = layout_from_orders(M, sqrt, [2, 4])
+    assert layout.eps_exact == Fraction(1, 4)
+    assert _summary(layout) == _reference_summary(M, sqrt, [2, 4])
+
+
+def test_precheck_near_ties_below_float_resolution():
+    # centers 1/j and 1/(2j+1) differ from an exact halving by 1e-17
+    # relative, so the float logs cannot order them: the enclosures must
+    cube = EFunction.parse("power:1/3")
+    for j in range(10**17, 10**17 + 20):
+        M = _ratio_family("near-halving", lambda k: j**3 if k < 4 else (2 * j + 1) ** 3)
+        assert build_layout(M, cube, 6).orders == _reference_orders(M, cube, 6) == [2, 4]
+    # eps roots 1/k and 1/(k+1) at orders 2 and 6, either one the least
+    sqrt = EFunction.parse("sqrt")
+    for k in range(10**16, 10**16 + 200):
+        for m2, m6 in ((k + 1, k**3), (k, (k + 1) ** 3)):
+            M = _ratio_family("near-eps", lambda i: m2 if i < 6 else m6)
+            layout = layout_from_orders(M, sqrt, [2, 6])
+            assert _summary(layout) == _reference_summary(M, sqrt, [2, 6])
+
+
+def test_precheck_encloses_every_tiny_eps_root(monkeypatch):
+    # the order-2 root is exactly 1e-45 and the order-4 root 1e-45 (1 + 1e-6):
+    # far apart in float logs, but the order-4 enclosure is [0, 1e-40], so it
+    # holds the least lower end (cube-root centers, so index 3 is a center)
+    M = _ratio_family("tiny", lambda k: 1 if k < 2 else 10**45 if k < 4 else 10**84 * 999998)
+    cube = EFunction.parse("power:1/3")
+    indices = _count_root_calls(monkeypatch)
+    layout = layout_from_orders(M, cube, [2, 4])
+    assert indices.count(2) == indices.count(4) == 1
+    assert layout.eps_lo == 0 and layout.eps_hi == Fraction(1, 10**45)
+    assert layout.eps_exact is None
+    assert _summary(layout) == _reference_summary(M, cube, [2, 4])
+
+
+def _count_root_calls(monkeypatch):
+    """Record the index of every root enclosure from here on."""
+    indices = []
+    nth_root = RInterval.nth_root
+
+    def counting(cls, x, n):
+        indices.append(n)
+        return nth_root(x, n)
+
+    monkeypatch.setattr(RInterval, "nth_root", classmethod(counting))
+    return indices
+
+
+def test_precheck_encloses_only_the_deciding_roots(monkeypatch):
+    indices = _count_root_calls(monkeypatch)
+    layout = build_layout(gevrey(1), EFunction.parse("sqrt"), 4096)
+    assert layout.orders == [2, 12, 52, 212, 852, 3412]
+    assert len(indices) <= 20
+    assert max(indices) <= 2
