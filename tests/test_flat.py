@@ -296,9 +296,9 @@ def _reference_orders(M, E, lambda_max):
 
 def _reference_summary(M, E, orders):
     """Entries, eps and separation of a layout with every eps root enclosed."""
-    entries = [(Fraction(1, M.exact_ratio(o)), E.interval(Fraction(1, M.exact_ratio(o))))
-               for o in orders]
-    roots = [RInterval.nth_root(rho**2, o) for o, (rho, _) in zip(orders, entries)]
+    rhos = [Fraction(1, M.exact_ratio(o)) for o in orders]
+    entries = [(rho, E.interval(rho)) for rho in rhos]
+    roots = [RInterval.nth_root(rho**2, o) for o, rho in zip(orders, rhos)]
     eps_lo = min(r.lo for r in roots)
     eps_hi = min(r.hi for r in roots)
     gaps = [(a[1] - b[1]).abs().lo for i, a in enumerate(entries) for b in entries[i + 1:]]
