@@ -192,13 +192,13 @@ class Layout:
             return cls.from_json_dict(json.load(fh))
 
 
-def _entry_for(M: WeightSequence, E: EFunction, order: int) -> LayoutEntry:
+def _entry_for(M: WeightSequence, E: EFunction, order: int, M_order) -> LayoutEntry:
     rho = Fraction(1, M.exact_ratio(order))
     return LayoutEntry(
         order=order,
         rho=rho,
         center_iv=E.interval(rho),
-        weight=M.exact(order) * rho ** (order + 2) / 2**order,
+        weight=M_order * rho ** (order + 2) / 2**order,
     )
 
 
@@ -267,10 +267,13 @@ def layout_from_orders(
         raise LayoutError("orders must be strictly increasing and nonempty")
     entries = []
     prev = None
+    M_order, k = 1, 0  # M_k = m_0 ... m_(k-1), carried up the increasing orders
     for order in orders:
         if order % 2 or order < 2:
             raise LayoutError("orders must be even and >= 2")
-        e = _entry_for(M, E, order)
+        M_order *= math.prod(M.exact_ratio(j) for j in range(k, order))
+        k = order
+        e = _entry_for(M, E, order, M_order)
         if not e.center_iv.certainly_gt(e.rho):
             raise LayoutError(f"order {order} is inadmissible: center <= rho")
         if require_sparsity and prev is not None and not e.center_iv.certainly_lt(
@@ -506,7 +509,7 @@ def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
         lam = target.order
         ax = flat_axis_derivative(fn, lam, lam)
         fact = Fraction(math.factorial(lam))
-        M_lam = M.exact(lam)
+        M_lam = fn.base._M_int[lam]
 
         rhs_hi = layout.eps_hi**lam * fact * M_lam**2 / 4**lam
         ok = ax.total_lower >= rhs_hi

@@ -1,23 +1,32 @@
 """Truncated bivariate Taylor arithmetic with exact-rational or float scalars.
 
 A Jet2 holds the Taylor coefficients of a smooth function of two variables at a
-base point, complete through a fixed total degree. coefficient(alpha) is the
-normalized derivative d^alpha f / alpha!; callers multiply the factorials back
-in themselves. Arithmetic truncates at the common degree; reciprocals are
-solved order by order; sin/cos split off the (possibly irrational) angle
-constant and run Maclaurin series on the nilpotent part, which also gives the
-polar coordinate jets (r cos theta, r sin theta).
+base point, complete through a fixed total degree, as one flat list in graded
+order (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), ...: alpha = (i, j) of total
+degree n sits at position n(n+1)/2 + i. coefficient(alpha) is the normalized
+derivative d^alpha f / alpha!; callers multiply the factorials back in
+themselves. Arithmetic truncates at the common degree. Products and
+reciprocals walk a table built once per degree: for each position a, the
+positions of a + b for every b that stays within the degree, and for each
+output position alpha, the (beta, alpha - beta) pairs of the reciprocal's
+order-by-order solve. Both skip zero operands, so exact jets pay nothing for
+zero entries and no 0 * inf appears in float ones. sin/cos split off the
+(possibly irrational) angle constant and run Maclaurin series on the
+nilpotent part, which also gives the polar coordinate jets
+(r cos theta, r sin theta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 from typing import Callable
 
 EXACT = "exact"
 FLOAT = "float"
+_ZERO = {EXACT: Fraction(0), FLOAT: 0.0}
 
 
 class JetError(ValueError):
@@ -40,25 +49,59 @@ def _coerce(kind: str, value):
     return float(value)
 
 
-@dataclass(frozen=True)
-class Jet2:
-    base: tuple
-    degree: int
-    kind: str
-    coeffs: dict = field(default_factory=dict)  # {(i, j): scalar}, zeros omitted
+def _size(degree: int) -> int:
+    """Number of multi-indices of total degree <= degree."""
+    return (degree + 1) * (degree + 2) // 2
 
-    def __post_init__(self):
-        if self.kind not in (EXACT, FLOAT):
-            raise JetError(f"unknown scalar kind {self.kind!r}")
-        if self.degree < 0:
+
+def _pos(i: int, j: int) -> int:
+    """Position of (i, j) in the graded order."""
+    return (i + j) * (i + j + 1) // 2 + i
+
+
+@cache
+def _tables(degree: int) -> tuple:
+    """(alphas, sums, solve) for one degree, positions in graded order.
+
+    sums[a] lists the position of alpha_a + alpha_b for b = 0, 1, ... while
+    the total degree stays <= degree (a prefix, as the order is graded);
+    solve[p] lists (beta, alpha_p - beta) for every 0 < beta <= alpha_p.
+    """
+    alphas = tuple((i, n - i) for n in range(degree + 1) for i in range(n + 1))
+    sums = tuple(
+        tuple(_pos(i + k, j + l) for k, l in alphas[: _size(degree - i - j)])
+        for i, j in alphas
+    )
+    solve = tuple(
+        tuple((_pos(k, l), _pos(i - k, j - l)) for k, l in alphas[1:] if k <= i and l <= j)
+        for i, j in alphas
+    )
+    return alphas, sums, solve
+
+
+_new = object.__new__
+
+
+class Jet2:
+    __slots__ = ("base", "degree", "kind", "_c")
+
+    def __init__(self, base: tuple, degree: int, kind: str, coeffs=None):
+        """The jet with the given {(i, j): scalar} coefficients, zero elsewhere."""
+        if kind not in (EXACT, FLOAT):
+            raise JetError(f"unknown scalar kind {kind!r}")
+        if degree < 0:
             raise JetError("degree must be >= 0")
+        c = [_ZERO[kind]] * _size(degree)
+        for (i, j), v in (coeffs or {}).items():
+            if i < 0 or j < 0 or i + j > degree:
+                raise JetError(f"multi-index {(i, j)} outside degree {degree}")
+            c[_pos(i, j)] = _coerce(kind, v)
+        self.base, self.degree, self.kind, self._c = base, degree, kind, c
 
     @classmethod
     def constant(cls, value, base, degree, kind=EXACT) -> "Jet2":
         base = (_coerce(kind, base[0]), _coerce(kind, base[1]))
-        v = _coerce(kind, value)
-        coeffs = {(0, 0): v} if v != 0 else {}
-        return cls(base, degree, kind, coeffs)
+        return cls(base, degree, kind, {(0, 0): value})
 
     @classmethod
     def variable(cls, index: int, base, degree, kind=EXACT) -> "Jet2":
@@ -66,12 +109,21 @@ class Jet2:
         if index not in (0, 1):
             raise JetError("variable index must be 0 or 1")
         base = (_coerce(kind, base[0]), _coerce(kind, base[1]))
-        coeffs = {}
-        if base[index] != 0:
-            coeffs[(0, 0)] = base[index]
+        coeffs = {(0, 0): base[index]}
         if degree >= 1:
-            coeffs[(1, 0) if index == 0 else (0, 1)] = _coerce(kind, 1)
+            coeffs[(1, 0) if index == 0 else (0, 1)] = 1
         return cls(base, degree, kind, coeffs)
+
+    def _wrap(self, c: list) -> "Jet2":
+        """A jet on self's base, degree and kind, unchecked."""
+        jet = _new(Jet2)
+        jet.base, jet.degree, jet.kind, jet._c = self.base, self.degree, self.kind, c
+        return jet
+
+    def _filled(self, out: list) -> "Jet2":
+        """_wrap with each None (an entry nothing contributed to) made zero."""
+        zero = _ZERO[self.kind]
+        return self._wrap([zero if v is None else v for v in out])
 
     # -- basic ring structure ------------------------------------------------
 
@@ -82,59 +134,54 @@ class Jet2:
                 f"degree {self.degree}/{other.degree}, kind {self.kind}/{other.kind}"
             )
 
-    def _wrap(self, coeffs: dict) -> "Jet2":
-        return Jet2(self.base, self.degree, self.kind, coeffs)
+    def _plus_constant(self, c: list, value) -> "Jet2":
+        c[0] = c[0] + _coerce(self.kind, value)
+        return self._wrap(c)
 
     def __add__(self, other):
         if not isinstance(other, Jet2):
-            other = Jet2.constant(other, self.base, self.degree, self.kind)
+            return self._plus_constant(list(self._c), other)
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            s = out.get(a, 0) + c
-            if s == 0:
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return self._wrap(out)
+        return self._wrap([a + b if b else a for a, b in zip(self._c, other._c)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({a: -c for a, c in self.coeffs.items()})
+        return self._wrap([-a for a in self._c])
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            other = Jet2.constant(other, self.base, self.degree, self.kind)
-        return self + (-other)
+            return self._plus_constant(list(self._c), -_coerce(self.kind, other))
+        self._check_compatible(other)
+        return self._wrap([a - b if b else a for a, b in zip(self._c, other._c)])
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._plus_constant([-a for a in self._c], other)
 
     def scale(self, s) -> "Jet2":
         s = _coerce(self.kind, s)
         if s == 0:
-            return self._wrap({})
-        return self._wrap({a: c * s for a, c in self.coeffs.items()})
+            return self._wrap([_ZERO[self.kind]] * len(self._c))
+        return self._wrap([a * s if a else a for a in self._c])
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             return self.scale(other)
         self._check_compatible(other)
-        out = {}
-        D = self.degree
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > D:
-                    continue
-                key = (i, j)
-                s = out.get(key, 0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return self._wrap(out)
+        sums = _tables(self.degree)[1]
+        y = [(q, b) for q, b in enumerate(other._c) if b]
+        out = [None] * len(sums)
+        for p, a in enumerate(self._c):
+            if a:
+                row = sums[p]
+                n = len(row)
+                for q, b in y:
+                    if q >= n:
+                        break
+                    k = row[q]
+                    v = out[k]
+                    out[k] = a * b if v is None else v + a * b
+        return self._filled(out)
 
     __rmul__ = __mul__
 
@@ -152,46 +199,54 @@ class Jet2:
             and self.base == other.base
             and self.degree == other.degree
             and self.kind == other.kind
-            and self.coeffs == other.coeffs
+            and self._c == other._c
         )
 
+    def __repr__(self) -> str:
+        return f"Jet2({self.base!r}, {self.degree}, {self.kind!r}, {dict(self.coeffs)!r})"
+
     # -- queries -------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {(i, j): scalar} of the nonzero coefficients."""
+        return MappingProxyType({a: c for a, c in zip(_tables(self.degree)[0], self._c) if c})
 
     def coefficient(self, alpha) -> object:
         """Taylor coefficient at alpha, i.e. d^alpha f / alpha!."""
         i, j = alpha
         if i < 0 or j < 0 or i + j > self.degree:
             raise JetError(f"multi-index {alpha} outside degree {self.degree}")
-        return self.coeffs.get((i, j), _coerce(self.kind, 0))
+        return self._c[_pos(i, j)] or _ZERO[self.kind]
 
     def value(self) -> object:
-        return self.coeffs.get((0, 0), _coerce(self.kind, 0))
+        return self._c[0] or _ZERO[self.kind]
 
     # -- nonlinear operations ------------------------------------------------
 
     def reciprocal(self) -> "Jet2":
-        a00 = self.value()
+        a = self._c
+        a00 = a[0]
         if a00 == 0:
             raise SingularJet("reciprocal of a jet with zero constant term")
         inv0 = (Fraction(1) / a00) if self.kind == EXACT else 1.0 / a00
-        out = {(0, 0): inv0}
-        # solve sum_{beta <= alpha} a_beta r_{alpha - beta} = [alpha == 0]
-        # in graded order; only nonzero a_beta with beta != 0 contribute
-        others = [(a, c) for a, c in self.coeffs.items() if a != (0, 0)]
-        for deg in range(1, self.degree + 1):
-            for i in range(deg + 1):
-                j = deg - i
-                acc = 0
-                for (bi, bj), c in others:
-                    ri, rj = i - bi, j - bj
-                    if ri < 0 or rj < 0:
-                        continue
-                    r = out.get((ri, rj))
-                    if r is not None:
-                        acc = acc + c * r
-                if acc != 0:
-                    out[(i, j)] = -inv0 * acc
-        return self._wrap(out)
+        # solve sum_{beta <= alpha} a_beta r_{alpha - beta} = [alpha == 0] in
+        # graded order; only nonzero a_beta with beta != 0 contribute
+        a = [c if c else None for c in a]
+        out = [None] * len(a)
+        out[0] = inv0
+        solve = _tables(self.degree)[2]
+        for p in range(1, len(a)):
+            acc = 0
+            for b, r in solve[p]:
+                ab = a[b]
+                if ab is not None:
+                    rr = out[r]
+                    if rr is not None:
+                        acc = acc + ab * rr
+            if acc != 0:
+                out[p] = -inv0 * acc
+        return self._filled(out)
 
 
 def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:
@@ -214,7 +269,7 @@ def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:
     power = one
     for n in range(1, t.degree + 1):
         power = power * p
-        if not power.coeffs:
+        if not any(power._c):
             break
         inv_fact = Fraction(1, math.factorial(n)) if t.kind == EXACT else 1.0 / math.factorial(n)
         term = power.scale(inv_fact)

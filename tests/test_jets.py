@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman.bricks import _alpha_range
 from carleman.jets import (
     EXACT,
     FLOAT,
@@ -59,6 +60,80 @@ def test_reciprocal_round_trip(a):
     for alpha, v in one.coeffs.items():
         if alpha != (0, 0):
             assert v == 0
+
+
+# -- the dense graded storage against a dict-based schoolbook -----------------
+
+def _schoolbook_product(a, b, degree):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            if i1 + i2 + j1 + j2 <= degree:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _schoolbook_reciprocal(a, degree):
+    inv0 = 1 / a[(0, 0)]
+    out = {(0, 0): inv0}
+    for n in range(1, degree + 1):
+        for i in range(n + 1):
+            j = n - i
+            out[(i, j)] = -inv0 * sum(
+                c * out[(i - bi, j - bj)]
+                for (bi, bj), c in a.items()
+                if (bi, bj) != (0, 0) and bi <= i and bj <= j
+            )
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _dicts_within(degree):
+    key = st.tuples(st.integers(0, degree), st.integers(0, degree))
+    return st.dictionaries(key.filter(lambda a: sum(a) <= degree), rationals, max_size=8)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_product_and_reciprocal_match_dict_schoolbook(data):
+    degree = data.draw(st.integers(0, 6))
+    a = data.draw(_dicts_within(degree))
+    b = data.draw(_dicts_within(degree))
+    A, B = poly_jet(a, degree=degree), poly_jet(b, degree=degree)
+    product = _schoolbook_product(a, b, degree)
+    assert dict((A * B).coeffs) == product
+    c = {**a, (0, 0): a.get((0, 0)) or Fraction(3, 2)}  # invertible
+    inverse = _schoolbook_reciprocal(c, degree)
+    assert dict(poly_jet(c, degree=degree).reciprocal().coeffs) == inverse
+    # float jets sum in another order than the schoolbook: equal to rounding
+    as_float = lambda d: poly_jet({k: float(v) for k, v in d.items()}, degree=degree, kind=FLOAT)
+    for got, want in ((as_float(a) * as_float(b), product), (as_float(c).reciprocal(), inverse)):
+        scale = max((abs(float(v)) for v in want.values()), default=0.0)
+        for alpha in _alpha_range(degree):
+            assert got.coefficient(alpha) == pytest.approx(
+                float(want.get(alpha, 0)), rel=1e-12, abs=1e-12 * scale
+            )
+
+
+@pytest.mark.parametrize("kind, zero", [(EXACT, Fraction(0)), (FLOAT, 0.0)])
+def test_zero_entries_read_as_the_kinds_zero(kind, zero):
+    j = Jet2(B0, 3, kind, {(0, 0): 2, (1, 1): 0})
+    x = Jet2.variable(0, B0, 3, kind)
+    cancelled = x * x - x * x
+    for got in (j.coefficient((1, 1)), j.coefficient((0, 3)), cancelled.value(),
+                cancelled.coefficient((2, 0)), (-Jet2.constant(0, B0, 3, kind)).value()):
+        assert got == zero and type(got) is type(zero)
+        assert math.copysign(1, got) == 1
+    assert dict(j.coeffs) == {(0, 0): 2}
+    assert dict(cancelled.coeffs) == {}
+    with pytest.raises(TypeError):
+        j.coeffs[(0, 0)] = 1
+
+
+@pytest.mark.parametrize("key", [(2, 2), (4, 0), (-1, 1), (0, -1)])
+def test_keys_outside_the_degree_raise(key):
+    with pytest.raises(JetError):
+        Jet2(B0, 3, EXACT, {key: Fraction(1)})
 
 
 def test_reciprocal_of_zero_constant_raises():
