@@ -134,13 +134,9 @@ class Jet2:
                 f"degree {self.degree}/{other.degree}, kind {self.kind}/{other.kind}"
             )
 
-    def _plus_constant(self, c: list, value) -> "Jet2":
-        c[0] = c[0] + _coerce(self.kind, value)
-        return self._wrap(c)
-
     def __add__(self, other):
         if not isinstance(other, Jet2):
-            return self._plus_constant(list(self._c), other)
+            other = Jet2.constant(other, self.base, self.degree, self.kind)
         self._check_compatible(other)
         return self._wrap([a + b if b else a for a, b in zip(self._c, other._c)])
 
@@ -151,12 +147,11 @@ class Jet2:
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            return self._plus_constant(list(self._c), -_coerce(self.kind, other))
-        self._check_compatible(other)
-        return self._wrap([a - b if b else a for a, b in zip(self._c, other._c)])
+            other = Jet2.constant(other, self.base, self.degree, self.kind)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._plus_constant([-a for a in self._c], other)
+        return (-self) + other
 
     def scale(self, s) -> "Jet2":
         s = _coerce(self.kind, s)
