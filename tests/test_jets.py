@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carleman.bricks import _alpha_range
 from carleman.jets import (
     EXACT,
     FLOAT,
@@ -109,7 +108,7 @@ def test_product_and_reciprocal_match_dict_schoolbook(data):
     as_float = lambda d: poly_jet({k: float(v) for k, v in d.items()}, degree=degree, kind=FLOAT)
     for got, want in ((as_float(a) * as_float(b), product), (as_float(c).reciprocal(), inverse)):
         scale = max((abs(float(v)) for v in want.values()), default=0.0)
-        for alpha in _alpha_range(degree):
+        for alpha in set(got.coeffs) | set(want):
             assert got.coefficient(alpha) == pytest.approx(
                 float(want.get(alpha, 0)), rel=1e-12, abs=1e-12 * scale
             )
