@@ -33,11 +33,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 from .bricks import SweepResult, polar_samples
 from .intervals import RInterval
-from .jets import EXACT, FLOAT, Jet2, polar_coordinates
+from .jets import EXACT, FLOAT, Jet2, polar_coordinates, reciprocal_sum
 from .logscale import LOG_ZERO, log_diff, log_of_fraction, logsumexp
 from .weights import WeightError, WeightSequence
 
@@ -202,25 +203,34 @@ class BaseFunction:
                 / (1 + Fraction(x1) ** 2 + (self._m_int[k] * Fraction(x2)) ** 2)
                 for k in self.k_range
             )
-        logs = []
-        for k in self.k_range:
-            m = math.exp(self.M.log_ratio(k))
-            logs.append(self._log_w[k] - math.log(1 + x1 * x1 + (m * x2) ** 2))
+        logs = [
+            self._log_w[k] - math.log(1 + x1 * x1 + (m * x2) ** 2)
+            for k, m in zip(self.k_range, self._float_terms[1])
+        ]
         return math.exp(logsumexp(logs))
+
+    @cached_property
+    def _float_terms(self) -> tuple[list[float], list[float]]:
+        """([w_k], [m_k]) in floats over k_range, built on the first float
+        value or jet; the exact paths never build them."""
+        return (
+            [math.exp(self._log_w[k]) for k in self.k_range],
+            [math.exp(self.M.log_ratio(k)) for k in self.k_range],
+        )
 
     def kernel_sum(self, y1: Jet2, y2: Jet2) -> Jet2:
         """sum_k w_k / (A + (m_k y2)^2), A = 1 + y1^2, for coordinate jets
-        y1, y2; exact weights and ratios for exact jets, float ones otherwise."""
-        A = 1 + y1 * y1
-        total = Jet2.constant(0, y1.base, y1.degree, y1.kind)
-        for k in self.k_range:
-            if y1.kind == EXACT:
-                w, m = self.weight_exact(k), self._m_int[k]
-            else:
-                w, m = math.exp(self._log_w[k]), math.exp(self.M.log_ratio(k))
-            ym = y2.scale(m)
-            total = total + (A + ym * ym).reciprocal().scale(w)
-        return total
+        y1, y2; exact weights and ratios for exact jets, float ones otherwise.
+
+        `reciprocal_sum` runs the bump index innermost, one list over k per
+        coefficient, and its bits are those of the per-term formula
+        sum_k (A + y2.scale(m_k)^2).reciprocal().scale(w_k) in increasing k."""
+        if y1.kind == EXACT:
+            ws = [self.weight_exact(k) for k in self.k_range]
+            ms = [self._m_int[k] for k in self.k_range]
+        else:
+            ws, ms = self._float_terms
+        return reciprocal_sum(1 + y1 * y1, y2, ms, ws)
 
     def jet(self, base: tuple, degree: int, kind: str = FLOAT) -> Jet2:
         return self.kernel_sum(

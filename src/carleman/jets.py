@@ -10,8 +10,13 @@ reciprocals walk a table built once per degree: for each position a, the
 positions of a + b for every b that stays within the degree, and for each
 output position alpha, the (beta, alpha - beta) pairs of the reciprocal's
 order-by-order solve. Both skip zero operands, so exact jets pay nothing for
-zero entries and no 0 * inf appears in float ones. sin/cos split off the
-(possibly irrational) angle constant and run Maclaurin series on the
+zero entries and no 0 * inf appears in float ones. `reciprocal_sum` gives
+the bump superposition sum_k w_k / (A + (m_k y2)^2) with the bump index k
+innermost: each coefficient is a list over k, walked once through the same
+tables, and each list operation repeats for every k the scalar operation of
+the per-term product, reciprocal, scale and running sum in the same order,
+so its floats are bit for bit those of the per-term formula. sin/cos split
+off the (possibly irrational) angle constant and run Maclaurin series on the
 nilpotent part, which also gives the polar coordinate jets
 (r cos theta, r sin theta).
 """
@@ -20,7 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable
 
@@ -242,6 +248,73 @@ class Jet2:
             if acc != 0:
                 out[p] = -inv0 * acc
         return self._filled(out)
+
+
+def reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:
+    """sum_k ws[k] / (A + (ms[k] y2)^2), bit for bit the per-term formula
+
+        total = 0; for k: total = total + (A + ym * ym).reciprocal().scale(w_k),
+        ym = y2.scale(m_k).
+
+    The index k runs innermost: every coefficient of an intermediate jet is
+    a list over k, and each list operation repeats, for each k, the scalar
+    operation of that formula in the same order: the products in __mul__'s
+    (p, q) order, reciprocal's solve order and -inv0 * acc, and the running
+    total in increasing k. Zeros are skipped by a pattern that does not
+    depend on k (the nonzeros of y2 and A), and a list that is zero for
+    every k is dropped, so exact jets pay nothing for structural zeros.
+    """
+    A._check_compatible(y2)
+    if len(ms) != len(ws):
+        raise JetError(f"{len(ms)} ratios but {len(ws)} weights")
+    kind, zero = A.kind, _ZERO[A.kind]
+    if not ms:
+        return A._wrap([zero] * len(A._c))
+    ms = [_coerce(kind, m) for m in ms]
+    ws = [_coerce(kind, w) for w in ws]
+    _, sums, solve = _tables(A.degree)
+    # (m_k y2)_p for every nonzero y2_p, then their squares as in __mul__
+    ys = [(p, [b * m for m in ms]) for p, b in enumerate(y2._c) if b]
+    sq = [None] * len(sums)
+    for p, a in ys:
+        row = sums[p]
+        n = len(row)
+        for q, b in ys:
+            if q >= n:
+                break
+            r = row[q]
+            v = sq[r]
+            sq[r] = list(map(mul, a, b)) if v is None else list(map(add, v, map(mul, a, b)))
+    # Q = A + (m y2)^2: a list over k, or None where it is zero for every k
+    Q = []
+    for a, v in zip(A._c, sq):
+        if v is not None:
+            v = [a + b for b in v] if a else v
+        elif a:
+            v = [a] * len(ms)
+        Q.append(v if v is not None and any(v) else None)
+    q0 = Q[0]
+    if q0 is None or not all(q0):
+        raise SingularJet("reciprocal of a jet with zero constant term")
+    one = Fraction(1) if kind == EXACT else 1.0
+    inv0 = [one / a for a in q0]
+    neg_inv0 = [-i for i in inv0]
+    out = [None] * len(Q)
+    out[0] = inv0
+    for p in range(1, len(Q)):
+        acc = None
+        for b, r in solve[p]:
+            qb = Q[b]
+            if qb is not None:
+                rr = out[r]
+                if rr is not None:
+                    prod = map(mul, qb, rr)
+                    acc = list(prod) if acc is None else list(map(add, acc, prod))
+        if acc is not None and any(acc):
+            out[p] = list(map(mul, neg_inv0, acc))
+    # scale by w_k and add up in increasing k; a zero term leaves the total
+    # as it is, just as the per-term formula skips it
+    return A._wrap([zero if v is None else reduce(add, map(mul, v, ws), zero) for v in out])
 
 
 def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from carleman.blocks import (
     BRACKET_BITS,
+    MIN_TERMS,
     BaseFunction,
     Block,
     base_lower_check,
@@ -358,29 +359,89 @@ def _per_term_sum(bf, y1, y2):
     return total
 
 
+_FLOAT_PTS = {"": (0.37, 0.61), "x2zero-": (0.37, 0.0), "neg-": (-1.3, -0.45)}
+_EXACT_PT = (Fraction(3, 4), Fraction(0))
+_LOGPOW_E = "logpow:2.718281828459045"  # no exact weights: w_k, m_k from logs
+
+
+# equality is exact: the kernel sum runs the bump index innermost but keeps
+# every float operation of the per-term formula in the same order
 @pytest.mark.parametrize(
-    "kind, pt", [(FLOAT, (0.37, 0.61)), (EXACT, (Fraction(3, 4), Fraction(0)))]
+    "family, terms, kind, pt, degree",
+    [
+        pytest.param("gevrey:1", 8, FLOAT, _FLOAT_PTS[""], 4, id="float-pt0"),
+        pytest.param("gevrey:1", 8, EXACT, _EXACT_PT, 4, id="exact-pt1"),
+        pytest.param("gevrey:1", 8, FLOAT, _FLOAT_PTS["x2zero-"], 4, id="float-x2zero-4"),
+        *[
+            pytest.param("gevrey:1", 8, FLOAT, pt, degree, id=f"float-{name}{degree}")
+            for degree in (0, 1, 6, 8)
+            for name, pt in _FLOAT_PTS.items()
+        ],
+        *[
+            pytest.param("gevrey:1", 8, EXACT, _EXACT_PT, degree, id=f"exact-{degree}")
+            for degree in (0, 1, 6, 8)
+        ],
+        *[
+            pytest.param("gevrey:1", terms, kind, pt, 4, id=f"{kind}-terms{terms}")
+            for terms in (MIN_TERMS, 60)
+            for kind, pt in [(FLOAT, _FLOAT_PTS[""]), (EXACT, _EXACT_PT)]
+        ],
+        pytest.param(_LOGPOW_E, 24, FLOAT, _FLOAT_PTS[""], 6, id="logpow-float-6"),
+        pytest.param(_LOGPOW_E, 24, FLOAT, _FLOAT_PTS["x2zero-"], 6, id="logpow-float-x2zero-6"),
+    ],
 )
-def test_superposition_jets_match_per_term_formula(kind, pt):
-    # equality is exact: the shared kernel sum keeps every float operation
-    # of the per-term formula in the same order
-    bf = BaseFunction(gevrey(1), terms=8)
+def test_superposition_jets_match_per_term_formula(family, terms, kind, pt, degree):
+    bf = BaseFunction(parse_family(family), terms=terms)
     blk = Block(bf, Fraction(3, 2), Fraction(1, 4))
     if kind == EXACT:
         inv_rho, q = 1 / blk.rho, blk.q
     else:
         inv_rho, q = 1 / float(blk.rho), float(blk.q)
-    x1 = Jet2.variable(0, pt, 4, kind)
-    x2 = Jet2.variable(1, pt, 4, kind)
-    assert bf.jet(pt, 4, kind) == _per_term_sum(bf, x1, x2)
-    assert blk.jet(pt, 4, kind) == _per_term_sum(
+    x1 = Jet2.variable(0, pt, degree, kind)
+    x2 = Jet2.variable(1, pt, degree, kind)
+    assert bf.jet(pt, degree, kind) == _per_term_sum(bf, x1, x2)
+    assert blk.jet(pt, degree, kind) == _per_term_sum(
         bf, x1.scale(inv_rho) - q, x2.scale(inv_rho)
     )
     s, c = jet_sin_cos(x2)
     r1, r2 = x1 * c, x1 * s
-    assert polar_block_jet(blk, pt, 4, kind) == _per_term_sum(
+    assert polar_block_jet(blk, pt, degree, kind) == _per_term_sum(
         bf, r1.scale(inv_rho) - q, r2.scale(inv_rho)
     )
+
+
+coords = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@given(
+    st.data(),
+    st.sampled_from(["cartesian", "block", "polar"]),
+    st.sampled_from([FLOAT, EXACT]),
+    st.integers(min_value=MIN_TERMS, max_value=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_sum_equals_per_term_sum(data, shape, kind, terms):
+    degree = data.draw(st.integers(0, 6), label="degree")
+    x1 = data.draw(coords, label="x1")
+    # exact polar jets need base theta = 0
+    x2 = Fraction(0) if kind == EXACT and shape == "polar" else data.draw(coords, label="x2")
+    if kind == FLOAT:
+        x1, x2 = float(x1), float(x2)
+    bf = BaseFunction(gevrey(1), terms=terms)
+    y1 = Jet2.variable(0, (x1, x2), degree, kind)
+    y2 = Jet2.variable(1, (x1, x2), degree, kind)
+    if shape == "polar":
+        s, c = jet_sin_cos(y2)
+        y1, y2 = y1 * c, y1 * s
+    if shape != "cartesian":
+        q = data.draw(st.fractions(min_value=1, max_value=4, max_denominator=8), label="q")
+        rho = data.draw(
+            st.fractions(min_value=Fraction(1, 16), max_value=Fraction(15, 16), max_denominator=16),
+            label="rho",
+        )
+        inv_rho, q = (1 / rho, q) if kind == EXACT else (1 / float(rho), float(q))
+        y1, y2 = y1.scale(inv_rho) - q, y2.scale(inv_rho)
+    assert bf.kernel_sum(y1, y2) == _per_term_sum(bf, y1, y2)
 
 
 def test_polar_block_sweep_and_normalization():

@@ -16,6 +16,7 @@ from carleman.jets import (
     central_difference,
     finite_difference,
     jet_sin_cos,
+    reciprocal_sum,
 )
 
 B0 = (Fraction(0), Fraction(0))
@@ -179,6 +180,19 @@ def test_sin_cos_pythagoras_exact():
     unit = s * s + c * c
     assert unit.coefficient((0, 0)) == 1
     assert all(v == 0 for a, v in unit.coeffs.items() if a != (0, 0))
+
+
+def test_reciprocal_sum_rejects_bad_operands():
+    A = poly_jet({(0, 0): 1, (1, 0): 2})
+    y2 = poly_jet({(0, 1): 1})
+    assert reciprocal_sum(A, y2, [], []) == poly_jet({})
+    with pytest.raises(JetError):
+        reciprocal_sum(A, y2, [1, 2], [Fraction(1, 2)])
+    with pytest.raises(JetMismatch):
+        reciprocal_sum(A, poly_jet({(0, 1): 1}, degree=3), [1], [1])
+    # A + (m y2)^2 has zero constant term for the second ratio only
+    with pytest.raises(SingularJet):
+        reciprocal_sum(poly_jet({(0, 0): -1}), poly_jet({(0, 0): 1}), [2, 1], [1, 1])
 
 
 def test_sin_cos_known_series():
