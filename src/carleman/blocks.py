@@ -34,10 +34,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .bricks import SweepResult, polar_samples
-from .intervals import RInterval
+from .intervals import RInterval, _log_bracketed, _power_bracket
 from .jets import EXACT, FLOAT, Jet2, polar_coordinates, reciprocal_sum
 from .logscale import LOG_ZERO, log_diff, log_of_fraction, logsumexp
 from .weights import WeightError, WeightSequence
@@ -45,7 +45,6 @@ from .weights import WeightError, WeightSequence
 DEFAULT_TERMS = 40
 MIN_TERMS = 4
 POLAR_BLOCK_C = 2 * 8**5
-BRACKET_BITS = 128  # width of the integer brackets a log weight is read from
 GUARD_BITS = 64  # leading bits of M_k/g kept past the 53 a double rounds to
 
 Scalar = Union[int, float, Fraction]
@@ -63,43 +62,6 @@ def _prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-def _trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
-    """[lo, hi] 2^t rounded outward to at most BRACKET_BITS-bit ends."""
-    r = hi.bit_length() - BRACKET_BITS
-    if r <= 0:
-        return lo, hi, t
-    return lo >> r, -(-hi >> r), t + r
-
-
-def _log_bracketed(lo: int, hi: int, t: int, exact: Callable[[], int]) -> float:
-    """math.log(N) for an integer N with lo 2^t <= N <= hi 2^t, t >= 0.
-
-    For an int, math.log reads only N rounded to 53 bits (round half to
-    even, as `float(N)` rounds), and that rounding is monotone: when lo and
-    hi round alike, N rounds with them and lo 2^t stands in for it. Only
-    when the bracket straddles a rounding boundary is N formed, by `exact`."""
-    lo, hi, t = _trim(lo, hi, t)
-    if float(lo) == float(hi):
-        return math.log(lo << t)
-    return math.log(exact())
-
-
-def _power_bracket(powers: dict[int, int]) -> tuple[int, int, int]:
-    """(lo, hi, t) with lo 2^t <= prod p^e <= hi 2^t over {p: e}: square
-    and multiply, each step rounded outward to BRACKET_BITS bits."""
-    lo = hi = 1
-    t = 0
-    for p, e in powers.items():
-        plo = phi = 1
-        pt = 0
-        for bit in bin(e)[2:]:
-            plo, phi, pt = _trim(plo * plo, phi * phi, 2 * pt)
-            if bit == "1":
-                plo, phi, pt = _trim(plo * p, phi * p, pt)
-        lo, hi, t = _trim(lo * plo, hi * phi, t + pt)
-    return lo, hi, t
 
 
 def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[int], list[float]]:

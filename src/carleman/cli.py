@@ -347,7 +347,7 @@ def _cmd_counterexample(args, rb: ReportBuilder) -> None:
         rb.add(c.name, c.ok, c.details)
     rb.add_diagnostic(
         "schedule-size",
-        {"entries": len(seq.boundaries), "last_entry_digits": seq.last_digits},
+        {"entries": len(seq.powers), "last_entry_digits": seq.last_digits},
     )
     rb.timings["schedule_build_s"] = seq.build_seconds
     rows = [

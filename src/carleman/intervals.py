@@ -11,6 +11,11 @@ them more than it must. Only the constructor and the root enclosures check
 lo <= hi; every arithmetic result is ordered by construction. Products are
 sign-aware: when both factors are nonnegative the product is (lo lo', hi hi'),
 and only the other sign cases form and order all four endpoint products.
+
+Where only a logarithm of a huge integer is wanted, it is read from a dyadic
+bracket lo 2^t <= N <= hi 2^t with ends of at most BRACKET_BITS bits, each
+operation rounded outward, so N itself is formed only in the rare case that
+the bracket cannot decide the double math.log(N) would give.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 ROOT_DIGITS = 40  # decimal digits of every root enclosure
+BRACKET_BITS = 128  # width of the integer brackets a log is read from
 
 Number = Union[int, Fraction]
 
@@ -81,6 +87,67 @@ def nth_root_bounds(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
     # endpoints are certified: lo^n <= x iff r^n <= x*scale^n, which floor
     # division guarantees; hi^n > x likewise
     return lo, hi
+
+
+def _trim(lo: int, hi: int, t: int, bits: int = BRACKET_BITS) -> tuple[int, int, int]:
+    """[lo, hi] 2^t rounded outward to at most bits-bit ends."""
+    r = hi.bit_length() - bits
+    if r <= 0:
+        return lo, hi, t
+    return lo >> r, -(-hi >> r), t + r
+
+
+def _log_by_frexp(n: int, t: int) -> float:
+    x, e = math.frexp(float(n))
+    return math.log(x) + math.log(2.0) * (e + t)
+
+
+# math.log of an int past the double range is log(x) + log(2) e from the
+# int's correctly rounded frexp (x, e), evaluated unfused; 3^80 2^1109 is a
+# sample that a fused multiply-add would round differently
+_LOG_BY_FREXP = math.log(3**80 << 1109) == _log_by_frexp(3**80, 1109)
+
+
+def _log_shifted(n: int, t: int) -> float:
+    """math.log(n << t) for 1 <= n < 2^1024 and t >= 0. The frexp of n << t
+    is n's with the exponent raised by t, so n << t is formed only where it
+    fits a double, or where this platform's math.log is not that formula."""
+    if n.bit_length() + t <= 1024 or not _LOG_BY_FREXP:
+        return math.log(n << t)
+    return _log_by_frexp(n, t)
+
+
+def _log_bracketed(lo: int, hi: int, t: int, exact: Callable[[], int]) -> float:
+    """math.log(N) for an integer N with lo 2^t <= N <= hi 2^t, t >= 0.
+
+    For an int, math.log reads only N rounded to 53 bits (round half to
+    even, as `float(N)` rounds), and that rounding is monotone: when lo and
+    hi round alike, N rounds with them and lo 2^t stands in for it. Only
+    when the bracket straddles a rounding boundary is N formed, by `exact`."""
+    lo, hi, t = _trim(lo, hi, t)
+    if float(lo) == float(hi):
+        return _log_shifted(lo, t)
+    return math.log(exact())
+
+
+def _power_bracket(powers: dict[int, int]) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo 2^t <= prod p^e <= hi 2^t over {p: e}, ends of
+    at most BRACKET_BITS bits: square and multiply, each step rounded
+    outward. A squaring doubles the relative width, so a power ends about
+    2^(e.bit_length() - BRACKET_BITS) wide; past 32-bit exponents it works
+    with the extra bits that keep it under 2^-95."""
+    lo = hi = 1
+    t = 0
+    for p, e in powers.items():
+        work = BRACKET_BITS + max(e.bit_length() - 32, 0)
+        plo = phi = 1
+        pt = 0
+        for bit in bin(e)[2:]:
+            plo, phi, pt = _trim(plo * plo, phi * phi, 2 * pt, work)
+            if bit == "1":
+                plo, phi, pt = _trim(plo * p, phi * p, pt, work)
+        lo, hi, t = _trim(lo * plo, hi * phi, t + pt)
+    return lo, hi, t
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carleman.blocks import (
-    BRACKET_BITS,
     MIN_TERMS,
     BaseFunction,
     Block,
@@ -23,8 +22,6 @@ from carleman.blocks import (
     polar_block_bound_check,
     polar_block_jet,
     _integer_weights,
-    _log_bracketed,
-    _power_bracket,
     _prime_factors,
 )
 from carleman.intervals import RInterval
@@ -108,41 +105,6 @@ def test_bracketed_weights_match_exact_division_at_every_k():
     assert log_phi == exact_division_log_phi(M, 3424)
     assert ms == [k + 1 for k in range(3425)]
     assert Ms == [math.factorial(k) for k in range(3426)]
-
-
-@given(st.integers(1, 2**6000), st.integers(1, 2**3000))
-@settings(max_examples=200, deadline=None)
-def test_bracketed_log_of_a_quotient_is_bit_identical(q, g):
-    # (N >> s) // g == (N // g) >> s puts N // g between top 2^s and (top + 1) 2^s
-    N = q * g
-    s = max(N.bit_length() - g.bit_length() - 64, 0)
-    top = (N >> s) // g
-    assert _log_bracketed(top, top + 1, s, lambda: N // g) == math.log(N // g)
-
-
-@pytest.mark.parametrize("s", [0, 70, 2000])
-def test_bracket_straddling_a_tie_forms_the_exact_integer(s):
-    # (2^53 + 1) 2^s is a half-ulp tie: it rounds down to even, one more rounds up
-    tie = (2**53 + 1) << s
-    straddling = [(N, tie - 1, tie + 1) for N in (tie - 1, tie, tie + 1)]
-    straddling += [(N, tie, tie + 1) for N in (tie, tie + 1)]
-    for N, lo, hi in straddling:
-        formed = []
-        log = _log_bracketed(lo, hi, 0, lambda: formed.append(N) or N)
-        assert log == math.log(N)
-        assert formed == [N]
-    # below the tie both ends round down: no exact integer is needed
-    log = _log_bracketed(tie - 1, tie, 0, lambda: pytest.fail("formed the exact integer"))
-    assert log == math.log(tie) == math.log(tie - 1)
-
-
-@given(st.dictionaries(st.integers(2, 10**6), st.integers(0, 5000), max_size=5))
-@settings(max_examples=100, deadline=None)
-def test_power_bracket_encloses_the_product(powers):
-    lo, hi, t = _power_bracket(powers)
-    exact = math.prod(p**e for p, e in powers.items())
-    assert lo << t <= exact <= hi << t
-    assert hi.bit_length() <= BRACKET_BITS
 
 
 def test_exact_family_needs_integer_ratios():

@@ -2,19 +2,29 @@
 
 The frozen numbers (max b, min g, gap sum, entry digits) are pinned outputs
 of the builder at pairs=8; any drift in the schedule rule shows up here.
+The schedule is held in power form and its logs read from brackets, so a
+test-local copy of the exact-int builder is kept as their oracle.
 """
 
+import bisect
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import carleman.counterexample as ce
+from carleman import cli
 from carleman.counterexample import (
     BURST,
+    FLOAT_SAFE_BITS,
+    LOG3,
     WITNESS_WINDOW,
+    CounterexampleSequence,
     build_schedule,
     counterexample_sequence,
     full_verification,
     log_v,
+    v_sq,
     verify_diff_closed,
     verify_gap_sums,
     verify_level_growth,
@@ -159,3 +169,196 @@ def test_schedule_needs_two_pairs():
 
 def test_builder_is_cached():
     assert counterexample_sequence(8) is counterexample_sequence(8)
+
+
+# -- the exact-int oracle ----------------------------------------------------
+
+def exact_schedule(pairs):
+    """The schedule as exact ints, 3**m and all: the builder the power form
+    replaced, kept here as its oracle."""
+    lam = list(BURST)
+    doubled = [100]
+    gap_terms = []
+    for j in range(2, pairs + 2):
+        pos = len(lam) - 1
+        m = math.ceil(v_sq(pos) / LOG3)
+        gap_terms.append(m * LOG3 / v_sq(pos))
+        mu = 2 * lam[-1] * 3**m
+        lam.append(mu)
+        if j <= pairs:
+            lam.append(2 * mu)
+            doubled.append(mu)
+    return lam, doubled, gap_terms
+
+
+class ExactOracle:
+    """root_log, b, g and level on the exact ints, as the int-list code did."""
+
+    def __init__(self, pairs):
+        self.lam, self.doubled, self.gap_terms = exact_schedule(pairs)
+        self.levels = [log_v(n) for n in range(len(self.lam))]
+
+    def level(self, k):
+        i = bisect.bisect_left(self.lam, k) - 1
+        return self.levels[min(i, len(self.lam) - 1)]
+
+    def root_log(self, k):
+        lam = self.lam
+        lk = math.log(k)
+        terms = []
+        for i in range(len(lam) - 1):
+            if lam[i] >= k:
+                break
+            gap = min(lam[i + 1], k) - lam[i]
+            if gap > 0 and self.levels[i] != 0.0:
+                terms.append(math.exp(math.log(gap) - lk) * self.levels[i])
+        if k > lam[-1]:
+            terms.append(math.exp(math.log(k - lam[-1]) - lk) * self.levels[-1])
+        return math.fsum(terms)
+
+    def g(self, k):
+        return math.exp(2 * (self.root_log(k) - self.root_log(2 * k)))
+
+    def b(self, k):
+        lv = self.level(k + 1)
+        if lv == 0.0:
+            return 1.0
+        return math.exp(math.exp(math.log(lv) - math.log(k)))
+
+
+ORACLE_PAIRS = range(2, 9)
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    return {pairs: ExactOracle(pairs) for pairs in ORACLE_PAIRS}
+
+
+@pytest.mark.parametrize("pairs", ORACLE_PAIRS)
+def test_power_form_matches_the_exact_schedule(pairs, oracles):
+    o = oracles[pairs]
+    seq = CounterexampleSequence(pairs)
+    assert seq.boundaries == o.lam
+    assert seq.doubled == o.doubled
+    assert seq.gap_terms == o.gap_terms
+    assert [2 * seq.boundary(i) for i, _ in seq.doubled_at] == [seq.boundary(j) for _, j in seq.doubled_at]
+    assert seq.bits == [k.bit_length() for k in o.lam]
+    assert seq.logs[1:] == [math.log(k) for k in o.lam[1:]]
+    assert seq.gap_logs == [math.log(b - a) for a, b in zip(o.lam, o.lam[1:])]
+
+
+@pytest.mark.parametrize("pairs", ORACLE_PAIRS)
+def test_reads_at_boundaries_and_doubles_match_the_oracle(pairs, oracles):
+    o = oracles[pairs]
+    seq = CounterexampleSequence(pairs)
+    for i, lam in enumerate(o.lam[1:], 1):
+        assert seq.root_log_at(i) == o.root_log(lam)
+        assert seq.level_at(i) == o.level(lam)
+        assert seq.b_at(i) == o.b(lam)
+        for k in (lam, 2 * lam):
+            assert seq.root_log(k) == o.root_log(k)
+            assert seq.g(k) == o.g(k)
+            assert seq.b(k) == o.b(k)
+            assert seq.level(k) == o.level(k)
+    for i, j in seq.doubled_at:
+        assert seq.g_at(i, j) == o.g(o.lam[i])
+
+
+def oracle_details(o, checks):
+    """The schedule-dependent details of the battery, computed on the exact
+    ints as the int-list battery did."""
+    best, best_at = 1.0, 1
+    for i in range(1, len(o.lam)):
+        k = o.lam[i]
+        b = o.b(k)
+        if b > best:
+            best, best_at = b, k if k.bit_length() < 64 else -i
+    window = {str(k): o.g(k) for k in WITNESS_WINDOW}
+    g_min_at = min(WITNESS_WINDOW, key=o.g)
+    return {
+        "difference-closedness": {**checks["difference-closedness"], "max_b": best, "argmax": best_at},
+        "gap-sums": {
+            **checks["gap-sums"],
+            "sum": math.fsum(o.gap_terms),
+            "terms": list(o.gap_terms),
+            "dyadic_root_le_step": all(
+                o.root_log(k) <= o.level(k) + 1e-12 for mu in o.doubled for k in (mu, 2 * mu)
+            ),
+        },
+        "strict-gap-window": {
+            **checks["strict-gap-window"],
+            "g_at_1": o.g(1),
+            "window": window,
+            "g_min": window[str(g_min_at)],
+            "g_min_at": g_min_at,
+            "pair_g_max": max(o.g(mu) for mu in o.doubled),
+        },
+    }
+
+
+@pytest.mark.parametrize("pairs", ORACLE_PAIRS)
+def test_every_verification_detail_matches_the_oracle(pairs, oracles):
+    checks = {c.name: c.details for c in full_verification(pairs)}
+    for name, expected in oracle_details(oracles[pairs], checks).items():
+        assert checks[name] == expected, name
+
+
+@given(st.integers(1, 10**6), st.integers(0, 5000), st.integers(0, 5000))
+@settings(max_examples=200, deadline=None)
+def test_bracketed_power_form_reads_match_the_formed_int(c, a, s):
+    N = c * 3**s << a
+    assert ce._bits_and_log(c, a, s) == (N.bit_length(), math.log(N))
+
+
+@given(
+    st.integers(1, 10**6),
+    st.integers(0, 5000),
+    st.integers(0, 5000),
+    st.integers(1, 5),
+    st.integers(0, 5000),
+)
+@settings(max_examples=200, deadline=None)
+def test_bracketed_gap_log_matches_the_formed_gap(c, a, s, da, ds):
+    low, high = c * 3**s << a, c * 3 ** (s + ds) << (a + da)
+    assert ce._gap_log(c, a, s, da, ds) == math.log(high - low)
+
+
+def test_no_boundary_past_the_float_safe_range_is_formed(monkeypatch, tmp_path):
+    form = ce._form
+
+    def guarded(c, a, s):
+        n = form(c, a, s)
+        assert n.bit_length() <= FLOAT_SAFE_BITS, f"formed a {n.bit_length()}-bit boundary"
+        return n
+
+    monkeypatch.setattr(ce, "_form", guarded)
+    counterexample_sequence.cache_clear()
+    try:
+        assert all(c.ok for c in full_verification(8))
+        counterexample_sequence.cache_clear()
+        assert cli.main(["counterexample", "--pairs", "8", "--out", str(tmp_path)]) == 0
+    finally:
+        counterexample_sequence.cache_clear()
+
+
+# pairs: (last_entry_digits, gap sum, pair_g_max), from the exact-int builder
+PAST_PAIRS_8 = {
+    10: (3193772.019427091, 10.000300642924689, 0.8360392199699959),
+    11: (6497642.448438331, 11.000300656404354, 0.8410554589813314),
+    12: (12926787.628573293, 12.000300697571339, 0.8456129117739278),
+}
+
+
+@pytest.mark.parametrize("pairs", sorted(PAST_PAIRS_8))
+def test_pins_past_eight_pairs(pairs):
+    digits, gap_sum, pair_g_max = PAST_PAIRS_8[pairs]
+    checks = {c.name: c for c in full_verification(pairs)}
+    assert all(c.ok for c in checks.values())
+    assert counterexample_sequence(pairs).last_digits == digits
+    assert checks["gap-sums"].details["sum"] == gap_sum
+    assert checks["strict-gap-window"].details["pair_g_max"] == pair_g_max
+
+
+def test_pairs_past_the_float_range_are_refused():
+    with pytest.raises(WeightError, match="float range"):
+        build_schedule(20000)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from carleman.intervals import (
+    BRACKET_BITS,
     RInterval,
+    _log_bracketed,
+    _log_shifted,
+    _power_bracket,
     exact_nth_root,
     integer_nth_root,
     nth_root_bounds,
@@ -253,3 +257,56 @@ def test_construction_rejects_exactly_the_empty_intervals(a, b):
     else:
         iv = RInterval(a, b)
         assert (iv.lo, iv.hi) == (a, b)
+
+
+@given(st.integers(1, 2**6000), st.integers(1, 2**3000))
+@settings(max_examples=200, deadline=None)
+def test_bracketed_log_of_a_quotient_is_bit_identical(q, g):
+    # (N >> s) // g == (N // g) >> s puts N // g between top 2^s and (top + 1) 2^s
+    N = q * g
+    s = max(N.bit_length() - g.bit_length() - 64, 0)
+    top = (N >> s) // g
+    assert _log_bracketed(top, top + 1, s, lambda: N // g) == math.log(N // g)
+
+
+@pytest.mark.parametrize("s", [0, 70, 2000])
+def test_bracket_straddling_a_tie_forms_the_exact_integer(s):
+    # (2^53 + 1) 2^s is a half-ulp tie: it rounds down to even, one more rounds up
+    tie = (2**53 + 1) << s
+    straddling = [(N, tie - 1, tie + 1) for N in (tie - 1, tie, tie + 1)]
+    straddling += [(N, tie, tie + 1) for N in (tie, tie + 1)]
+    for N, lo, hi in straddling:
+        formed = []
+        log = _log_bracketed(lo, hi, 0, lambda: formed.append(N) or N)
+        assert log == math.log(N)
+        assert formed == [N]
+    # below the tie both ends round down: no exact integer is needed
+    log = _log_bracketed(tie - 1, tie, 0, lambda: pytest.fail("formed the exact integer"))
+    assert log == math.log(tie) == math.log(tie - 1)
+
+
+@given(st.dictionaries(st.integers(2, 10**6), st.integers(0, 5000), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_power_bracket_encloses_the_product(powers):
+    lo, hi, t = _power_bracket(powers)
+    exact = math.prod(p**e for p, e in powers.items())
+    assert lo << t <= exact <= hi << t
+    assert hi.bit_length() <= BRACKET_BITS
+
+
+@given(st.integers(1, 2**128), st.integers(0, 20000))
+@example(2**53 - 1, 1024 - 53)  # rounds up to 2^1024: past the double range
+@example(2**53 - 1, 1023 - 53)
+@example(2**128 - 1, 1024 - 128)
+@settings(max_examples=300, deadline=None)
+def test_log_of_a_shifted_int_is_bit_identical(n, t):
+    assert _log_shifted(n, t) == math.log(n << t)
+
+
+@pytest.mark.parametrize("e", [2**64, 2**200 + 12345])
+def test_power_bracket_stays_narrow_for_huge_exponents(e):
+    # each squaring doubles the relative width; past 32-bit exponents the
+    # working precision grows with the exponent's bit length
+    lo, hi, t = _power_bracket({3: e})
+    assert (hi - lo) << 95 < lo
+    assert hi.bit_length() <= BRACKET_BITS
