@@ -89,32 +89,12 @@ def nth_root_bounds(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _trim(lo: int, hi: int, t: int, bits: int = BRACKET_BITS) -> tuple[int, int, int]:
-    """[lo, hi] 2^t rounded outward to at most bits-bit ends."""
-    r = hi.bit_length() - bits
+def _trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
+    """[lo, hi] 2^t rounded outward to at most BRACKET_BITS-bit ends."""
+    r = hi.bit_length() - BRACKET_BITS
     if r <= 0:
         return lo, hi, t
     return lo >> r, -(-hi >> r), t + r
-
-
-def _log_by_frexp(n: int, t: int) -> float:
-    x, e = math.frexp(float(n))
-    return math.log(x) + math.log(2.0) * (e + t)
-
-
-# math.log of an int past the double range is log(x) + log(2) e from the
-# int's correctly rounded frexp (x, e), evaluated unfused; 3^80 2^1109 is a
-# sample that a fused multiply-add would round differently
-_LOG_BY_FREXP = math.log(3**80 << 1109) == _log_by_frexp(3**80, 1109)
-
-
-def _log_shifted(n: int, t: int) -> float:
-    """math.log(n << t) for 1 <= n < 2^1024 and t >= 0. The frexp of n << t
-    is n's with the exponent raised by t, so n << t is formed only where it
-    fits a double, or where this platform's math.log is not that formula."""
-    if n.bit_length() + t <= 1024 or not _LOG_BY_FREXP:
-        return math.log(n << t)
-    return _log_by_frexp(n, t)
 
 
 def _log_bracketed(lo: int, hi: int, t: int, exact: Callable[[], int]) -> float:
@@ -126,26 +106,22 @@ def _log_bracketed(lo: int, hi: int, t: int, exact: Callable[[], int]) -> float:
     when the bracket straddles a rounding boundary is N formed, by `exact`."""
     lo, hi, t = _trim(lo, hi, t)
     if float(lo) == float(hi):
-        return _log_shifted(lo, t)
+        return math.log(lo << t)
     return math.log(exact())
 
 
 def _power_bracket(powers: dict[int, int]) -> tuple[int, int, int]:
-    """(lo, hi, t) with lo 2^t <= prod p^e <= hi 2^t over {p: e}, ends of
-    at most BRACKET_BITS bits: square and multiply, each step rounded
-    outward. A squaring doubles the relative width, so a power ends about
-    2^(e.bit_length() - BRACKET_BITS) wide; past 32-bit exponents it works
-    with the extra bits that keep it under 2^-95."""
+    """(lo, hi, t) with lo 2^t <= prod p^e <= hi 2^t over {p: e}: square
+    and multiply, each step rounded outward to BRACKET_BITS bits."""
     lo = hi = 1
     t = 0
     for p, e in powers.items():
-        work = BRACKET_BITS + max(e.bit_length() - 32, 0)
         plo = phi = 1
         pt = 0
         for bit in bin(e)[2:]:
-            plo, phi, pt = _trim(plo * plo, phi * phi, 2 * pt, work)
+            plo, phi, pt = _trim(plo * plo, phi * phi, 2 * pt)
             if bit == "1":
-                plo, phi, pt = _trim(plo * p, phi * p, pt, work)
+                plo, phi, pt = _trim(plo * p, phi * p, pt)
         lo, hi, t = _trim(lo * plo, hi * phi, t + pt)
     return lo, hi, t
 

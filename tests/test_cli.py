@@ -464,6 +464,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         ("certify", "--gamma", "absent.json"),
         ("certify", "--gamma", "one-block.json"),
         ("counterexample", "--pairs", "1"),
+        ("counterexample", "--pairs", "13"),
         ("counterexample", "--pairs", "20000"),
         ("analyze", "--family", "counterexample:20000"),
         ("selftest", "--only", "0"),

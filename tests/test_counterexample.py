@@ -18,6 +18,7 @@ from carleman.counterexample import (
     BURST,
     FLOAT_SAFE_BITS,
     LOG3,
+    MAX_PAIRS,
     WITNESS_WINDOW,
     CounterexampleSequence,
     build_schedule,
@@ -359,6 +360,8 @@ def test_pins_past_eight_pairs(pairs):
     assert checks["strict-gap-window"].details["pair_g_max"] == pair_g_max
 
 
-def test_pairs_past_the_float_range_are_refused():
-    with pytest.raises(WeightError, match="float range"):
-        build_schedule(20000)
+def test_pairs_past_the_tested_range_are_refused():
+    assert len(build_schedule(MAX_PAIRS)[0]) == len(BURST) + 2 * MAX_PAIRS - 1
+    for pairs in (MAX_PAIRS + 1, 20000):
+        with pytest.raises(WeightError, match="at most 12 pairs"):
+            build_schedule(pairs)

@@ -10,7 +10,6 @@ from carleman.intervals import (
     BRACKET_BITS,
     RInterval,
     _log_bracketed,
-    _log_shifted,
     _power_bracket,
     exact_nth_root,
     integer_nth_root,
@@ -293,20 +292,3 @@ def test_power_bracket_encloses_the_product(powers):
     assert lo << t <= exact <= hi << t
     assert hi.bit_length() <= BRACKET_BITS
 
-
-@given(st.integers(1, 2**128), st.integers(0, 20000))
-@example(2**53 - 1, 1024 - 53)  # rounds up to 2^1024: past the double range
-@example(2**53 - 1, 1023 - 53)
-@example(2**128 - 1, 1024 - 128)
-@settings(max_examples=300, deadline=None)
-def test_log_of_a_shifted_int_is_bit_identical(n, t):
-    assert _log_shifted(n, t) == math.log(n << t)
-
-
-@pytest.mark.parametrize("e", [2**64, 2**200 + 12345])
-def test_power_bracket_stays_narrow_for_huge_exponents(e):
-    # each squaring doubles the relative width; past 32-bit exponents the
-    # working precision grows with the exponent's bit length
-    lo, hi, t = _power_bracket({3: e})
-    assert (hi - lo) << 95 < lo
-    assert hi.bit_length() <= BRACKET_BITS
