@@ -12,14 +12,12 @@ on the axis have a closed form whose terms all share one sign, so truncation
 error is controlled and no cancellation occurs.
 
 For an exact family the log weights are bit-identical to the logs of the
-reduced quotients m_k^(k+2)/g and M_k/g, yet neither quotient is formed.
-Two facts make that possible: math.log of an int reads only the int
-correctly rounded to 53 bits, so the leading bits and whether any bit below
-them is set decide it; and floor division composes, (N >> s) // g ==
-(N // g) >> s, so the leading bits of a quotient cost a short division.
-The numerator is bracketed instead, and formed exactly only when its bracket
-straddles a rounding boundary; gevrey:1 to 13664 terms, gevrey:2, gevrey:3,
-shift:2:gevrey:1 and power:2:gevrey:1 never do.
+reduced quotients m_k^(k+2)/g and M_k/g, yet neither is formed: math.log of
+an int reads only its 53-bit rounding, decided by the leading bits and a
+sticky bit. A shift and a short division give those of M_k/g; one square and
+multiply on m_k, divided by g, brackets the numerator, formed only when the
+bracket straddles a rounding boundary: gevrey:1 to 13664 terms, gevrey:2,
+gevrey:3, shift:2:gevrey:1 and power:2:gevrey:1 never do.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
@@ -68,43 +66,43 @@ def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[int
     """M_0 .. M_(terms+1) and m_0 .. m_terms as integers, and log phi(m_k)
     for k = 1 .. terms.
 
-    phi(m_k) = m_k^(k+2)/M_k is read in lowest terms, so its log is the one
-    `log_of_fraction` would give; the common factor g is the product over
-    p | m_k of p^min(v_p(M_k), (k+2) v_p(m_k)), from a running count of
-    M_k's prime exponents instead of a gcd. Neither quotient is formed:
-    math.log of an int reads only the int rounded to 53 bits, so each log
-    needs only enough leading bits to decide that rounding.
+    phi(m_k) = m_k^(k+2)/M_k is read in lowest terms, as `log_of_fraction`
+    would: g = 2^c_2 g_odd with c_p = min(v_p(M_k), (k+2) v_p(m_k)) for
+    p | m_k, from a running count of M_k's prime exponents, and each odd
+    p^c_p multiplied up from the last k with p | m_k.
 
-    - M_k/g: floor division composes, (M_k >> s) // g == (M_k // g) >> s,
-      which gives at least GUARD_BITS leading bits; the bits below s are
-      nonzero exactly when v_2(M_k/g) < s, which the valuation count knows.
-      The top bits, that sticky bit and the scale round as M_k/g does, so
-      this log is exact with no fallback.
-    - m_k^(k+2)/g = prod p^((k+2) v_p(m_k) - min_p): bracketed by
-      `_power_bracket` and read by `_log_bracketed`, which forms the exact
-      product only when the bracket straddles a rounding boundary: its
-      relative width stays under 2^-115 for these families, so that
-      happens at a k with odds of about 2^-62."""
+    - M_k/g: (M_k >> (c_2 + s)) // g_odd == (M_k // g) >> s has at least
+      GUARD_BITS leading bits; the bits below s are nonzero exactly when
+      v_2(M_k) - c_2 < s, so this log is exact with no fallback.
+    - m_k^(k+2)/g: `_power_bracket` brackets m_k^(k+2) by one square and
+      multiply, takes c_2 off its exponent and divides by g_odd outward;
+      `_log_bracketed` forms the quotient only when the bracket straddles a
+      rounding boundary, at odds of about 2^-62 per k: its relative width
+      stays under 2^-115 for these families."""
     Ms, ms, log_phi = [1], [], []
     valuations: dict[int, int] = {}
+    odd_powers: dict[int, tuple[int, int]] = {}  # p: (c_p, p^c_p) at the last k with p | m_k
     for k in range(terms + 1):
-        m = Fraction(M.exact_ratio(k))
-        if m.denominator != 1:
+        m = M.exact_ratio(k)
+        if type(m) is not int and Fraction(m).denominator != 1:
             raise WeightError(f"{M.name}: exact ratio m_{k} = {m} is not an integer")
-        m = m.numerator
+        m = int(m)
         factors = _prime_factors(m)
         if k:
-            common = {p: min(valuations.get(p, 0), (k + 2) * v) for p, v in factors.items()}
-            g = math.prod(p**c for p, c in common.items())
-            num = {p: (k + 2) * v - common[p] for p, v in factors.items()}
-            log_num = _log_bracketed(
-                *_power_bracket(num), lambda: math.prod(p**e for p, e in num.items())
-            )
-            s = max(Ms[k].bit_length() - g.bit_length() - GUARD_BITS, 1)
-            top = (Ms[k] >> s) // g
-            sticky = valuations.get(2, 0) - common.get(2, 0) < s
-            log_den = math.log(((top << 1) | sticky) << (s - 1))
-            log_phi.append(log_num - log_den)
+            c2, g_odd = min(valuations.get(2, 0), (k + 2) * factors.get(2, 0)), 1
+            for p, v in factors.items():
+                if p > 2:
+                    c = min(valuations.get(p, 0), (k + 2) * v)
+                    last, power = odd_powers.get(p, (0, 1))
+                    power = power * p ** (c - last) if c >= last else p**c
+                    odd_powers[p] = c, power
+                    g_odd *= power
+            lo, hi, t = _power_bracket(m, k + 2, g_odd, c2)
+            log_num = _log_bracketed(lo, hi, t, lambda: (m ** (k + 2) >> c2) // g_odd)
+            s = max(Ms[k].bit_length() - g_odd.bit_length() - c2 - GUARD_BITS, 1)
+            top = (Ms[k] >> (c2 + s)) // g_odd
+            sticky = valuations.get(2, 0) - c2 < s
+            log_phi.append(log_num - math.log(((top << 1) | sticky) << (s - 1)))
         ms.append(m)
         Ms.append(Ms[k] * m)
         for p, v in factors.items():

@@ -267,8 +267,9 @@ def _cmd_construct_flat(args, rb: ReportBuilder) -> None:
         lambda_max = args.lambda_max if args.lambda_max is not None else 64
         layout = build_layout(args.family, E, lambda_max, terms=args.terms)
     t1 = time.perf_counter()
+    text = layout.to_json()
     output_dir(args.out)
-    layout.save(path)
+    path.write_text(text)
     rb.timings.update(layout_build_s=t1 - t0, layout_save_s=time.perf_counter() - t1)
     rb.config = {
         "family": args.family.name,

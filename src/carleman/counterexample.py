@@ -54,6 +54,7 @@ LOG_CONVEX_SCAN_TO = 256  # direct ratio scan through the burst region
 DIFF_CLOSED_BOUND = 4.0  # max_k b_k
 GAP_SUM_MIN_FRACTION = 0.9  # gap-certificate sum per pair
 STRICT_WINDOW_CUTOFF = 0.1  # g_k on the burst window
+PAIR_G_CUTOFF = 0.9  # g at every doubled pair, strictly below
 LEVEL_GROWTH_HORIZON = 512  # last n of the doubling ratio v(2n)/v(n)
 
 _lv_cache = [0.0]
@@ -80,7 +81,7 @@ def _form(c: int, a: int, s: int) -> int:
 
 def _bracket(c: int, a: int, s: int) -> tuple[int, int, int]:
     """(lo, hi, t) with lo 2^t <= c 2^a 3^s <= hi 2^t, ends rounded outward."""
-    lo, hi, t = _power_bracket({3: s})
+    lo, hi, t = _power_bracket(3, s)
     return _trim(lo * c << a, hi * c << a, t)
 
 
@@ -346,7 +347,7 @@ def verify_gap_sums(seq: CounterexampleSequence) -> CheckReport:
 
 def verify_strict_window(seq: CounterexampleSequence) -> CheckReport:
     """g = 1 exactly on the first block, g <= STRICT_WINDOW_CUTOFF on the
-    whole burst window, and the doubled elements keep g strictly below 1.
+    whole burst window, and g < PAIR_G_CUTOFF at every doubled pair.
     The two g computations (k-th roots vs direct log-weights) must agree to
     1e-12 wherever the float path is defined."""
     g_first = seq.g(1)
@@ -354,7 +355,7 @@ def verify_strict_window(seq: CounterexampleSequence) -> CheckReport:
     window_ok = all(v <= STRICT_WINDOW_CUTOFF for v in window.values())
     g_min_at = min(window, key=window.get)
     pair_g = [seq.g_at(i, j) for i, j in seq.doubled_at]
-    pair_ok = all(v < 0.9 for v in pair_g)
+    pair_ok = all(v < PAIR_G_CUTOFF for v in pair_g)
     dual_ok = True
     for k in (1, 2, 50) + WITNESS_WINDOW:
         direct = math.exp((2 * seq.log_weight(k) - seq.log_weight(2 * k)) / k)

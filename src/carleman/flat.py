@@ -86,7 +86,9 @@ class LayoutEntry:
 
     @property
     def offset_ratio(self) -> float:
-        return self.center / float(self.rho)
+        # scaled by 2^k into (1/2, 1]: a normal rho rounds alike, a tiny one cannot underflow
+        k = self.rho.denominator.bit_length() - self.rho.numerator.bit_length()
+        return float(self.center_iv.mid * 2**k) / float(self.rho * 2**k)
 
     @cached_property
     def weight_log(self) -> float:
@@ -150,10 +152,17 @@ class Layout:
             "B": self.B,
         }
 
+    def to_json(self) -> str:
+        """The layout file's text; LayoutError where a float field cannot hold its value."""
+        try:
+            text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise LayoutError(f"a float field of the layout cannot hold its value: {exc}") from None
+        return text + "\n"
+
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Layout":

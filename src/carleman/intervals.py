@@ -90,10 +90,8 @@ def nth_root_bounds(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
 
 
 def _trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
-    """[lo, hi] 2^t rounded outward to at most BRACKET_BITS-bit ends."""
-    r = hi.bit_length() - BRACKET_BITS
-    if r <= 0:
-        return lo, hi, t
+    """[lo, hi] 2^t rounded outward to at most BRACKET_BITS-bit ends and t >= 0."""
+    r = max(hi.bit_length() - BRACKET_BITS, -t, 0)
     return lo >> r, -(-hi >> r), t + r
 
 
@@ -110,20 +108,23 @@ def _log_bracketed(lo: int, hi: int, t: int, exact: Callable[[], int]) -> float:
     return math.log(exact())
 
 
-def _power_bracket(powers: dict[int, int]) -> tuple[int, int, int]:
-    """(lo, hi, t) with lo 2^t <= prod p^e <= hi 2^t over {p: e}: square
-    and multiply, each step rounded outward to BRACKET_BITS bits."""
-    lo = hi = 1
+def _power_bracket(base: int, e: int, g: int = 1, c: int = 0) -> tuple[int, int, int]:
+    """(lo, hi, t) with lo 2^t <= base^e / (g 2^c) <= hi 2^t for base, g >= 1,
+    g odd where 2^c holds the 2-adic part: base^(e >> j), under 2 BRACKET_BITS
+    bits, is formed exactly and square and multiply over the last j bits of e
+    rounds each step outward to BRACKET_BITS bits; g divides once with its
+    width in guard bits and c comes off t, floor below and ceiling above."""
+    j = (e * base.bit_length() // (2 * BRACKET_BITS)).bit_length()
+    lo = hi = base ** (e >> j)
     t = 0
-    for p, e in powers.items():
-        plo = phi = 1
-        pt = 0
-        for bit in bin(e)[2:]:
-            plo, phi, pt = _trim(plo * plo, phi * phi, 2 * pt)
-            if bit == "1":
-                plo, phi, pt = _trim(plo * p, phi * p, pt)
-        lo, hi, t = _trim(lo * plo, hi * phi, t + pt)
-    return lo, hi, t
+    for i in reversed(range(j)):
+        f = base if e >> i & 1 else 1
+        lo, hi, t = lo * lo * f, hi * hi * f, 2 * t
+        r = hi.bit_length() - BRACKET_BITS
+        if r > 0:
+            lo, hi, t = lo >> r, -(-hi >> r), t + r
+    b = g.bit_length()
+    return _trim((lo << b) // g, -(-(hi << b) // g), t - c - b)
 
 
 @dataclass(frozen=True)

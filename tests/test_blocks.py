@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman import blocks
 from carleman.blocks import (
     MIN_TERMS,
     BaseFunction,
@@ -24,7 +25,7 @@ from carleman.blocks import (
     _integer_weights,
     _prime_factors,
 )
-from carleman.intervals import RInterval
+from carleman.intervals import RInterval, _log_bracketed
 from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
 from carleman.logscale import log_of_fraction
 from carleman.ostrowski import phi
@@ -97,14 +98,30 @@ def exact_division_log_phi(M, terms):
     return log_phi
 
 
-def test_bracketed_weights_match_exact_division_at_every_k():
-    # the sixth greedy block's 3424 terms, every k
+def test_bracketed_weights_match_exact_division_at_every_k(monkeypatch):
+    # the sixth greedy block's 3424 terms, every k, and no numerator formed
+    def bracket_only(lo, hi, t, exact):
+        return _log_bracketed(lo, hi, t, lambda: pytest.fail("formed the exact numerator"))
+
+    monkeypatch.setattr(blocks, "_log_bracketed", bracket_only)
     M = gevrey(1)
     M.validate(3425)
     Ms, ms, log_phi = _integer_weights(M, 3424)
     assert log_phi == exact_division_log_phi(M, 3424)
     assert ms == [k + 1 for k in range(3425)]
     assert Ms == [math.factorial(k) for k in range(3426)]
+
+
+@pytest.mark.parametrize(
+    "spec", ["gevrey:2", "gevrey:3", "shift:2:gevrey:1", "power:2:gevrey:1", "analytic"]
+)
+def test_bracketed_weights_match_exact_division_on_every_exact_family(spec):
+    M = parse_family(spec)
+    M.validate(801)
+    Ms, ms, log_phi = _integer_weights(M, 800)
+    assert log_phi == exact_division_log_phi(M, 800)
+    assert ms == [M.exact_ratio(k) for k in range(801)]
+    assert Ms == [math.prod(ms[:k]) for k in range(802)]
 
 
 def test_exact_family_needs_integer_ratios():

@@ -7,6 +7,7 @@ block.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -202,6 +203,20 @@ def test_construct_flat_rejects_bad_orders(tmp_path, capsys):
         assert "error:" in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+
+def test_construct_flat_reads_offset_ratios_of_underflowing_scales(tmp_path, capsys):
+    # rho = 1/11^300 is 0.0 as a float; the offset ratio comes from the exact rho
+    for family in ("gevrey:300", "power:200:gevrey:1"):
+        out = tmp_path / family.replace(":", "-")
+        assert run("construct-flat", "--family", family, "--out", str(out)) == 0
+        entries = read_json(out / "layout.json")["entries"]
+        assert all(math.isfinite(e["offset_ratio"]) and e["offset_ratio"] > 1 for e in entries)
+    # past what a float holds, exit 2 and write nothing
+    argv = ("construct-flat", "--family", "power:400:gevrey:1", "--out", str(tmp_path / "big"))
+    assert run(*argv) == 2
+    assert "error: a float field of the layout" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
 
 
 def test_construct_flat_rejects_a_directory_as_the_layout(tmp_path, capsys):

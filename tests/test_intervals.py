@@ -284,11 +284,43 @@ def test_bracket_straddling_a_tie_forms_the_exact_integer(s):
     assert log == math.log(tie) == math.log(tie - 1)
 
 
-@given(st.dictionaries(st.integers(2, 10**6), st.integers(0, 5000), max_size=5))
-@settings(max_examples=100, deadline=None)
-def test_power_bracket_encloses_the_product(powers):
-    lo, hi, t = _power_bracket(powers)
-    exact = math.prod(p**e for p, e in powers.items())
-    assert lo << t <= exact <= hi << t
+# a small base to a long exponent, and a wide base to a short one, where the
+# exactly formed prefix base^(e >> j) is 1
+powers = st.one_of(
+    st.tuples(st.integers(1, 10**6), st.integers(0, 5000)),
+    st.tuples(st.integers(1, 2**3000), st.integers(0, 40)),
+)
+
+
+@given(powers)
+@settings(max_examples=150, deadline=None)
+@example((3, 0))
+@example((2**200 + 1, 3))
+@example((2**1000 + 1, 2))
+def test_power_bracket_encloses_the_power(power):
+    base, e = power
+    lo, hi, t = _power_bracket(base, e)
+    assert t >= 0
+    assert lo << t <= base**e <= hi << t
     assert hi.bit_length() <= BRACKET_BITS
 
+
+@given(powers, st.integers(0, 2**2000).map(lambda n: 2 * n + 1), st.integers(0, 3000))
+@settings(max_examples=150, deadline=None)
+def test_power_bracket_divided_by_an_odd_g_encloses_the_quotient(power, g, c):
+    base, e = power
+    lo, hi, t = _power_bracket(base, e, g, c)
+    assert t >= 0
+    assert (lo << t) * (g << c) <= base**e <= (hi << t) * (g << c)
+    assert hi.bit_length() <= BRACKET_BITS
+
+
+@pytest.mark.parametrize(
+    "base, e, g, c", [(6, 40, 3**40, 40), (30, 50, 15**50, 7), (3, 127, 3**60, 0)]
+)
+def test_an_exact_power_divided_exactly_gives_the_quotient(base, e, g, c):
+    # base^e under 2 BRACKET_BITS bits is formed exactly, so a quotient of at
+    # most BRACKET_BITS bits comes back as lo = hi with t = 0
+    q = base**e // (g << c)
+    assert q * (g << c) == base**e and q.bit_length() <= BRACKET_BITS
+    assert _power_bracket(base, e, g, c) == (q, q, 0)
