@@ -18,37 +18,43 @@ The boundary schedule has three parts:
 Boundary values reach ~10^714000 at 8 pairs and about twice as many digits
 with each further pair, so every boundary is held in power form c 2^a 3^s:
 the burst's entries as they are, and each generated boundary as 200 2^a 3^s,
-since each generated step multiplies by 2 3^m or by 2. The bit length of
-each boundary, its log and the log of the gap to the next one are read once
-per boundary index from 128-bit outward-rounded brackets (`intervals`);
-each is the value int.bit_length or math.log of the exact int gives, and
-the int is formed only if a bracket straddles a rounding boundary. The
-verification battery reads these per-index values. The int API (`level`,
-`root_log`, `b`, `g`) forms a boundary only to compare it with a caller's k
-of the same bit length, and reports give the size of the last entry by its
-log10.
+since each generated step multiplies by 2 3^m or by 2. The verification
+battery reads each boundary index from these exponents: a ratio
+lam_p/lam_q has the log log(c_p/c_q) + (a_p - a_q) log 2 + (s_p - s_q) log 3,
+so the k-th root log at a boundary sums terms gap/lam whose logs are small
+differences, and no log of a boundary's size enters it. Only the size of
+the last entry is read from a bracket (`intervals`).
+
+The int API (`level`, `log_weight`, `root_log`, `b`, `g`) takes indices k
+of at most FLOAT_SAFE_BITS bits and refuses larger ones. Every generated
+boundary has more than 2400 bits, so below that size every boundary is a
+burst entry, and no boundary is formed as an int.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 
-from .intervals import _log_bracketed, _power_bracket, _trim
-from .logscale import LOG_ZERO
+from .intervals import _power_bracket
 from .weights import WeightError, WeightSequence
 
+Power = tuple[int, int, int]  # (c, a, s) for the boundary c 2^a 3^s
+LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
-# the largest pair count whose float checks are tested against the exact
-# ints; past it root_log's terms exp(gap_log - log k) lose digits to two
-# logs of size log lam, and far past it the verdicts are noise
+# the largest pair count whose values are tested: against the exact ints to
+# 8 pairs and against 60-digit references at 10 and 12. The last entry's bit
+# length comes from a fixed 128-bit bracket of 3^s, which has no widening
+# past 32-bit exponents; s is 27 million at 12 pairs and passes 2^32 at 21,
+# where the bracket's exact fallback would form an int of billions of bits
 MAX_PAIRS = 12
 BURST = (0, 100, 102, 104, 106, 108, 110, 112, 114, 200)
 WITNESS_WINDOW = tuple(range(100, 115, 2))
-FLOAT_SAFE_BITS = 900  # beyond this the float paths refuse instead of overflowing
+FLOAT_SAFE_BITS = 900  # the int API refuses larger indices
 # thresholds of the five checks
 LOG_CONVEX_SCAN_TO = 256  # direct ratio scan through the burst region
 DIFF_CLOSED_BOUND = 4.0  # max_k b_k
@@ -79,34 +85,27 @@ def _form(c: int, a: int, s: int) -> int:
     return c * 3**s << a
 
 
-def _bracket(c: int, a: int, s: int) -> tuple[int, int, int]:
-    """(lo, hi, t) with lo 2^t <= c 2^a 3^s <= hi 2^t, ends rounded outward."""
+def _bits(c: int, a: int, s: int) -> int:
+    """int.bit_length of c 2^a 3^s for c >= 1, from a bracket of 3^s; the
+    int is formed only if the bracket's ends differ in length."""
     lo, hi, t = _power_bracket(3, s)
-    return _trim(lo * c << a, hi * c << a, t)
+    lo, hi = lo * c, hi * c
+    if lo.bit_length() != hi.bit_length():
+        return _form(c, a, s).bit_length()
+    return lo.bit_length() + t + a
 
 
-def _bits_and_log(c: int, a: int, s: int) -> tuple[int, float]:
-    """(bit_length, math.log) of c 2^a 3^s for c >= 1, from its bracket."""
-    lo, hi, t = _bracket(c, a, s)
-
-    def exact() -> int:
-        return _form(c, a, s)
-
-    bits = lo.bit_length() + t if lo.bit_length() == hi.bit_length() else exact().bit_length()
-    return bits, _log_bracketed(lo, hi, t, exact)
+def _log_ratio(p: Power, q: Power) -> float:
+    """log(lam_p / lam_q) for power forms p = (c, a, s) and q with c_p/c_q
+    in [1/2, 2], as every c is 100 to 200: there log1p keeps log(c_p/c_q)
+    to full relative precision."""
+    return math.log1p((p[0] - q[0]) / q[0]) + (p[1] - q[1]) * LOG2 + (p[2] - q[2]) * LOG3
 
 
-def _gap_log(c: int, a: int, s: int, da: int, ds: int) -> float:
-    """math.log of the gap from c 2^a 3^s up to c 2^(a+da) 3^(s+ds), which
-    is c 2^a 3^s (2^da 3^ds - 1): a bracket product."""
-    flo, fhi, ft = _bracket(1, da, ds)
-    # minus one: take a unit of 2^ft off the lower end; the upper end drops
-    # the one only where the bracket is exact (ft = 0)
-    flo, fhi = flo - 1, fhi - (ft == 0)
-    lo, hi, t = _bracket(c, a, s)
-    return _log_bracketed(
-        lo * flo, hi * fhi, t + ft, lambda: _form(c, a, s) * (_form(1, da, ds) - 1)
-    )
+def _gap_term_log(low: Power, high: Power, top: Power) -> float:
+    """log((high - low) / top) for power forms low < high: log(high/top) plus
+    log1p(-low/high), the latter taken as log(-expm1(log(low/high)))."""
+    return _log_ratio(high, top) + math.log(-math.expm1(_log_ratio(low, high)))
 
 
 def _b(level: float, log_k: float) -> float:
@@ -118,21 +117,21 @@ def _b(level: float, log_k: float) -> float:
 
 def build_schedule(
     pairs: int = 8,
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], list[float]]:
-    """(powers, doubled, gap_terms): the burst, pairs - 1 generated doubling
-    pairs and the closing boundary, each boundary lam_i as its power form
-    (c, a, s), lam_i = c 2^a 3^s. doubled lists the index pairs (i, j) with
-    lam_j = 2 lam_i; gap_terms holds m * log3 / v^2 at each generated append
-    decision. More than MAX_PAIRS pairs raise WeightError."""
+) -> tuple[list[Power], list[tuple[int, int]], list[float]]:
+    """(powers, doubled_at, gap_terms): the burst, pairs - 1 generated
+    doubling pairs and the closing boundary, each boundary lam_i as its power
+    form (c, a, s), lam_i = c 2^a 3^s. doubled_at lists the index pairs (i, j)
+    with lam_j = 2 lam_i; gap_terms holds m * log3 / v^2 at each generated
+    append decision. More than MAX_PAIRS pairs raise WeightError."""
     if pairs < 2:
         raise ValueError("need at least 2 pairs (the burst plus one generated)")
     if pairs > MAX_PAIRS:
         raise WeightError(
             f"counterexample:{pairs}: at most {MAX_PAIRS} pairs, the range whose "
-            "float checks are tested against the exact schedule"
+            "values are tested"
         )
     powers = [(n, 0, 0) for n in BURST]
-    doubled = [(1, len(BURST) - 1)]  # 100 and the 200 that closes the burst
+    doubled_at = [(1, len(BURST) - 1)]  # 100 and the 200 that closes the burst
     gap_terms = []
     for j in range(2, pairs + 2):
         pos = len(powers) - 1
@@ -142,76 +141,35 @@ def build_schedule(
         powers.append((c, a + 1, s + m))  # mu = 2 * lam[-1] * 3^m
         if j <= pairs:  # the last pass appends the closing boundary alone
             powers.append((c, a + 2, s + m))
-            doubled.append((pos + 1, pos + 2))
-    return powers, doubled, gap_terms
+            doubled_at.append((pos + 1, pos + 2))
+    return powers, doubled_at, gap_terms
 
 
 class CounterexampleSequence:
-    """The schedule in power form, with the bit length and log of each
-    boundary (`bits`, `logs`) and the log of each gap to the next boundary
-    (`gap_logs`), read from brackets. The float log-weight prefix forms the
-    boundaries of at most FLOAT_SAFE_BITS bits; `boundaries` and `doubled`
-    are the exact ints, formed on first use for callers that want them."""
+    """The schedule in power form (`powers`), its levels and the index pairs
+    of its doubled elements (`doubled_at`). Boundary reads (`*_at`) come
+    from the exponents; the int API covers the burst (see the module
+    docstring)."""
 
     def __init__(self, pairs: int = 8):
         t0 = time.perf_counter()
         self.pairs = pairs
         self.powers, self.doubled_at, self.gap_terms = build_schedule(pairs)
-        powers = self.powers
         # levels[i] rules (lam[i], lam[i+1]]; the last rules the tail
-        self.levels = [log_v(n) for n in range(len(powers))]
-        reads = [_bits_and_log(*p) for p in powers[1:]]  # lam_0 = 0
-        self.bits = [0] + [bits for bits, _ in reads]
-        self.logs = [LOG_ZERO] + [log for _, log in reads]
-        # the burst's gaps are small; each generated one is lam (2^da 3^ds - 1)
-        burst = len(BURST) - 1
-        self.gap_logs = [math.log(hi - lo) for lo, hi in zip(BURST, BURST[1:])] + [
-            _gap_log(c, a, s, a1 - a, s1 - s)
-            for (c, a, s), (_, a1, s1) in zip(powers[burst:], powers[burst + 1 :])
-        ]
-        self._ints: dict[int, int] = {}
+        self.levels = [log_v(n) for n in range(len(self.powers))]
+        self.last_digits = _bits(*self.powers[-1]) * math.log10(2)
         self.build_seconds = time.perf_counter() - t0
-        # float prefix of log M at boundaries, only while it fits a float
-        self._prefix: list[float] = [0.0]
-        for i in range(len(powers) - 1):
-            if self.bits[i + 1] > FLOAT_SAFE_BITS:
-                break
-            gap = self.boundary(i + 1) - self.boundary(i)
-            self._prefix.append(self._prefix[-1] + gap * self.levels[i])
-
-    def boundary(self, i: int) -> int:
-        """lam_i as an int, formed on first use."""
-        n = self._ints.get(i)
-        if n is None:
-            n = self._ints[i] = _form(*self.powers[i])
-        return n
-
-    @functools.cached_property
-    def boundaries(self) -> list[int]:
-        return [self.boundary(i) for i in range(len(self.powers))]
-
-    @functools.cached_property
-    def doubled(self) -> list[int]:
-        """The mu with both mu and 2 mu in the schedule."""
-        return [self.boundary(i) for i, _ in self.doubled_at]
-
-    @property
-    def last_digits(self) -> float:
-        return self.bits[-1] * math.log10(2)
-
-    def _count_below(self, k: int) -> int:
-        """How many boundaries lie below k. Bit lengths decide all but the
-        boundaries of k's own length, which are formed to compare."""
-        kb = k.bit_length()
-        j = bisect.bisect_left(self.bits, kb)
-        while j < len(self.bits) and self.bits[j] == kb and self.boundary(j) < k:
-            j += 1
-        return j
+        # float prefix of log M at the burst's entries
+        steps = [(hi - lo) * lv for lo, hi, lv in zip(BURST, BURST[1:], self.levels)]
+        self._prefix = list(itertools.accumulate(steps, initial=0.0))
 
     def block_index(self, k: int) -> int:
+        """The i with lam_i < k <= lam_(i+1), for 1 <= k < 2^FLOAT_SAFE_BITS."""
         if k < 1:
             raise ValueError("index must be positive")
-        return min(self._count_below(k) - 1, len(self.powers) - 1)
+        if k.bit_length() > FLOAT_SAFE_BITS:
+            raise WeightError(f"index of more than {FLOAT_SAFE_BITS} bits")
+        return bisect.bisect_left(BURST, k) - 1
 
     def level(self, k: int) -> float:
         """a_k, the log-ratio in force at index k."""
@@ -222,37 +180,24 @@ class CounterexampleSequence:
         return self.levels[i - 1]
 
     def log_weight(self, k: int) -> float:
-        """log M_k on the float-safe range; big indices must use root_log."""
+        """log M_k for k in the int API's range."""
         if k == 0:
             return 0.0
-        if k.bit_length() > FLOAT_SAFE_BITS:
-            raise WeightError("index too large for the float log-weight path")
         i = self.block_index(k)
-        if i >= len(self._prefix):
-            raise WeightError("index beyond the float-safe prefix")
-        return self._prefix[i] + (k - self.boundary(i)) * self.levels[i]
-
-    def _root_log(self, j: int, log_k: float, log_last_gap: float) -> float:
-        """log of M_k^(1/k) for lam_(j-1) < k <= lam_j (past the last
-        boundary when j is the entry count): the full gaps below lam_(j-1),
-        then k - lam_(j-1), whose log is log_last_gap."""
-        lv = self.levels
-        terms = [math.exp(self.gap_logs[i] - log_k) * lv[i] for i in range(j - 1) if lv[i] != 0.0]
-        if lv[j - 1] != 0.0:
-            terms.append(math.exp(log_last_gap - log_k) * lv[j - 1])
-        return math.fsum(terms)
+        return self._prefix[i] + (k - BURST[i]) * self.levels[i]
 
     def root_log(self, k: int) -> float:
-        """log of M_k^(1/k); safe for boundary-sized integers."""
-        if k < 1:
-            raise ValueError("index must be positive")
-        j = self._count_below(k)
-        # math.log takes arbitrary ints without overflow
-        return self._root_log(j, math.log(k), math.log(k - self.boundary(j - 1)))
+        """log of M_k^(1/k): the full gaps below lam_i, then k - lam_i."""
+        i = self.block_index(k)
+        gaps = [hi - lo for lo, hi in zip(BURST, BURST[1 : i + 1])] + [k - BURST[i]]
+        log_k = math.log(k)
+        return math.fsum(math.exp(math.log(gap) - log_k) * lv for gap, lv in zip(gaps, self.levels))
 
-    def root_log_at(self, i: int) -> float:
-        """root_log(lam_i) for a boundary index i >= 1, from the per-index logs."""
-        return self._root_log(i, self.logs[i], self.gap_logs[i - 1])
+    def root_log_at(self, j: int) -> float:
+        """root_log(lam_j) for a boundary index j >= 1: each gap below lam_j
+        over lam_j, from the exponents (lv[0] = 0 skips lam_0 = 0)."""
+        p, lv = self.powers, self.levels
+        return math.fsum(math.exp(_gap_term_log(p[i], p[i + 1], p[j])) * lv[i] for i in range(1, j))
 
     def g(self, k: int) -> float:
         """g_k = (M_k^2 / M_{2k})^(1/k), via k-th roots."""
@@ -267,8 +212,11 @@ class CounterexampleSequence:
         return _b(self.level(k + 1), math.log(k))
 
     def b_at(self, i: int) -> float:
-        """b(lam_i) for a boundary index i >= 1: levels[i] rules lam_i + 1."""
-        return _b(self.levels[i], self.logs[i])
+        """b(lam_i) for a boundary index i >= 1: levels[i] rules lam_i + 1.
+        A burst entry's log is math.log(c) exactly; a generated one's makes
+        b round to 1."""
+        c, a, s = self.powers[i]
+        return _b(self.levels[i], math.log(c) + a * LOG2 + s * LOG3)
 
     @functools.cached_property
     def weights(self) -> WeightSequence:
@@ -314,7 +262,7 @@ def verify_diff_closed(seq: CounterexampleSequence) -> CheckReport:
     for i in range(1, len(seq.powers)):
         b = seq.b_at(i)
         if b > best:
-            best, best_at = b, seq.boundary(i) if seq.bits[i] < 64 else -i
+            best, best_at = b, BURST[i] if i < len(BURST) else -i
     return CheckReport(
         "difference-closedness",
         best <= DIFF_CLOSED_BOUND,

@@ -2,15 +2,18 @@
 
 The frozen numbers (max b, min g, gap sum, entry digits) are pinned outputs
 of the builder at pairs=8; any drift in the schedule rule shows up here.
-The schedule is held in power form and its logs read from brackets, so a
-test-local copy of the exact-int builder is kept as their oracle.
+The schedule is held in power form and its boundary reads come from the
+exponents, so a test-local copy of the exact-int builder is kept as their
+oracle, with each k-th root log summed from exact gap ratios.
 """
 
 import bisect
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import carleman.counterexample as ce
 from carleman import cli
@@ -41,16 +44,16 @@ def seq():
 
 
 def test_schedule_shape(seq):
-    assert len(seq.boundaries) == 25
-    assert seq.boundaries[:10] == list(BURST)
-    assert len(seq.doubled) == 8
-    assert seq.doubled[0] == 100
-    bs = seq.boundaries
+    bs = [ce._form(*p) for p in seq.powers]
+    assert len(bs) == 25
+    assert bs[:10] == list(BURST)
+    assert len(seq.doubled_at) == 8
+    assert seq.doubled_at[0] == (1, 9)  # 100's partner 200 closes the burst
     assert all(a < b for a, b in zip(bs, bs[1:]))
-    # each generated pair really doubles
-    for mu in seq.doubled:
-        assert 2 * mu in bs or mu == 100  # 100's partner 200 closes the burst
-    assert 200 in bs
+    # each pair really doubles
+    assert all(2 * bs[i] == bs[j] for i, j in seq.doubled_at)
+    # past the burst every boundary is beyond the int API's range
+    assert bs[len(BURST)].bit_length() > 2400 > FLOAT_SAFE_BITS
 
 
 def test_levels_monotone(seq):
@@ -97,7 +100,8 @@ def test_gap_ratio_frozen_values(seq):
     assert rep.details["g_min"] == pytest.approx(0.03585936805839124, rel=1e-9)
     assert rep.details["g_min_at"] == 106
     assert all(seq.g(k) <= 0.1 for k in WITNESS_WINDOW)
-    assert rep.details["pair_g_max"] == pytest.approx(0.8242659153930372, rel=1e-9)
+    # the exact oracle's value (below), which a 60-digit Decimal sum confirms
+    assert rep.details["pair_g_max"] == pytest.approx(0.8242659161988843, rel=1e-14)
 
 
 def test_gap_sum_frozen(seq):
@@ -117,16 +121,17 @@ def test_root_log_dual_path(seq):
 
 
 def test_root_never_exceeds_step(seq):
-    for mu in seq.doubled:
-        for k in (mu, 2 * mu):
-            assert seq.root_log(k) <= seq.level(k) + 1e-12
+    for pair in seq.doubled_at:
+        for i in pair:
+            assert seq.root_log_at(i) <= seq.level_at(i) + 1e-12
 
 
 def test_float_paths_refuse_huge_indices(seq):
-    with pytest.raises(WeightError):
-        seq.log_weight(2**901)
-    # but the root route handles boundary-sized integers
-    assert math.isfinite(seq.root_log(seq.boundaries[-1]))
+    for read in (seq.log_weight, seq.level, seq.root_log, seq.g, seq.b):
+        with pytest.raises(WeightError):
+            read(2**901)
+    # boundary-sized indices are read by boundary index
+    assert math.isfinite(seq.root_log_at(len(seq.powers) - 1))
 
 
 def test_weights_adapter(seq):
@@ -193,7 +198,8 @@ def exact_schedule(pairs):
 
 
 class ExactOracle:
-    """root_log, b, g and level on the exact ints, as the int-list code did."""
+    """root_log, b, g and level on the exact ints: each root log sums the
+    correctly rounded gap ratios gap/k, with no log of a boundary's size."""
 
     def __init__(self, pairs):
         self.lam, self.doubled, self.gap_terms = exact_schedule(pairs)
@@ -205,17 +211,12 @@ class ExactOracle:
 
     def root_log(self, k):
         lam = self.lam
-        lk = math.log(k)
-        terms = []
-        for i in range(len(lam) - 1):
-            if lam[i] >= k:
-                break
-            gap = min(lam[i + 1], k) - lam[i]
-            if gap > 0 and self.levels[i] != 0.0:
-                terms.append(math.exp(math.log(gap) - lk) * self.levels[i])
+        gaps = [min(hi, k) - lo for lo, hi in zip(lam, lam[1:]) if lo < k]
         if k > lam[-1]:
-            terms.append(math.exp(math.log(k - lam[-1]) - lk) * self.levels[-1])
-        return math.fsum(terms)
+            gaps.append(k - lam[-1])
+        # int true division rounds correctly, to float(Fraction(gap, k)),
+        # without the gcd of two boundary-sized ints
+        return math.fsum(gap / k * lv for gap, lv in zip(gaps, self.levels))
 
     def g(self, k):
         return math.exp(2 * (self.root_log(k) - self.root_log(2 * k)))
@@ -239,13 +240,11 @@ def oracles():
 def test_power_form_matches_the_exact_schedule(pairs, oracles):
     o = oracles[pairs]
     seq = CounterexampleSequence(pairs)
-    assert seq.boundaries == o.lam
-    assert seq.doubled == o.doubled
+    assert [ce._form(*p) for p in seq.powers] == o.lam
+    assert [o.lam[i] for i, _ in seq.doubled_at] == o.doubled
+    assert all(2 * o.lam[i] == o.lam[j] for i, j in seq.doubled_at)
     assert seq.gap_terms == o.gap_terms
-    assert [2 * seq.boundary(i) for i, _ in seq.doubled_at] == [seq.boundary(j) for _, j in seq.doubled_at]
-    assert seq.bits == [k.bit_length() for k in o.lam]
-    assert seq.logs[1:] == [math.log(k) for k in o.lam[1:]]
-    assert seq.gap_logs == [math.log(b - a) for a, b in zip(o.lam, o.lam[1:])]
+    assert seq.last_digits == o.lam[-1].bit_length() * math.log10(2)
 
 
 @pytest.mark.parametrize("pairs", ORACLE_PAIRS)
@@ -253,16 +252,17 @@ def test_reads_at_boundaries_and_doubles_match_the_oracle(pairs, oracles):
     o = oracles[pairs]
     seq = CounterexampleSequence(pairs)
     for i, lam in enumerate(o.lam[1:], 1):
-        assert seq.root_log_at(i) == o.root_log(lam)
+        assert seq.root_log_at(i) == pytest.approx(o.root_log(lam), rel=1e-14)
         assert seq.level_at(i) == o.level(lam)
         assert seq.b_at(i) == o.b(lam)
+    for lam in BURST[1:]:  # the int API's boundaries
         for k in (lam, 2 * lam):
-            assert seq.root_log(k) == o.root_log(k)
-            assert seq.g(k) == o.g(k)
+            assert seq.root_log(k) == pytest.approx(o.root_log(k), rel=1e-14)
+            assert seq.g(k) == pytest.approx(o.g(k), rel=1e-14)
             assert seq.b(k) == o.b(k)
             assert seq.level(k) == o.level(k)
     for i, j in seq.doubled_at:
-        assert seq.g_at(i, j) == o.g(o.lam[i])
+        assert seq.g_at(i, j) == pytest.approx(o.g(o.lam[i]), rel=1e-14)
 
 
 def oracle_details(o, checks):
@@ -301,27 +301,39 @@ def oracle_details(o, checks):
 def test_every_verification_detail_matches_the_oracle(pairs, oracles):
     checks = {c.name: c.details for c in full_verification(pairs)}
     for name, expected in oracle_details(oracles[pairs], checks).items():
-        assert checks[name] == expected, name
+        got = dict(checks[name])
+        # the g values sum rounded gap ratios two ways, so they agree to 1e-14
+        for key in ("window", "g_min", "pair_g_max"):
+            if key in expected:
+                assert got.pop(key) == pytest.approx(expected.pop(key), rel=1e-14), (name, key)
+        assert got == expected, name
 
 
 @given(st.integers(1, 10**6), st.integers(0, 5000), st.integers(0, 5000))
 @settings(max_examples=200, deadline=None)
-def test_bracketed_power_form_reads_match_the_formed_int(c, a, s):
-    N = c * 3**s << a
-    assert ce._bits_and_log(c, a, s) == (N.bit_length(), math.log(N))
+def test_bracketed_bit_length_matches_the_formed_int(c, a, s):
+    assert ce._bits(c, a, s) == (c * 3**s << a).bit_length()
 
 
-@given(
-    st.integers(1, 10**6),
-    st.integers(0, 5000),
-    st.integers(0, 5000),
-    st.integers(1, 5),
-    st.integers(0, 5000),
-)
+coefficient = st.integers(100, 200)  # the c of every boundary past 0
+power = st.tuples(coefficient, st.integers(0, 5000), st.integers(0, 5000))
+
+
+@given(power, coefficient, st.integers(0, 5), st.integers(0, 5000), power)
 @settings(max_examples=200, deadline=None)
-def test_bracketed_gap_log_matches_the_formed_gap(c, a, s, da, ds):
-    low, high = c * 3**s << a, c * 3 ** (s + ds) << (a + da)
-    assert ce._gap_log(c, a, s, da, ds) == math.log(high - low)
+def test_gap_term_log_matches_the_fraction(low, ch, da, ds, top):
+    """log((high - low) / top) from exponent differences, for a high that
+    steps up from low as the schedule's boundaries do."""
+    (c, a, s), (ct, at, st_) = low, top
+    high = (ch, a + da, s + ds)
+    assume(ch >= c and high != low)
+    ratio = Fraction(ce._form(*high) - ce._form(*low), ce._form(*top))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        want = float(Decimal(ratio.numerator).ln() - Decimal(ratio.denominator).ln())
+    # each exponent part is rounded once; log(high/top)'s parts may cancel
+    parts = abs(math.log(ch / ct)) + abs(a + da - at) * math.log(2) + abs(s + ds - st_) * LOG3
+    assert abs(ce._gap_term_log(low, high, top) - want) <= 2e-15 * (1 + parts + abs(want))
 
 
 def test_no_boundary_past_the_float_safe_range_is_formed(monkeypatch, tmp_path):
@@ -342,12 +354,16 @@ def test_no_boundary_past_the_float_safe_range_is_formed(monkeypatch, tmp_path):
         counterexample_sequence.cache_clear()
 
 
-# pairs: (last_entry_digits, gap sum, pair_g_max), from the exact-int builder
+# pairs: (last_entry_digits, gap sum, pair_g_max); the digits and the gap
+# sum from the exact-int builder, pair_g_max as computed
 PAST_PAIRS_8 = {
-    10: (3193772.019427091, 10.000300642924689, 0.8360392199699959),
-    11: (6497642.448438331, 11.000300656404354, 0.8410554589813314),
-    12: (12926787.628573293, 12.000300697571339, 0.8456129117739278),
+    10: (3193772.019427091, 10.000300642924689, 0.8360392194562896),
+    11: (6497642.448438331, 11.000300656404354, 0.8410554584396599),
+    12: (12926787.628573293, 12.000300697571339, 0.8456129112051147),
 }
+# max_pairs g from a 60-digit Decimal sum over the exact powers of 2 and 3
+# in each gap ratio, the float levels taken as given
+PAIR_G_REFERENCE = {10: 0.8360392194562888, 11: 0.8410554584396599, 12: 0.8456129112051147}
 
 
 @pytest.mark.parametrize("pairs", sorted(PAST_PAIRS_8))
@@ -358,6 +374,7 @@ def test_pins_past_eight_pairs(pairs):
     assert counterexample_sequence(pairs).last_digits == digits
     assert checks["gap-sums"].details["sum"] == gap_sum
     assert checks["strict-gap-window"].details["pair_g_max"] == pair_g_max
+    assert pair_g_max == pytest.approx(PAIR_G_REFERENCE[pairs], rel=1e-14)
 
 
 def test_pairs_past_the_tested_range_are_refused():

@@ -150,6 +150,18 @@ def test_layout_load_rejects_tampering(greedy_layout):
         Layout.from_json_dict(data)
 
 
+def test_layout_load_rejects_tiny_centres_edited():
+    # gevrey:200 centres run from 1.9e-48 down to 9e-124, all below an
+    # absolute 1e-9 of any edit
+    data = build_layout(gevrey(200), EFunction.parse("sqrt"), 16).to_json_dict()
+    assert max(e["center"] for e in data["entries"]) < 1e-40
+    Layout.from_json_dict(data)
+    for e in data["entries"]:
+        e["center"] = 1e-10
+    with pytest.raises(LayoutError, match="disagrees"):
+        Layout.from_json_dict(data)
+
+
 def test_flat_value_matches_jet_constant(flat_fn):
     for pt in [(0.3, 0.2), (0.5773, 0.0), (-1.0, 0.4)]:
         jet = flat_fn.jet(pt, 2)
