@@ -21,8 +21,8 @@ gevrey:3, shift:2:gevrey:1 and power:2:gevrey:1 never do.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
-the `BaseFunction` it checks; one loop gives the lower rows of both the base
-and the blocks, the base being the case rho = 1.
+the `BaseFunction` it checks; the base is the case rho = 1 of both the lower
+rows (one loop) and the upper sweep (one bound and its tail, `_upper_bound`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .weights import WeightError, WeightSequence
 DEFAULT_TERMS = 40
 MIN_TERMS = 4
 POLAR_BLOCK_C = 2 * 8**5
+LOG2, LOG8 = math.log(2), math.log(8)
 GUARD_BITS = 64  # leading bits of M_k/g kept past the 53 a double rounds to
 
 Scalar = Union[int, float, Fraction]
@@ -240,33 +241,38 @@ class BaseFunction:
 # Each check takes the truncated base function it checks and reads the
 # family and term count K from it.
 
+def _upper_bound(h: BaseFunction, log_d: float, two_log_rho: float):
+    """The `log_bound` of |d^a f| <= 64 rho^2 8^(|a|+1) a! M_a2 / D^(1+|a|/2),
+    log D = log_d, for a block of scale rho or the base (rho = 1, two_log_rho
+    = 0.0, which adds no bit).
+
+    Jets are truncated at K terms; the dropped contribution is bounded by
+    rho^2 8^(|a|+1) a! M_a2 2^-K over the same denominator power and is added
+    to the left side, so the certified inequality covers the full series."""
+    M, log_2k = h.M, h.terms * LOG2
+
+    def log_bound(a, n):
+        scale = (1 + n / 2) * log_d
+        log_tail = two_log_rho + (n + 1) * LOG8 + M.log_weight(a[1]) - log_2k - scale
+        log_rhs = math.log(64) + two_log_rho + (n + 1) * LOG8 + M.log_weight(a[1]) - scale
+        return [log_tail], log_rhs
+
+    return log_bound
+
+
 def base_upper_check(
     h: BaseFunction, degree: int = 6, points: int = 25, seed: int = 3
 ) -> SweepResult:
-    """Sweep |d^a h| <= 64 * 8^(|a|+1) a! M_a2 / (1+|x|^2)^(1+|a|/2).
-
-    Jets are truncated at K terms; the dropped contribution is bounded by
-    8^(|a|+1) a! M_a2 2^-K over the same denominator power and is added to
-    the left side, so the certified inequality covers the full series.
-    """
+    """Sweep |d^a h| <= 64 * 8^(|a|+1) a! M_a2 / (1+|x|^2)^(1+|a|/2), the
+    block bound at rho = 1, with its truncation tail."""
     rng = random.Random(seed)
-    M = h.M
     res = SweepResult()
     pts = [(0.0, 0.0)] + [
         (rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(points - 1)
     ]
-    log8 = math.log(8)
     for x in pts:
-        jet = h.jet(x, degree, FLOAT)
-        log_opt = math.log1p(x[0] ** 2 + x[1] ** 2)
-
-        def log_bound(a, n):
-            scale = (1 + n / 2) * log_opt
-            log_tail = (n + 1) * log8 + M.log_weight(a[1]) - h.terms * math.log(2) - scale
-            log_rhs = math.log(64) + (n + 1) * log8 + M.log_weight(a[1]) - scale
-            return [log_tail], log_rhs
-
-        res.sweep(jet, (x,), log_bound=log_bound)
+        log_bound = _upper_bound(h, math.log1p(x[0] ** 2 + x[1] ** 2), 0.0)
+        res.sweep(h.jet(x, degree, FLOAT), (x,), log_bound=log_bound)
     return res
 
 
@@ -376,9 +382,7 @@ def block_upper_check(
 ) -> SweepResult:
     """Sweep |d^a f| <= 64 rho^2 8^(|a|+1) a! M_a2 / (|x-c|^2 + rho^2)^(1+|a|/2)."""
     rng = random.Random(seed)
-    M = h.M
     res = SweepResult()
-    log8 = math.log(8)
     for q, rho in geometries:
         blk = Block(h, q, rho)
         c1, rr = float(blk.center[0]), float(rho)
@@ -386,28 +390,9 @@ def block_upper_check(
             (c1 + rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(points - 1)
         ]
         for x in pts:
-            jet = blk.jet(x, degree, FLOAT)
-            dist = (x[0] - c1) ** 2 + x[1] ** 2 + rr * rr
-
-            def log_bound(a, n):
-                scale = (1 + n / 2) * math.log(dist)
-                log_tail = (
-                    2 * math.log(rr)
-                    + (n + 1) * log8
-                    + M.log_weight(a[1])
-                    - h.terms * math.log(2)
-                    - scale
-                )
-                log_rhs = (
-                    math.log(64)
-                    + 2 * math.log(rr)
-                    + (n + 1) * log8
-                    + M.log_weight(a[1])
-                    - scale
-                )
-                return [log_tail], log_rhs
-
-            res.sweep(jet, ((q, rho), x), log_bound=log_bound)
+            log_d = math.log((x[0] - c1) ** 2 + x[1] ** 2 + rr * rr)
+            log_bound = _upper_bound(h, log_d, 2 * math.log(rr))
+            res.sweep(blk.jet(x, degree, FLOAT), ((q, rho), x), log_bound=log_bound)
     return res
 
 
@@ -426,6 +411,13 @@ def block_lower_check(
 def polar_block_jet(blk: Block, base_pt: tuple, degree: int, kind: str = FLOAT) -> Jet2:
     """Jet of f(r cos theta, r sin theta); exact kind needs base theta = 0."""
     return blk.jet_of(*polar_coordinates(base_pt, degree, kind))
+
+
+def polar_tail_log(h: BaseFunction, w_log: float, growth: float, a: tuple, n: int) -> float:
+    """log of the K-term tail of a block of weight e^w_log at coefficient a
+    of a polar sweep: w (1 + q rho)^a2 8^(5(n+1)) M_n 2^-K, growth =
+    log(1 + q rho). The single block has w_log = 0.0, which adds no bit."""
+    return w_log + a[1] * growth + 5 * (n + 1) * LOG8 + h.M.log_weight(n) - h.terms * LOG2
 
 
 def polar_block_bound_check(
@@ -452,13 +444,8 @@ def polar_block_bound_check(
         growth = math.log1p(float(q * rho))
 
         def log_bound(a, n):
-            log_tail = (
-                a[1] * growth
-                + 5 * (n + 1) * math.log(8)
-                + M.log_weight(n)
-                - h.terms * math.log(2)
-            )
-            return [log_tail], a[1] * growth + (n + 1) * logC + M.log_weight(n)
+            log_rhs = a[1] * growth + (n + 1) * logC + M.log_weight(n)
+            return [polar_tail_log(h, 0.0, growth, a, n)], log_rhs
 
         def constant(a, n, coef):
             norm = math.log(coef) - a[1] * growth - M.log_weight(n)

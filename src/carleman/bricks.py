@@ -128,9 +128,9 @@ class SweepResult:
         the smallest constant that coefficient allows; empirical_constant
         keeps the running maximum. A failure is tagged (*tag, a).
         """
-        for a in _alpha_range(jet.degree):
+        for a, coef in jet.graded_items():
             n = a[0] + a[1]
-            coef = abs(jet.coefficient(a))
+            coef = abs(coef)
             if rhs_sq is not None:
                 self.record_squares(coef * coef, rhs_sq(a, n), (*tag, a))
             else:
@@ -139,11 +139,6 @@ class SweepResult:
                 self.record(logsumexp([log_coef] + log_tails), log_rhs, (*tag, a))
             if constant is not None and coef != 0:
                 self.empirical_constant = max(self.empirical_constant, constant(a, n, coef))
-
-
-def _alpha_range(degree: int) -> list[tuple[int, int]]:
-    """Multi-indices of total degree <= degree, in graded order."""
-    return [(i, t - i) for t in range(degree + 1) for i in range(t + 1)]
 
 
 def _rational_points(rng: random.Random, n: int, span: int = 12) -> list[tuple[Fraction, Fraction]]:

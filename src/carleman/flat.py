@@ -22,18 +22,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .blocks import MIN_TERMS, BaseFunction, Block
+from .blocks import LOG2, LOG8, MIN_TERMS, POLAR_BLOCK_C, BaseFunction, Block, polar_tail_log
 from .bricks import SweepResult, polar_samples
 from .intervals import ROOT_DIGITS, RInterval
 from .jets import FLOAT, Jet2, polar_coordinates
 from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 from .weights import WeightSequence, compare, parse_family, shift
 
-POLAR_FLAT_C = 2 * 8**5
 LAMBDA0_CAP = 10**6  # last order the lambda0 scan tries
 SHARPNESS_COMPARE_HORIZON = 64  # K of the sharpness hypothesis comparison
-LOG2 = math.log(2.0)
-LOG8 = math.log(8.0)
 # float logs decide a comparison of roots only when they differ by more than
 # this, relative to the larger log; their rounding error is far below it
 FLOAT_LOG_MARGIN = 2.0**-30
@@ -161,8 +158,9 @@ class Layout:
         return text + "\n"
 
     def save(self, path) -> None:
+        text = self.to_json()  # a refused layout leaves the file as it was
         with open(path, "w") as fh:
-            fh.write(self.to_json())
+            fh.write(text)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Layout":
@@ -591,27 +589,20 @@ def polar_flat_check(
     degree: int = 5,
     radii: int = 4,
     angles: int = 3,
-    C: float = POLAR_FLAT_C,
+    C: float = POLAR_BLOCK_C,
     seed: int = 7,
 ) -> SweepResult:
-    """Sweep |d^a (F o polar)| <= (2C)^(|a|+1) a! M_|a| in float arithmetic."""
+    """Sweep |d^a (F o polar)| <= (2C)^(|a|+1) a! M_|a| in float arithmetic,
+    each block's `polar_tail_log` added to the left side."""
     if abs(fn.M.log_weight(1)) > 1e-12:
         raise LayoutError("polar bound requires M_1 = 1")
     rng = random.Random(seed)
-    layout = fn.layout
     res = SweepResult()
     log2C = math.log(2 * C)
-    entry_logs = [(e.weight_log, math.log1p(e.center)) for e in layout.entries]
+    entry_logs = [(e.weight_log, math.log1p(e.center)) for e in fn.layout.entries]
 
     def log_bound(a, n):
-        tail_logs = [
-            w_log
-            + a[1] * growth
-            + 5 * (n + 1) * LOG8
-            + fn.M.log_weight(n)
-            - layout.terms * LOG2
-            for w_log, growth in entry_logs
-        ]
+        tail_logs = [polar_tail_log(fn.base, w_log, growth, a, n) for w_log, growth in entry_logs]
         return tail_logs, (n + 1) * log2C + fn.M.log_weight(n)
 
     for r, th in polar_samples(rng, radii, angles):

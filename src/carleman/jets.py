@@ -211,7 +211,12 @@ class Jet2:
     @property
     def coeffs(self) -> MappingProxyType:
         """Read-only {(i, j): scalar} of the nonzero coefficients."""
-        return MappingProxyType({a: c for a, c in zip(_tables(self.degree)[0], self._c) if c})
+        return MappingProxyType({a: c for a, c in self.graded_items() if c})
+
+    def graded_items(self):
+        """(alpha, coefficient) for every alpha of total degree <= degree, in
+        graded order, zeros included (a float zero may be -0.0)."""
+        return zip(_tables(self.degree)[0], self._c)
 
     def coefficient(self, alpha) -> object:
         """Taylor coefficient at alpha, i.e. d^alpha f / alpha!."""

@@ -139,6 +139,16 @@ def test_layout_round_trip(tmp_path, greedy_layout):
     assert [e.rho for e in back.entries] == [e.rho for e in greedy_layout.entries]
 
 
+def test_refused_save_leaves_the_file_as_it_was(tmp_path):
+    # a gevrey:1000 layout has a float field that cannot hold its value
+    layout = build_layout(gevrey(1000), EFunction.parse("sqrt"), 4)
+    path = tmp_path / "layout.json"
+    path.write_text("earlier contents\n")
+    with pytest.raises(LayoutError, match="cannot hold"):
+        layout.save(path)
+    assert path.read_text() == "earlier contents\n"
+
+
 def test_layout_load_rejects_tampering(greedy_layout):
     data = greedy_layout.to_json_dict()
     data["entries"][0]["rho"] = "1/4"

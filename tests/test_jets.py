@@ -115,6 +115,26 @@ def test_product_and_reciprocal_match_dict_schoolbook(data):
             )
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_graded_items_walk_every_index_once_in_graded_order(data):
+    degree = data.draw(st.integers(0, 8))
+    kind = data.draw(st.sampled_from([EXACT, FLOAT]))
+    if kind == EXACT:
+        values = st.one_of(st.just(Fraction(0)), rationals)
+    else:
+        values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4))
+    key = st.tuples(st.integers(0, degree), st.integers(0, degree))
+    entries = st.dictionaries(key.filter(lambda a: sum(a) <= degree), values, max_size=12)
+    j = Jet2(B0, degree, kind, data.draw(entries))
+    graded = [(i, n - i) for n in range(degree + 1) for i in range(n + 1)]
+    for jet in (j, -j):  # negation turns every float 0.0 into -0.0
+        items = list(jet.graded_items())
+        assert [alpha for alpha, _ in items] == graded
+        for alpha, value in items:
+            assert abs(value) == abs(jet.coefficient(alpha))
+
+
 @pytest.mark.parametrize("kind, zero", [(EXACT, Fraction(0)), (FLOAT, 0.0)])
 def test_zero_entries_read_as_the_kinds_zero(kind, zero):
     j = Jet2(B0, 3, kind, {(0, 0): 2, (1, 1): 0})
