@@ -17,7 +17,10 @@ an int reads only its 53-bit rounding, decided by the leading bits and a
 sticky bit. A shift and a short division give those of M_k/g; one square and
 multiply on m_k, divided by g, brackets the numerator, formed only when the
 bracket straddles a rounding boundary: gevrey:1 to 13664 terms, gevrey:2,
-gevrey:3, shift:2:gevrey:1 and power:2:gevrey:1 never do.
+gevrey:3, shift:2:gevrey:1 and power:2:gevrey:1 never do. M_k is never kept
+as a table, which would grow like K^2 log K bits (2.4 GiB at the eighth
+greedy block's 54624 terms): base init carries it as one running product,
+and every later exact read runs a running product or a forward cursor.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
@@ -49,24 +52,57 @@ GUARD_BITS = 64  # leading bits of M_k/g kept past the 53 a double rounds to
 Scalar = Union[int, float, Fraction]
 
 
+SMALL_PRIMES = tuple(p for p in range(2, 64) if all(p % d for d in range(2, p)))
+
+
+def _perfect_root(n: int, least: int) -> tuple[int, int]:
+    """(r, e) with r^e == n, for n with no prime factor below `least`: e is
+    as large as float estimates of the roots find. A root over 50 bits is
+    not tried; a missed root costs trial divisions, never a wrong factor."""
+    e, q = 1, 2
+    while least**q <= n:
+        if n.bit_length() <= 50 * q:
+            r = round(math.exp(math.log(n) / q))
+            if r**q == n:
+                n, e = r, e * q
+                continue
+        q += 1
+    return n, e
+
+
 def _prime_factors(n: int) -> dict[int, int]:
-    """{p: v_p(n)} for a positive integer, by trial division."""
+    """{p: v_p(n)} for a positive integer, by trial division.
+
+    The cofactor left by SMALL_PRIMES is r^e for its perfect-power root r,
+    and r's primes carry e times their exponent: a ratio (k+1)^s with k+1
+    prime then stops at sqrt(k+1), not k+1. A ratio below 61^2, such as
+    gevrey:1's k+1 through 3424 terms, never leaves SMALL_PRIMES."""
     factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
+    e = 1
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-        p += 1 if p == 2 else 2
+    else:
+        p = SMALL_PRIMES[-1] + 2
+        n, e = _perfect_root(n, p)
+        while p * p <= n:
+            while n % p == 0:
+                factors[p] = factors.get(p, 0) + e
+                n //= p
+            p += 2
     if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+        factors[n] = factors.get(n, 0) + e
     return factors
 
 
-def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[int], list[float]]:
-    """M_0 .. M_(terms+1) and m_0 .. m_terms as integers, and log phi(m_k)
-    for k = 1 .. terms.
+def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[float]]:
+    """m_0 .. m_terms as integers and log phi(m_k) for k = 1 .. terms.
 
+    M_k is one running product, read for its leading bits and 2-adic
+    valuation at each k and then multiplied on; no table of M_k is kept.
     phi(m_k) = m_k^(k+2)/M_k is read in lowest terms, as `log_of_fraction`
     would: g = 2^c_2 g_odd with c_p = min(v_p(M_k), (k+2) v_p(m_k)) for
     p | m_k, from a running count of M_k's prime exponents, and each odd
@@ -80,7 +116,7 @@ def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[int
       `_log_bracketed` forms the quotient only when the bracket straddles a
       rounding boundary, at odds of about 2^-62 per k: its relative width
       stays under 2^-115 for these families."""
-    Ms, ms, log_phi = [1], [], []
+    ms, log_phi, M_k = [], [], 1
     valuations: dict[int, int] = {}
     odd_powers: dict[int, tuple[int, int]] = {}  # p: (c_p, p^c_p) at the last k with p | m_k
     for k in range(terms + 1):
@@ -100,28 +136,52 @@ def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[int
                     g_odd *= power
             lo, hi, t = _power_bracket(m, k + 2, g_odd, c2)
             log_num = _log_bracketed(lo, hi, t, lambda: (m ** (k + 2) >> c2) // g_odd)
-            s = max(Ms[k].bit_length() - g_odd.bit_length() - c2 - GUARD_BITS, 1)
-            top = (Ms[k] >> (c2 + s)) // g_odd
+            s = max(M_k.bit_length() - g_odd.bit_length() - c2 - GUARD_BITS, 1)
+            top = (M_k >> (c2 + s)) // g_odd
             sticky = valuations.get(2, 0) - c2 < s
             log_phi.append(log_num - math.log(((top << 1) | sticky) << (s - 1)))
         ms.append(m)
-        Ms.append(Ms[k] * m)
+        M_k *= m
         for p, v in factors.items():
             valuations[p] = valuations.get(p, 0) + v
-    return Ms, ms, log_phi
+    return ms, log_phi
+
+
+class _ProductCursor:
+    """M_k = m_0 ... m_(k-1) for 0 <= k <= len(ms), from one cached (k, M_k)
+    pair: a larger k multiplies forward from it, a smaller one restarts at
+    M_0 = 1. Read in increasing k it costs one product per step and holds one
+    M_k, where a table of M_0 .. M_K holds about K^2 log2(K) / 2 bits."""
+
+    def __init__(self, ms: list[int]):
+        self._ms = ms
+        self._k, self._M = 0, 1
+
+    def __call__(self, k: int) -> int:
+        if not 0 <= k <= len(self._ms):
+            raise IndexError(f"M_{k} lies outside M_0 .. M_{len(self._ms)}")
+        if k < self._k:
+            self._k, self._M = 0, 1
+        M = self._M
+        for m in self._ms[self._k : k]:
+            M *= m
+        self._k, self._M = k, M
+        return M
 
 
 class BaseFunction:
     """K-term truncation of h; exact weights when the family has them.
 
-    An exact family must have integer ratios m_k; they and their running
-    product M_k are kept as integer tables, checked once here, and every
-    exact quantity reads them, not the family: exact values and jets, the
-    exact weights M_k/(2^k m_k^k) (built on demand; the certificate builds
-    none), the moment sum_k w_k m_k^order (`axis_moment`; an axis sum is it
-    over (1+t^2)^(order/2+1)) and its tail. Each log weight comes from the
-    prime valuations of the ratios and the leading bits of two quotients
-    (`_integer_weights`)."""
+    An exact family must have integer ratios m_k; they are kept as an integer
+    table, checked once here, and every exact quantity reads them, not the
+    family. M_k is never tabled: `axis_moment` forms it as a running product
+    in its own loop, and the exact weights M_k/(2^k m_k^k) (built on demand;
+    the certificate builds none), the tail and the lower rows read one
+    forward cursor over the ratios (`_ProductCursor`). Exact values and jets
+    read the weights; the moment sum_k w_k m_k^order (`axis_moment`; an axis
+    sum is it over (1+t^2)^(order/2+1)) reads the ratios. Each log weight
+    comes from the prime valuations of the ratios and the leading bits of
+    two quotients (`_integer_weights`)."""
 
     def __init__(self, M: WeightSequence, terms: int = DEFAULT_TERMS):
         if terms < MIN_TERMS:
@@ -132,7 +192,8 @@ class BaseFunction:
         # phi(m_k) = m_k^(k+2)/M_k needs nondecreasing ratios through m_terms
         M.validate(terms + 1)
         if M.has_exact:
-            self._M_int, self._m_int, log_phi = _integer_weights(M, terms)
+            self._m_int, log_phi = _integer_weights(M, terms)
+            self._M_at = _ProductCursor(self._m_int)
         else:
             log_phi = [(k + 2) * M.log_ratio(k) - M.log_weight(k) for k in self.k_range]
         self._log_w = {
@@ -152,7 +213,7 @@ class BaseFunction:
             raise ValueError(f"{self.M.name} has no exact rational path")
         w = self._exact_w.get(k)
         if w is None:
-            w = self._exact_w[k] = Fraction(self._M_int[k], 2**k * self._m_int[k] ** k)
+            w = self._exact_w[k] = Fraction(self._M_at(k), 2**k * self._m_int[k] ** k)
         return w
 
     # -- evaluation ----------------------------------------------------------
@@ -209,17 +270,21 @@ class BaseFunction:
         """sum_k w_k m_k^order over the truncation, exact.
 
         Each term w_k m_k^order = M_k m_k^(order-k) / 2^k is read from the
-        integers M_k and m_k: a dyadic for k <= order. The terms are summed
-        as a balanced tree: each addition's gcd then works on operands of
-        like size instead of the growing partial sum."""
+        integer m_k and M_k, a running product over this loop: a dyadic for
+        k <= order. The terms are summed as a balanced tree: each addition's
+        gcd then works on operands of like size instead of the growing
+        partial sum."""
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
-        terms = [
-            Fraction(self._M_int[k] * self._m_int[k] ** (order - k), 2**k)
-            if k <= order
-            else Fraction(self._M_int[k], self._m_int[k] ** (k - order) * 2**k)
-            for k in self.k_range
-        ]
+        terms, M_k = [], 1
+        for k in self.k_range:
+            M_k *= self._m_int[k - 1]
+            m = self._m_int[k]
+            terms.append(
+                Fraction(M_k * m ** (order - k), 2**k)
+                if k <= order
+                else Fraction(M_k, m ** (k - order) * 2**k)
+            )
         while len(terms) > 1:
             odd = terms[-1:] if len(terms) % 2 else []
             terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
@@ -234,7 +299,7 @@ class BaseFunction:
         M_order 2^-K."""
         if not self.M.has_exact:
             raise ValueError("exact tail needs an exact family")
-        return Fraction(self._M_int[order], 2**self.terms)
+        return Fraction(self._M_at(order), 2**self.terms)
 
 
 # -- finite-order bound checks -----------------------------------------------
@@ -312,7 +377,7 @@ def _lower_rows(
             if M.has_exact:
                 scale = Fraction(math.factorial(order)) / rho**order
                 lhs = scale * (h.axis_moment(order) - h.axis_tail_exact(order))
-                exact_ok = lhs >= scale * h._M_int[order] / 4 ** (order // 2)
+                exact_ok = lhs >= scale * h._M_at(order) / 4 ** (order // 2)
                 log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
             else:
                 value = lf + h.axis_sum_log(order) - log_scale

@@ -198,8 +198,9 @@ def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
         raise UsageError(str(exc)) from None
     if target in ("base", "block") and args.Dmax < 1:
         raise UsageError("the lower-bound rows need --Dmax >= 1")
-    radii = max(2, int(math.sqrt(args.samples)))
-    angles = max(1, -(-args.samples // radii))
+    # the float sweeps divide by rho and take logs of sums of rho^2
+    if target in ("polar-brick", "block", "polar-block") and float(args.rho) ** 2 < sys.float_info.min:
+        raise UsageError("--rho is too small: rho^2 is below the range of a double")
     rb.config = {
         "target": target,
         "family": None if is_brick else args.family.name,
@@ -211,7 +212,17 @@ def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
         "terms": args.terms,
         "seed": args.seed,
     }
-    if is_brick:
+    try:
+        _sweep_bounds(args, rb, bricks, geom)
+    except OverflowError:
+        raise UsageError("a float sweep left the range of a double; lower --q, --m or --Dmax") from None
+
+
+def _sweep_bounds(args, rb: ReportBuilder, bricks: list, geom: list) -> None:
+    target = args.target
+    radii = max(2, int(math.sqrt(args.samples)))
+    angles = max(1, -(-args.samples // radii))
+    if target in ("brick", "polar-brick"):
         if target == "brick":
             chk = brick_taylor_check(bricks, degree=args.Dmax, points=args.samples, seed=args.seed)
             rb.add("brick-taylor-bound", chk.ok, chk)

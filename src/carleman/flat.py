@@ -518,7 +518,7 @@ def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
         lam = target.order
         ax = flat_axis_derivative(fn, lam, lam)
         fact = Fraction(math.factorial(lam))
-        M_lam = fn.base._M_int[lam]
+        M_lam = fn.base._M_at(lam)
 
         rhs_hi = layout.eps_hi**lam * fact * M_lam**2 / 4**lam
         ok = ax.total_lower >= rhs_hi

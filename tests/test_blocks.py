@@ -6,6 +6,7 @@ phi identity the implementation uses.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from carleman.blocks import (
     block_upper_check,
     polar_block_bound_check,
     polar_block_jet,
+    _ProductCursor,
     _integer_weights,
     _prime_factors,
 )
@@ -81,6 +83,31 @@ def test_exact_weights_match_the_phi_search(spec, ks):
         assert bf.weight_log(k) == 2 * M.log_ratio(k) - k * math.log(2) - log_phi
 
 
+def trial_division(n):
+    """{p: v_p(n)}, dividing by every integer up to sqrt(n): the oracle for
+    `_prime_factors`."""
+    factors, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_prime_factors_match_trial_division():
+    assert [_prime_factors(n) for n in range(1, 20000)] == [trial_division(n) for n in range(1, 20000)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 12))
+def test_prime_factors_of_powers_match_trial_division(r, e):
+    # r^e past 61^2 with no prime below 67 left takes the perfect-power root
+    assert _prime_factors(r**e) == {p: v * e for p, v in trial_division(r).items()}
+
+
 def exact_division_log_phi(M, terms):
     """log phi(m_k) for k = 1 .. terms from the exact quotients m_k^(k+2)//g
     and M_k//g, g the common factor from M_k's prime valuations: the formula
@@ -106,10 +133,16 @@ def test_bracketed_weights_match_exact_division_at_every_k(monkeypatch):
     monkeypatch.setattr(blocks, "_log_bracketed", bracket_only)
     M = gevrey(1)
     M.validate(3425)
-    Ms, ms, log_phi = _integer_weights(M, 3424)
+    ms, log_phi = _integer_weights(M, 3424)
     assert log_phi == exact_division_log_phi(M, 3424)
     assert ms == [k + 1 for k in range(3425)]
-    assert Ms == [math.factorial(k) for k in range(3426)]
+    cursor, ks = _ProductCursor(ms), cursor_reads(3425)
+    assert [cursor(k) for k in ks] == [math.factorial(k) for k in ks]
+
+
+def cursor_reads(n):
+    """k in 0 .. n read forward, repeated and backward."""
+    return [*range(0, n + 1, 37), n, n, n - 1, n // 2, n // 2, 5, 1, 0, 0, 2, n]
 
 
 @pytest.mark.parametrize(
@@ -118,10 +151,26 @@ def test_bracketed_weights_match_exact_division_at_every_k(monkeypatch):
 def test_bracketed_weights_match_exact_division_on_every_exact_family(spec):
     M = parse_family(spec)
     M.validate(801)
-    Ms, ms, log_phi = _integer_weights(M, 800)
+    ms, log_phi = _integer_weights(M, 800)
     assert log_phi == exact_division_log_phi(M, 800)
     assert ms == [M.exact_ratio(k) for k in range(801)]
-    assert Ms == [math.prod(ms[:k]) for k in range(802)]
+    cursor, ks = _ProductCursor(ms), cursor_reads(801)
+    assert [cursor(k) for k in ks] == [math.prod(ms[:k]) for k in ks]
+    with pytest.raises(IndexError):
+        cursor(802)
+
+
+def test_base_init_keeps_no_table_of_M_k():
+    # the sixth greedy block's base: a table of M_0 .. M_3425 alone is 7.7 MiB
+    M = gevrey(1)
+    M.validate(3425)
+    tracemalloc.start()
+    try:
+        BaseFunction(M, 3424)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_exact_family_needs_integer_ratios():

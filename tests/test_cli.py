@@ -446,6 +446,10 @@ RATIO_DROP_TABLE = "table:" + ",".join(str(k * (k - 1) / 2 - 5 * max(0, k - 12))
         ("construct-flat", "--family", "gevrey:1", "--gamma", "nosuchdir/layout.json"),
         ("selftest", "--only", ","),
         ("selftest", "--only", "3,3"),
+        ("verify-bounds", "--target", "polar-brick", "--m", "1e165"),
+        ("verify-bounds", "--target", "block", "--q", "1e330"),
+        ("verify-bounds", "--target", "polar-block", "--q", "1e330"),
+        ("verify-bounds", "--target", "block", "--rho", "1e-330"),
     ],
 )
 def test_bad_input_exits_two(argv, tmp_path, capsys):
