@@ -174,14 +174,13 @@ class BaseFunction:
 
     An exact family must have integer ratios m_k; they are kept as an integer
     table, checked once here, and every exact quantity reads them, not the
-    family. M_k is never tabled: `axis_moment` forms it as a running product
-    in its own loop, and the exact weights M_k/(2^k m_k^k) (built on demand;
-    the certificate builds none), the tail and the lower rows read one
-    forward cursor over the ratios (`_ProductCursor`). Exact values and jets
-    read the weights; the moment sum_k w_k m_k^order (`axis_moment`; an axis
-    sum is it over (1+t^2)^(order/2+1)) reads the ratios. Each log weight
-    comes from the prime valuations of the ratios and the leading bits of
-    two quotients (`_integer_weights`)."""
+    family. M_k is never tabled: the moment sum_k w_k m_k^order
+    (`axis_moment`; an axis sum is it over (1+t^2)^(order/2+1)) forms it as
+    a running product in its own loop, and the exact weights M_k/(2^k m_k^k)
+    (built on demand for exact values and jets; the certificate builds
+    none), the tail and the lower rows read one forward cursor
+    (`_ProductCursor`). Each log weight comes from the prime valuations of
+    the ratios and the leading bits of two quotients (`_integer_weights`)."""
 
     def __init__(self, M: WeightSequence, terms: int = DEFAULT_TERMS):
         if terms < MIN_TERMS:

@@ -104,7 +104,7 @@ def test_prime_factors_match_trial_division():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**6), st.integers(1, 12))
 def test_prime_factors_of_powers_match_trial_division(r, e):
-    # r^e past 61^2 with no prime below 67 left takes the perfect-power root
+    # a cofactor that outlasts SMALL_PRIMES is factored through its perfect-power root
     assert _prime_factors(r**e) == {p: v * e for p, v in trial_division(r).items()}
 
 
