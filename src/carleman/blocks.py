@@ -19,8 +19,8 @@ multiply on m_k, divided by g, brackets the numerator, formed only when the
 bracket straddles a rounding boundary: gevrey:1 to 13664 terms, gevrey:2,
 gevrey:3, shift:2:gevrey:1 and power:2:gevrey:1 never do. M_k is never kept
 as a table, which would grow like K^2 log K bits (2.4 GiB at the eighth
-greedy block's 54624 terms): base init carries it as one running product,
-and every later exact read runs a running product or a forward cursor.
+greedy block's 54624 terms): base init and the moments carry it as one
+running product, and every other exact read asks `WeightSequence.exact`.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
@@ -147,40 +147,18 @@ def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[flo
     return ms, log_phi
 
 
-class _ProductCursor:
-    """M_k = m_0 ... m_(k-1) for 0 <= k <= len(ms), from one cached (k, M_k)
-    pair: a larger k multiplies forward from it, a smaller one restarts at
-    M_0 = 1. Read in increasing k it costs one product per step and holds one
-    M_k, where a table of M_0 .. M_K holds about K^2 log2(K) / 2 bits."""
-
-    def __init__(self, ms: list[int]):
-        self._ms = ms
-        self._k, self._M = 0, 1
-
-    def __call__(self, k: int) -> int:
-        if not 0 <= k <= len(self._ms):
-            raise IndexError(f"M_{k} lies outside M_0 .. M_{len(self._ms)}")
-        if k < self._k:
-            self._k, self._M = 0, 1
-        M = self._M
-        for m in self._ms[self._k : k]:
-            M *= m
-        self._k, self._M = k, M
-        return M
-
-
 class BaseFunction:
     """K-term truncation of h; exact weights when the family has them.
 
     An exact family must have integer ratios m_k; they are kept as an integer
-    table, checked once here, and every exact quantity reads them, not the
-    family. M_k is never tabled: the moment sum_k w_k m_k^order
-    (`axis_moment`; an axis sum is it over (1+t^2)^(order/2+1)) forms it as
-    a running product in its own loop, and the exact weights M_k/(2^k m_k^k)
-    (built on demand for exact values and jets; the certificate builds
-    none), the tail and the lower rows read one forward cursor
-    (`_ProductCursor`). Each log weight comes from the prime valuations of
-    the ratios and the leading bits of two quotients (`_integer_weights`)."""
+    table, checked once here. M_k is never tabled: the moment
+    sum_k w_k m_k^order (`axis_moment`; an axis sum is it over
+    (1+t^2)^(order/2+1)) forms it as a running product in its own loop, and
+    the exact weights M_k/(2^k m_k^k) (built on demand for exact values and
+    jets; the certificate builds none), the tail and the lower rows read it
+    from the family's forward cursor, `WeightSequence.exact`. Each log
+    weight comes from the prime valuations of the ratios and the leading
+    bits of two quotients (`_integer_weights`)."""
 
     def __init__(self, M: WeightSequence, terms: int = DEFAULT_TERMS):
         if terms < MIN_TERMS:
@@ -192,7 +170,6 @@ class BaseFunction:
         M.validate(terms + 1)
         if M.has_exact:
             self._m_int, log_phi = _integer_weights(M, terms)
-            self._M_at = _ProductCursor(self._m_int)
         else:
             log_phi = [(k + 2) * M.log_ratio(k) - M.log_weight(k) for k in self.k_range]
         self._log_w = {
@@ -212,7 +189,7 @@ class BaseFunction:
             raise ValueError(f"{self.M.name} has no exact rational path")
         w = self._exact_w.get(k)
         if w is None:
-            w = self._exact_w[k] = Fraction(self._M_at(k), 2**k * self._m_int[k] ** k)
+            w = self._exact_w[k] = self.M.exact(k) / (2**k * self._m_int[k] ** k)
         return w
 
     # -- evaluation ----------------------------------------------------------
@@ -270,35 +247,39 @@ class BaseFunction:
 
         Each term w_k m_k^order = M_k m_k^(order-k) / 2^k is read from the
         integer m_k and M_k, a running product over this loop: a dyadic for
-        k <= order. The terms are summed as a balanced tree: each addition's
-        gcd then works on operands of like size instead of the growing
-        partial sum."""
+        k <= order. The terms are summed pairwise as they come: a stack holds
+        the sums of runs of 2^j consecutive terms, j falling up the stack, and
+        the k-th term closes one run per trailing zero bit of k. Each
+        addition's gcd then works on operands of like size instead of the
+        growing partial sum, and about log2 K partial sums are held."""
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
-        terms, M_k = [], 1
+        runs, M_k = [], 1
         for k in self.k_range:
             M_k *= self._m_int[k - 1]
             m = self._m_int[k]
-            terms.append(
+            runs.append(
                 Fraction(M_k * m ** (order - k), 2**k)
                 if k <= order
                 else Fraction(M_k, m ** (k - order) * 2**k)
             )
-        while len(terms) > 1:
-            odd = terms[-1:] if len(terms) % 2 else []
-            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
-        return terms[0]
+            j = k
+            while not j & 1:
+                top = runs.pop()
+                runs[-1] += top
+                j >>= 1
+        return sum(reversed(runs))
 
     def axis_sum_interval(self, order: int, one_plus_t2: RInterval) -> RInterval:
         """sum_k w_k m_k^order / (1+t^2)^(order/2+1) for an enclosure of 1+t^2."""
         return (one_plus_t2 ** (order // 2 + 1)).reciprocal() * self.axis_moment(order)
 
     def axis_tail_exact(self, order: int) -> Fraction:
-        """Rigorous bound on the dropped k > terms part of the order's moment:
-        M_order 2^-K."""
+        """Rigorous bound on the dropped k > terms part of the moment of order
+        n: M_n 2^-K."""
         if not self.M.has_exact:
             raise ValueError("exact tail needs an exact family")
-        return Fraction(self._M_at(order), 2**self.terms)
+        return self.M.exact(order) / 2**self.terms
 
 
 # -- finite-order bound checks -----------------------------------------------
@@ -357,11 +338,10 @@ class LowerBoundRow:
 def _lower_rows(
     h: BaseFunction, rhos: Sequence[Fraction], orders: Sequence[int]
 ) -> list[LowerBoundRow]:
-    """One row per (rho, order): at the centre of a block of scale rho,
-    |d^order f/dx2^order| = order! axis_moment(order) / rho^order; minus its
-    tail order! M_order / (2^K rho^order), it must reach order! M_order /
-    (4^(order/2) rho^order). Decided exactly for an exact family, else in
-    logs. The base itself is rho = 1."""
+    """One row per (rho, order n): at the centre of a block of scale rho,
+    |d^n f/dx2^n| = n! axis_moment(n) / rho^n; minus its tail
+    n! M_n / (2^K rho^n), it must reach n! M_n / (4^(n/2) rho^n). Decided
+    exactly for an exact family, else in logs. The base itself is rho = 1."""
     if not orders:
         raise ValueError("no orders to check")
     if any(order % 2 or not 2 <= order <= h.terms for order in orders):
@@ -376,7 +356,7 @@ def _lower_rows(
             if M.has_exact:
                 scale = Fraction(math.factorial(order)) / rho**order
                 lhs = scale * (h.axis_moment(order) - h.axis_tail_exact(order))
-                exact_ok = lhs >= scale * h._M_at(order) / 4 ** (order // 2)
+                exact_ok = lhs >= scale * M.exact(order) / 4 ** (order // 2)
                 log_lhs = log_of_fraction(lhs) if lhs > 0 else LOG_ZERO
             else:
                 value = lf + h.axis_sum_log(order) - log_scale

@@ -75,7 +75,7 @@ class LayoutEntry:
     order: int
     rho: Fraction
     center_iv: RInterval
-    weight: Fraction  # 1/(2^order phi(1/rho)) = M_order rho^(order+2) / 2^order
+    weight: Fraction  # 1/(2^n phi(1/rho)) = M_n rho^(n+2) / 2^n, n the order
 
     @property
     def center(self) -> float:
@@ -190,8 +190,12 @@ class Layout:
         )
         # every centre is E(rho) < 1, and some are far below 1e-9: compare relatively
         for want, have in zip(entries, rebuilt.entries):
+            try:
+                rho = Fraction(want["rho"])
+            except (ValueError, ZeroDivisionError):
+                raise LayoutError(f"layout rho {want['rho']!r} is no rational number") from None
             centre_ok = abs(want["center"] - have.center) <= 1e-9 * have.center
-            if Fraction(want["rho"]) != have.rho or not centre_ok:
+            if rho != have.rho or not centre_ok:
                 raise LayoutError("stored layout disagrees with its rebuild")
         return rebuilt
 
@@ -201,13 +205,13 @@ class Layout:
             return cls.from_json_dict(json.load(fh))
 
 
-def _entry_for(M: WeightSequence, E: EFunction, order: int, M_order) -> LayoutEntry:
+def _entry_for(M: WeightSequence, E: EFunction, order: int) -> LayoutEntry:
     rho = Fraction(1, M.exact_ratio(order))
     return LayoutEntry(
         order=order,
         rho=rho,
         center_iv=E.interval(rho),
-        weight=M_order * rho ** (order + 2) / 2**order,
+        weight=M.exact(order) * rho ** (order + 2) / 2**order,
     )
 
 
@@ -276,13 +280,10 @@ def layout_from_orders(
         raise LayoutError("orders must be strictly increasing and nonempty")
     entries = []
     prev = None
-    M_order, k = 1, 0  # M_k = m_0 ... m_(k-1), carried up the increasing orders
     for order in orders:
         if order % 2 or order < 2:
             raise LayoutError("orders must be even and >= 2")
-        M_order *= math.prod(M.exact_ratio(j) for j in range(k, order))
-        k = order
-        e = _entry_for(M, E, order, M_order)
+        e = _entry_for(M, E, order)
         if not e.center_iv.certainly_gt(e.rho):
             raise LayoutError(f"order {order} is inadmissible: center <= rho")
         if require_sparsity and prev is not None and not e.center_iv.certainly_lt(
@@ -412,7 +413,7 @@ def flat_axis_derivative(
     sign = -1 if (order // 2) % 2 else 1
     fact = Fraction(math.factorial(order))
     lf = math.lgamma(order + 1)
-    tail_unit = base.axis_tail_exact(order)  # M_order / 2^K
+    tail_unit = base.axis_tail_exact(order)  # M_n / 2^K, n the order
 
     def scale(e: LayoutEntry) -> Fraction:
         return e.weight * fact / e.rho**order
@@ -462,7 +463,7 @@ def flat_axis_derivative(
 class CertificateRow:
     order: int
     lhs_log: float  # certified lower bound on |d^order F / dx2^order|
-    rhs_log: float  # eps^order order! M_order^2 / 4^order (upper end)
+    rhs_log: float  # eps^n n! M_n^2 / 4^n, n the order (upper end)
     ratio_root: float  # (lhs/rhs)^(1/order)
     ok: bool
     dominant_log: float
@@ -518,7 +519,7 @@ def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
         lam = target.order
         ax = flat_axis_derivative(fn, lam, lam)
         fact = Fraction(math.factorial(lam))
-        M_lam = fn.base._M_at(lam)
+        M_lam = M.exact(lam)
 
         rhs_hi = layout.eps_hi**lam * fact * M_lam**2 / 4**lam
         ok = ax.total_lower >= rhs_hi

@@ -50,6 +50,7 @@ class WeightSequence:
         self._ratio_fn = ratio_fn
         self._memo: dict[int, float] = {}
         self._checked_to = 0
+        self._cursor = (0, 1)  # exact's one cached (k, M_k)
         m0 = self.log_weight(0)
         if abs(m0) > 1e-15:
             raise WeightError(f"{name}: M_0 must be 1, got log M_0 = {m0}")
@@ -67,10 +68,19 @@ class WeightSequence:
         return v
 
     def exact(self, k: int) -> Optional[Fraction]:
-        """M_k = m_0 ... m_(k-1), exact."""
+        """M_k = m_0 ... m_(k-1), exact, from one cached (k, M_k) pair: a
+        larger k multiplies forward from it, a smaller one restarts at M_0 = 1.
+        Read in increasing k it costs one product per step and holds one M_k,
+        where a table of M_0 .. M_K holds about K^2 log2(K) / 2 bits."""
+        if k < 0:
+            raise WeightError("negative index")
         if self._ratio_fn is None:
             return None
-        return Fraction(math.prod(self._ratio_fn(j) for j in range(k)))
+        j, M_j = self._cursor if k >= self._cursor[0] else (0, 1)
+        for i in range(j, k):
+            M_j *= self._ratio_fn(i)
+        self._cursor = k, M_j
+        return Fraction(M_j)
 
     @property
     def has_exact(self) -> bool:

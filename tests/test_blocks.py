@@ -23,7 +23,6 @@ from carleman.blocks import (
     block_upper_check,
     polar_block_bound_check,
     polar_block_jet,
-    _ProductCursor,
     _integer_weights,
     _prime_factors,
 )
@@ -136,8 +135,8 @@ def test_bracketed_weights_match_exact_division_at_every_k(monkeypatch):
     ms, log_phi = _integer_weights(M, 3424)
     assert log_phi == exact_division_log_phi(M, 3424)
     assert ms == [k + 1 for k in range(3425)]
-    cursor, ks = _ProductCursor(ms), cursor_reads(3425)
-    assert [cursor(k) for k in ks] == [math.factorial(k) for k in ks]
+    ks = cursor_reads(3425)
+    assert [M.exact(k) for k in ks] == [math.factorial(k) for k in ks]
 
 
 def cursor_reads(n):
@@ -154,10 +153,8 @@ def test_bracketed_weights_match_exact_division_on_every_exact_family(spec):
     ms, log_phi = _integer_weights(M, 800)
     assert log_phi == exact_division_log_phi(M, 800)
     assert ms == [M.exact_ratio(k) for k in range(801)]
-    cursor, ks = _ProductCursor(ms), cursor_reads(801)
-    assert [cursor(k) for k in ks] == [math.prod(ms[:k]) for k in ks]
-    with pytest.raises(IndexError):
-        cursor(802)
+    ks = cursor_reads(801)
+    assert [M.exact(k) for k in ks] == [math.prod(ms[:k]) for k in ks]
 
 
 def test_base_init_keeps_no_table_of_M_k():
@@ -171,6 +168,26 @@ def test_base_init_keeps_no_table_of_M_k():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_axis_moment_holds_no_list_of_its_terms():
+    # the fifth greedy block's base and row: the 864 terms alone are 1.1 MiB
+    h = BaseFunction(gevrey(1), 864)
+    tracemalloc.start()
+    try:
+        h.axis_moment(852)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+
+
+@pytest.mark.parametrize("terms", [4, 5, 7, 8, 37, 64])
+def test_axis_moment_is_the_sum_of_its_terms(terms):
+    h = BaseFunction(gevrey(1), terms)
+    for order in (2, 6, terms - 1, terms + 3):
+        terms_sum = sum(h.weight_exact(k) * (k + 1) ** order for k in h.k_range)
+        assert h.axis_moment(order) == terms_sum
 
 
 def test_exact_family_needs_integer_ratios():

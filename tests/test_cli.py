@@ -487,11 +487,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         ("counterexample", "--pairs", "20000"),
         ("analyze", "--family", "counterexample:20000"),
         ("selftest", "--only", "0"),
+        ("certify", "--gamma", "rho-over-zero.json"),
     ],
 )
 def test_bad_input_in_subprocess_exits_two(argv, tmp_path):
     # a fresh interpreter, so an uncaught exception would print a traceback
-    layout_from_orders(gevrey(1), EFunction.parse("sqrt"), [12]).save(tmp_path / "one-block.json")
+    layout = layout_from_orders(gevrey(1), EFunction.parse("sqrt"), [12])
+    layout.save(tmp_path / "one-block.json")
+    data = layout.to_json_dict()
+    data["entries"][0]["rho"] = "1/0"
+    (tmp_path / "rho-over-zero.json").write_text(json.dumps(data))
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("CARLEMAN_OUT", None)

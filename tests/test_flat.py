@@ -160,6 +160,14 @@ def test_layout_load_rejects_tampering(greedy_layout):
         Layout.from_json_dict(data)
 
 
+@pytest.mark.parametrize("rho", ["1/0", "one third", ""])
+def test_layout_load_rejects_a_rho_that_is_no_rational(greedy_layout, rho):
+    data = greedy_layout.to_json_dict()
+    data["entries"][-1]["rho"] = rho
+    with pytest.raises(LayoutError, match="no rational"):
+        Layout.from_json_dict(data)
+
+
 def test_layout_load_rejects_tiny_centres_edited():
     # gevrey:200 centres run from 1.9e-48 down to 9e-124, all below an
     # absolute 1e-9 of any edit

@@ -204,6 +204,23 @@ def test_memoization_returns_same_object_values():
     assert M.exact(25) == math.factorial(25)
 
 
+def test_exact_refuses_a_negative_index():
+    M = gevrey(1)
+    with pytest.raises(WeightError, match="negative index"):
+        M.exact(-1)
+    assert M.exact(3) == 6
+    with pytest.raises(WeightError, match="negative index"):
+        M.exact(-1)
+    assert M.exact(4) == 24
+
+
+def test_exact_reads_rational_ratios_in_any_order():
+    M = WeightSequence("threehalves", lambda k: k * math.log(1.5), lambda k: Fraction(3, 2))
+    for k in (0, 7, 7, 30, 2, 0, 12):
+        value = M.exact(k)
+        assert type(value) is Fraction and value == Fraction(3, 2) ** k
+
+
 @pytest.mark.parametrize(
     "spec", ["gevrey:nan", "gevrey:inf", "logpow:nan", "logpow:inf", "power:nan:gevrey:1"]
 )
