@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence, Union
 
 from .bricks import SweepResult, polar_samples
@@ -147,6 +147,25 @@ def _integer_weights(M: WeightSequence, terms: int) -> tuple[list[int], list[flo
     return ms, log_phi
 
 
+def _product(factors: list[int]) -> int:
+    """The product of a list of ints, multiplied pairwise so that each
+    multiplication has operands of like size."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
+def _add_factored(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
+    """n_a/d_a + n_b/d_b for denominators held as {p: exponent}, over their
+    lcm: each numerator is multiplied by the prime powers its denominator
+    lacks, and no gcd is taken."""
+    (n_a, d_a), (n_b, d_b) = a, b
+    den = {p: max(d_a.get(p, 0), d_b.get(p, 0)) for p in d_a.keys() | d_b.keys()}
+    f_a = _product([p ** (e - d_a.get(p, 0)) for p, e in den.items() if e > d_a.get(p, 0)])
+    f_b = _product([p ** (e - d_b.get(p, 0)) for p, e in den.items() if e > d_b.get(p, 0)])
+    return n_a * f_a + n_b * f_b, den
+
+
 class BaseFunction:
     """K-term truncation of h; exact weights when the family has them.
 
@@ -249,26 +268,44 @@ class BaseFunction:
         integer m_k and M_k, a running product over this loop: a dyadic for
         k <= order. The terms are summed pairwise as they come: a stack holds
         the sums of runs of 2^j consecutive terms, j falling up the stack, and
-        the k-th term closes one run per trailing zero bit of k. Each
-        addition's gcd then works on operands of like size instead of the
-        growing partial sum, and about log2 K partial sums are held."""
+        the k-th term closes one run per trailing zero bit of k, so about
+        log2 K partial sums are held. Each is an integer numerator over a
+        denominator kept as {p: exponent}: each distinct m_k is factored once
+        (`_prime_factors`), a term's denominator loses the primes M_k shares
+        with it (from M_k's running valuations), and a merge multiplies each
+        numerator by the prime powers its denominator lacks (`_add_factored`)
+        and takes no gcd. One Fraction, reduced once, is formed at the end."""
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
-        runs, M_k = [], 1
+        factors = cache(_prime_factors)  # each distinct m factored once per call
+        runs, M_k, valuations = [], 1, {}  # valuations: {p: v_p(M_k)}
         for k in self.k_range:
-            M_k *= self._m_int[k - 1]
+            m_prev = self._m_int[k - 1]
+            M_k *= m_prev
+            for p, v in factors(m_prev).items():
+                valuations[p] = valuations.get(p, 0) + v
             m = self._m_int[k]
-            runs.append(
-                Fraction(M_k * m ** (order - k), 2**k)
-                if k <= order
-                else Fraction(M_k, m ** (k - order) * 2**k)
-            )
+            if k <= order:
+                num, den = M_k * m ** (order - k), {2: k}
+            else:
+                num, den = M_k, {p: v * (k - order) for p, v in factors(m).items()}
+                den[2] = den.get(2, 0) + k
+            # cancel the primes M_k shares with the denominator
+            shared = {p: min(e, valuations.get(p, 0)) for p, e in den.items()}
+            runs.append((
+                num // _product([p**c for p, c in shared.items() if c]),
+                {p: e - shared[p] for p, e in den.items() if e > shared[p]},
+            ))
             j = k
             while not j & 1:
                 top = runs.pop()
-                runs[-1] += top
+                runs[-1] = _add_factored(runs[-1], top)
                 j >>= 1
-        return sum(reversed(runs))
+        while len(runs) > 1:
+            top = runs.pop()
+            runs[-1] = _add_factored(runs[-1], top)
+        num, den = runs[0]
+        return Fraction(num, _product([p**e for p, e in den.items()]))
 
     def axis_sum_interval(self, order: int, one_plus_t2: RInterval) -> RInterval:
         """sum_k w_k m_k^order / (1+t^2)^(order/2+1) for an enclosure of 1+t^2."""

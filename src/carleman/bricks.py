@@ -173,9 +173,10 @@ def cauchy_kernel_check(
             g = (c + x1 * x1 + x2 * x2).reciprocal()
             base_sq = c + x[0] ** 2 + x[1] ** 2
             log_base_sq = log_of_fraction(base_sq)
+            bounds = [Fraction(64 * 64**n) / base_sq ** (n + 2) for n in range(degree + 1)]
 
             def rhs_sq(a, n):
-                return Fraction(64 * 64**n) / base_sq ** (n + 2)
+                return bounds[n]
 
             def constant(a, n, coef):
                 log_lhs = log_of_fraction(coef) + (1 + n / 2) * log_base_sq

@@ -164,6 +164,12 @@ class Layout:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Layout":
+        """The layout rebuilt from its family, centre map and orders, checked
+        against what the file stores: each entry's order, rho and centre, and
+        eps_exact (null exactly when the rebuild has no exact eps). The other
+        stored floats (eps, delta_min, B, each entry's weight_log and
+        offset_ratio) are derived from these and only informational: they are
+        not read back."""
         # exact types: a JSON true or false is no number
         if not isinstance(data, dict) or any(
             type(data.get(k)) is not t for k, t in LAYOUT_FIELDS.items()
@@ -174,10 +180,14 @@ class Layout:
         if not (
             len(entries) == len(orders)
             and all(type(order) is int for order in orders)
-            and all(isinstance(e, dict) and type(e.get("rho")) is str
-                    and type(e.get("center")) in (int, float) for e in entries)
+            and all(isinstance(e, dict) and type(e.get("order")) is int and e["order"] == order
+                    and type(e.get("rho")) is str and type(e.get("center")) in (int, float)
+                    for e, order in zip(entries, orders))
         ):
-            raise LayoutError("layout needs one entry (rho: str, center: number) per integer order")
+            raise LayoutError(
+                "layout needs one entry (order: int, rho: str, center: number) per integer "
+                "order, in the same order"
+            )
         M = parse_family(data["m_family"])
         E = EFunction.parse(data["e_spec"])
         rebuilt = layout_from_orders(
@@ -190,19 +200,31 @@ class Layout:
         )
         # every centre is E(rho) < 1, and some are far below 1e-9: compare relatively
         for want, have in zip(entries, rebuilt.entries):
-            try:
-                rho = Fraction(want["rho"])
-            except (ValueError, ZeroDivisionError):
-                raise LayoutError(f"layout rho {want['rho']!r} is no rational number") from None
+            rho = _stored_rational("rho", want["rho"])
             centre_ok = abs(want["center"] - have.center) <= 1e-9 * have.center
             if rho != have.rho or not centre_ok:
                 raise LayoutError("stored layout disagrees with its rebuild")
+        stored = data.get("eps_exact")
+        eps_exact = None if stored is None else _stored_rational("eps_exact", stored)
+        if eps_exact != rebuilt.eps_exact:
+            want = None if rebuilt.eps_exact is None else str(rebuilt.eps_exact)
+            raise LayoutError(f"stored eps_exact {stored!r} disagrees with its rebuild's {want!r}")
         return rebuilt
 
     @classmethod
     def load(cls, path) -> "Layout":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _stored_rational(name: str, text) -> Fraction:
+    """A layout file's rational field, written as a string such as "1/3"."""
+    try:
+        if type(text) is str:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise LayoutError(f"layout {name} {text!r} is no rational number")
 
 
 def _entry_for(M: WeightSequence, E: EFunction, order: int) -> LayoutEntry:

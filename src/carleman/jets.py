@@ -10,13 +10,16 @@ reciprocals walk a table built once per degree: for each position a, the
 positions of a + b for every b that stays within the degree, and for each
 output position alpha, the (beta, alpha - beta) pairs of the reciprocal's
 order-by-order solve. Both skip zero operands, so exact jets pay nothing for
-zero entries and no 0 * inf appears in float ones. `reciprocal_sum` gives
-the bump superposition sum_k w_k / (A + (m_k y2)^2) with the bump index k
-innermost: each coefficient is a list over k, walked once through the same
-tables, and each list operation repeats for every k the scalar operation of
-the per-term product, reciprocal, scale and running sum in the same order,
-so its floats are bit for bit those of the per-term formula. sin/cos split
-off the (possibly irrational) angle constant and run Maclaurin series on the
+zero entries and no 0 * inf appears in float ones. An exact reciprocal runs
+that solve on integers, the jet scaled by the lcm of its denominators, and
+forms each coefficient once as a reduced Fraction instead of normalising
+after every scalar operation. `reciprocal_sum` gives the bump superposition
+sum_k w_k / (A + (m_k y2)^2) with the bump index k innermost: each
+coefficient is a list over k, walked once through the same tables, and each
+list operation repeats for every k the scalar operation of the per-term
+product, reciprocal, scale and running sum in the same order, so its floats
+are bit for bit those of the per-term formula. sin/cos split off the
+(possibly irrational) angle constant and run Maclaurin series on the
 nilpotent part, which also gives the polar coordinate jets
 (r cos theta, r sin theta).
 """
@@ -235,7 +238,9 @@ class Jet2:
         a00 = a[0]
         if a00 == 0:
             raise SingularJet("reciprocal of a jet with zero constant term")
-        inv0 = (Fraction(1) / a00) if self.kind == EXACT else 1.0 / a00
+        if self.kind == EXACT:
+            return self._exact_reciprocal()
+        inv0 = 1.0 / a00
         # solve sum_{beta <= alpha} a_beta r_{alpha - beta} = [alpha == 0] in
         # graded order; only nonzero a_beta with beta != 0 contribute
         a = [c if c else None for c in a]
@@ -253,6 +258,35 @@ class Jet2:
             if acc != 0:
                 out[p] = -inv0 * acc
         return self._filled(out)
+
+    def _exact_reciprocal(self) -> "Jet2":
+        """The graded solve on integers: with D the lcm of the denominators
+        and P = D a, S_0 = 1 and
+        S_alpha = -sum_{0 < beta <= alpha} P_beta S_(alpha-beta) P_0^(|beta|-1)
+        give r_alpha = D S_alpha / P_0^(|alpha|+1), one reduced Fraction each."""
+        D = reduce(math.lcm, (c.denominator for c in self._c if c), 1)
+        P = [c.numerator * (D // c.denominator) if c else None for c in self._c]
+        powers = [1]  # P_0^0 .. P_0^(degree+1)
+        for _ in range(self.degree + 1):
+            powers.append(powers[-1] * P[0])
+        alphas, _, solve = _tables(self.degree)
+        S = [None] * len(P)
+        S[0] = 1
+        for p in range(1, len(P)):
+            acc = 0
+            for b, r in solve[p]:
+                pb = P[b]
+                if pb is not None:
+                    s = S[r]
+                    if s is not None:
+                        i, j = alphas[b]
+                        acc += pb * s * powers[i + j - 1]
+            if acc:
+                S[p] = -acc
+        return self._filled(
+            [s if s is None else Fraction(D * s, powers[sum(alpha) + 1])
+             for s, alpha in zip(S, alphas)]
+        )
 
 
 def reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:

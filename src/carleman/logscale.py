@@ -10,13 +10,15 @@ LOG_ZERO = float("-inf")
 
 
 def log_of_fraction(x: Fraction | int) -> float:
-    """log|x| for an exact rational, safe for huge numerators/denominators."""
+    """log|x| for an exact rational, safe for huge numerators/denominators:
+    log|n| - log d of its lowest terms n/d, read off a Fraction directly."""
     if x == 0:
         return LOG_ZERO
     if type(x) is int:
         return math.log(abs(x))
-    n, d = abs(Fraction(x)).as_integer_ratio()
-    return math.log(n) - math.log(d)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return math.log(abs(x.numerator)) - math.log(x.denominator)
 
 
 @dataclass(frozen=True)

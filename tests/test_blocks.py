@@ -182,11 +182,29 @@ def test_axis_moment_holds_no_list_of_its_terms():
     assert peak < 2**18
 
 
-@pytest.mark.parametrize("terms", [4, 5, 7, 8, 37, 64])
-def test_axis_moment_is_the_sum_of_its_terms(terms):
-    h = BaseFunction(gevrey(1), terms)
-    for order in (2, 6, terms - 1, terms + 3):
-        terms_sum = sum(h.weight_exact(k) * (k + 1) ** order for k in h.k_range)
+def ratio_times_10007():
+    """m_k = 10007 (k+1): every ratio has a prime factor above 61^2, so
+    `_prime_factors` runs its tail past SMALL_PRIMES on each one."""
+    return WeightSequence(
+        "10007-gevrey:1", lambda k: k * math.log(10007) + math.lgamma(k + 1), lambda k: 10007 * (k + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "terms, family",
+    [pytest.param(t, lambda: gevrey(1), id=str(t)) for t in (4, 5, 7, 8, 37, 64)]
+    + [
+        pytest.param(t, lambda spec=spec: parse_family(spec), id=f"{spec}-{t}")
+        for spec, t in [("gevrey:2", 40), ("gevrey:3", 70), ("shift:2:gevrey:1", 33),
+                        ("power:2:gevrey:1", 70), ("analytic", 12)]
+    ]
+    + [pytest.param(20, ratio_times_10007, id="10007-gevrey:1-20")],
+)
+def test_axis_moment_is_the_sum_of_its_terms(terms, family):
+    M = family()
+    h = BaseFunction(M, terms)
+    for order in (0, 2, 6, terms - 1, terms + 3):
+        terms_sum = sum(h.weight_exact(k) * M.exact_ratio(k) ** order for k in h.k_range)
         assert h.axis_moment(order) == terms_sum
 
 

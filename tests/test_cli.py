@@ -488,6 +488,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         ("analyze", "--family", "counterexample:20000"),
         ("selftest", "--only", "0"),
         ("certify", "--gamma", "rho-over-zero.json"),
+        ("certify", "--gamma", "eps-edited.json"),
     ],
 )
 def test_bad_input_in_subprocess_exits_two(argv, tmp_path):
@@ -497,6 +498,9 @@ def test_bad_input_in_subprocess_exits_two(argv, tmp_path):
     data = layout.to_json_dict()
     data["entries"][0]["rho"] = "1/0"
     (tmp_path / "rho-over-zero.json").write_text(json.dumps(data))
+    data = layout_from_orders(gevrey(1), EFunction.parse("sqrt"), [2, 12]).to_json_dict()
+    data["eps_exact"] = "abc"
+    (tmp_path / "eps-edited.json").write_text(json.dumps(data))
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("CARLEMAN_OUT", None)

@@ -160,6 +160,47 @@ def test_layout_load_rejects_tampering(greedy_layout):
         Layout.from_json_dict(data)
 
 
+@pytest.mark.parametrize("order", ["2", True, 2.0, 12, None])
+def test_layout_load_rejects_an_entry_order_edited(greedy_layout, order):
+    # each entry's order must be the int at its index of orders
+    data = greedy_layout.to_json_dict()
+    data["entries"][0]["order"] = order
+    with pytest.raises(LayoutError, match="per integer order"):
+        Layout.from_json_dict(data)
+    del data["entries"][0]["order"]
+    with pytest.raises(LayoutError, match="per integer order"):
+        Layout.from_json_dict(data)
+
+
+@pytest.mark.parametrize("eps", ["abc", "1/0", 0.3333333333333333, ["1/3"]])
+def test_layout_load_rejects_an_eps_exact_that_is_no_rational(greedy_layout, eps):
+    data = greedy_layout.to_json_dict()
+    data["eps_exact"] = eps
+    with pytest.raises(LayoutError, match="no rational"):
+        Layout.from_json_dict(data)
+
+
+@pytest.mark.parametrize("eps", ["1/4", "0.3333333333333333", None])
+def test_layout_load_rejects_an_eps_exact_off_the_rebuild(greedy_layout, eps):
+    data = greedy_layout.to_json_dict()
+    assert data["eps_exact"] == "1/3"
+    Layout.from_json_dict({**data, "eps_exact": "2/6"})  # the same value, another spelling
+    data["eps_exact"] = eps
+    with pytest.raises(LayoutError, match="disagrees"):
+        Layout.from_json_dict(data)
+
+
+def test_layout_load_rejects_an_eps_exact_where_the_rebuild_has_none():
+    # eps = min(5^(-1/2), 13^(-1/6)) = 1/sqrt(5) is irrational
+    layout = layout_from_orders(gevrey(1), EFunction.parse("sqrt"), [4, 12])
+    assert layout.eps_exact is None
+    data = layout.to_json_dict()
+    assert Layout.from_json_dict(data).eps_exact is None
+    data["eps_exact"] = "1/5"
+    with pytest.raises(LayoutError, match="disagrees"):
+        Layout.from_json_dict(data)
+
+
 @pytest.mark.parametrize("rho", ["1/0", "one third", ""])
 def test_layout_load_rejects_a_rho_that_is_no_rational(greedy_layout, rho):
     data = greedy_layout.to_json_dict()

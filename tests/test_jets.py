@@ -13,6 +13,7 @@ from carleman.jets import (
     JetError,
     JetMismatch,
     SingularJet,
+    _tables,
     central_difference,
     finite_difference,
     jet_sin_cos,
@@ -113,6 +114,54 @@ def test_product_and_reciprocal_match_dict_schoolbook(data):
             assert got.coefficient(alpha) == pytest.approx(
                 float(want.get(alpha, 0)), rel=1e-12, abs=1e-12 * scale
             )
+
+
+def fraction_reciprocal(jet):
+    """1/jet by the graded solve over Fractions, normalising after every
+    scalar operation: the recurrence the integer solve of `Jet2.reciprocal`
+    replaces, kept here as its oracle."""
+    alphas, _, solve = _tables(jet.degree)
+    a = [c for _, c in jet.graded_items()]
+    inv0 = Fraction(1) / a[0]
+    # sum_{beta <= alpha} a_beta r_{alpha - beta} = [alpha == 0] in graded
+    # order; only nonzero a_beta with beta != 0 contribute
+    a = [c if c else None for c in a]
+    out = [None] * len(a)
+    out[0] = inv0
+    for p in range(1, len(a)):
+        acc = 0
+        for b, r in solve[p]:
+            ab = a[b]
+            if ab is not None:
+                rr = out[r]
+                if rr is not None:
+                    acc = acc + ab * rr
+        if acc != 0:
+            out[p] = -inv0 * acc
+    return Jet2(jet.base, jet.degree, EXACT, {al: v for al, v in zip(alphas, out) if v is not None})
+
+
+@st.composite
+def invertible_exact_jets(draw):
+    """Degree 0-8, rational coefficients with denominators up to 10^6, a
+    constant term of either sign, and most other entries structural zeros."""
+    degree = draw(st.integers(0, 8))
+    wide = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**6)
+    key = st.tuples(st.integers(0, degree), st.integers(0, degree)).filter(lambda a: sum(a) <= degree)
+    coeffs = draw(st.dictionaries(key, st.one_of(wide, rationals), max_size=12))
+    c0 = draw(wide.filter(lambda q: q != 0))
+    coeffs[(0, 0)] = -abs(c0) if draw(st.booleans()) else c0
+    return poly_jet(coeffs, degree=degree)
+
+
+@given(invertible_exact_jets(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_exact_reciprocal_is_the_fraction_solve(jet, n):
+    want = fraction_reciprocal(jet)
+    got = jet.reciprocal()
+    assert got == want  # every coefficient, as reduced Fractions
+    assert all(type(c) is Fraction for _, c in got.graded_items())
+    assert jet ** -n == want**n
 
 
 @given(st.data())

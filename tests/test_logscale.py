@@ -73,3 +73,33 @@ def test_log_of_fraction_huge():
     assert log_of_fraction(v) == pytest.approx(400 * math.log(10) - math.log(3), rel=1e-12)
     assert log_of_fraction(Fraction(-1, 10**200)) == pytest.approx(-200 * math.log(10))
     assert log_of_fraction(Fraction(0)) == LOG_ZERO
+
+
+def fraction_log(x):
+    """log|x| through a fresh abs(Fraction(x)): the formula `log_of_fraction`
+    replaces, kept here as its oracle."""
+    if x == 0:
+        return LOG_ZERO
+    if type(x) is int:
+        return math.log(abs(x))
+    n, d = abs(Fraction(x)).as_integer_ratio()
+    return math.log(n) - math.log(d)
+
+
+# nonzero ints of up to 10^5 bits, either sign
+huge_ints = st.integers(1, 10**5).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b)).map(
+    lambda n: -n if n % 3 == 0 else n
+)
+
+
+@given(st.one_of(
+    st.integers(),
+    huge_ints,
+    st.fractions(),
+    st.builds(Fraction, huge_ints, huge_ints),
+    st.floats(allow_nan=False, allow_infinity=False),
+))
+@example(-0.0)
+@example(5e-324)
+def test_log_of_fraction_is_the_fraction_formula(x):
+    assert log_of_fraction(x).hex() == fraction_log(x).hex()
