@@ -160,10 +160,16 @@ def _add_factored(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
     lcm: each numerator is multiplied by the prime powers its denominator
     lacks, and no gcd is taken."""
     (n_a, d_a), (n_b, d_b) = a, b
-    den = {p: max(d_a.get(p, 0), d_b.get(p, 0)) for p in d_a.keys() | d_b.keys()}
-    f_a = _product([p ** (e - d_a.get(p, 0)) for p, e in den.items() if e > d_a.get(p, 0)])
-    f_b = _product([p ** (e - d_b.get(p, 0)) for p, e in den.items() if e > d_b.get(p, 0)])
-    return n_a * f_a + n_b * f_b, den
+    den, f_a, f_b = dict(d_a), [], []
+    for p, e in d_b.items():
+        e_a = den.get(p, 0)
+        if e > e_a:
+            f_a.append(p ** (e - e_a))
+            den[p] = e
+        elif e_a > e:
+            f_b.append(p ** (e_a - e))
+    f_b += [p**e for p, e in d_a.items() if p not in d_b]
+    return n_a * _product(f_a) + n_b * _product(f_b), den
 
 
 class BaseFunction:

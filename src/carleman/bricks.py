@@ -96,17 +96,26 @@ class SweepResult:
         if log_lhs > LOG_ZERO:
             self.max_log_ratio = max(self.max_log_ratio, log_lhs - log_rhs)
 
-    def record_squares(self, lhs_sq: Scalar, rhs_sq: Scalar, tag) -> None:
-        """Compare lhs^2 <= rhs^2 (exact when both rational)."""
+    def record_squares(self, lhs: Scalar, rhs_sq: Scalar, tag) -> None:
+        """Compare lhs^2 <= rhs_sq for lhs >= 0. A rational lhs = n/d in
+        lowest terms has the square n^2/d^2 in lowest terms, so an exact
+        comparison and its log ratio are read from integers."""
         self.checked += 1
+        if isinstance(lhs, Fraction):
+            n, d = lhs.numerator ** 2, lhs.denominator ** 2
+            N, D = rhs_sq.numerator, rhs_sq.denominator
+            if n * D > N * d:
+                self.failures.append(tag)
+            if n and N > 0:
+                log_ratio = math.log(n) - math.log(d) - log_of_fraction(rhs_sq)
+                self.max_log_ratio = max(self.max_log_ratio, log_ratio / 2)
+            return
+        lhs_sq = lhs * lhs
         if lhs_sq > rhs_sq:
             self.failures.append(tag)
         if lhs_sq > 0 and rhs_sq > 0:
-            def _log(v):
-                return log_of_fraction(v) if isinstance(v, Fraction) else math.log(v)
-
             self.max_log_ratio = max(
-                self.max_log_ratio, (_log(lhs_sq) - _log(rhs_sq)) / 2
+                self.max_log_ratio, (math.log(lhs_sq) - math.log(rhs_sq)) / 2
             )
 
     def sweep(
@@ -132,7 +141,7 @@ class SweepResult:
             n = a[0] + a[1]
             coef = abs(coef)
             if rhs_sq is not None:
-                self.record_squares(coef * coef, rhs_sq(a, n), (*tag, a))
+                self.record_squares(coef, rhs_sq(a, n), (*tag, a))
             else:
                 log_tails, log_rhs = log_bound(a, n)
                 log_coef = math.log(coef) if coef else LOG_ZERO

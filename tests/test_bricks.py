@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from carleman.bricks import (
     BrickParams,
+    SweepResult,
     brick_jet,
     brick_taylor_check,
     brick_value,
@@ -17,6 +19,7 @@ from carleman.bricks import (
     polar_samples,
 )
 from carleman.jets import EXACT, JetError
+from carleman.logscale import log_of_fraction
 
 
 def test_params_validation():
@@ -122,3 +125,30 @@ def test_polar_samples_shape():
     rng = random.Random(11)
     lo, hi = math.log(1e-4), math.log(10.0)
     assert radii[1:] == [math.exp(rng.uniform(lo, hi)) for _ in range(5)]
+
+
+def fraction_record_squares(res, lhs_sq, rhs_sq, tag):
+    """`SweepResult.record_squares` on the Fraction square formed first: the
+    exact comparison its integer one replaces, kept here as its oracle."""
+    res.checked += 1
+    if lhs_sq > rhs_sq:
+        res.failures.append(tag)
+    if lhs_sq > 0 and rhs_sq > 0:
+        log_ratio = (log_of_fraction(lhs_sq) - log_of_fraction(rhs_sq)) / 2
+        res.max_log_ratio = max(res.max_log_ratio, log_ratio)
+
+
+# nonnegative coefficients and bounds of either sign, some of up to 2000 bits
+wide_fractions = st.builds(
+    Fraction, st.integers(-(2**2000), 2**2000), st.integers(1, 2**2000)
+) | st.fractions(max_denominator=50)
+
+
+@given(st.lists(st.tuples(wide_fractions.map(abs), wide_fractions), max_size=8))
+def test_exact_record_squares_is_the_fraction_square(pairs):
+    got, want = SweepResult(), SweepResult()
+    for i, (lhs, rhs_sq) in enumerate(pairs):
+        got.record_squares(lhs, rhs_sq, i)
+        fraction_record_squares(want, lhs * lhs, rhs_sq, i)
+    assert (got.checked, got.failures) == (want.checked, want.failures)
+    assert got.max_log_ratio.hex() == want.max_log_ratio.hex()
