@@ -207,8 +207,7 @@ class Layout:
         stored = data.get("eps_exact")
         eps_exact = None if stored is None else _stored_rational("eps_exact", stored)
         if eps_exact != rebuilt.eps_exact:
-            want = None if rebuilt.eps_exact is None else str(rebuilt.eps_exact)
-            raise LayoutError(f"stored eps_exact {stored!r} disagrees with its rebuild's {want!r}")
+            raise LayoutError(f"stored eps_exact {stored!r} disagrees with its rebuild")
         return rebuilt
 
     @classmethod
