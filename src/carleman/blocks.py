@@ -21,6 +21,9 @@ gevrey:3, shift:2:gevrey:1 and power:2:gevrey:1 never do. M_k is never kept
 as a table, which would grow like K^2 log K bits (2.4 GiB at the eighth
 greedy block's 54624 terms): base init and the moments carry it as one
 running product, and every other exact read asks `WeightSequence.exact`.
+The moments keep their denominators factored as {p: exponent} and are put
+in lowest terms by trial division over those known primes, never by a gcd
+of their huge numerators.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
@@ -172,6 +175,30 @@ def _add_factored(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
     return n_a * _product(f_a) + n_b * _product(f_b), den
 
 
+def _lowest_terms(num: int, den: dict[int, int]) -> Fraction:
+    """num / prod p^e for num > 0 and primes p, in lowest terms by trial
+    division, each p at most e times: 2 by num's trailing zeros, an odd p
+    while divmod leaves no remainder. No gcd of num is taken, and the
+    Fraction is built from the coprime parts without one."""
+    left = []
+    for p, e in den.items():
+        if p == 2:
+            c = min(e, (num & -num).bit_length() - 1)
+            num >>= c
+        else:
+            c = 0
+            while c < e:
+                q, r = divmod(num, p)
+                if r:
+                    break
+                num, c = q, c + 1
+        if e > c:
+            left.append(p ** (e - c))
+    frac = object.__new__(Fraction)
+    frac._numerator, frac._denominator = num, _product(left)
+    return frac
+
+
 class BaseFunction:
     """K-term truncation of h; exact weights when the family has them.
 
@@ -280,7 +307,9 @@ class BaseFunction:
         (`_prime_factors`), a term's denominator loses the primes M_k shares
         with it (from M_k's running valuations), and a merge multiplies each
         numerator by the prime powers its denominator lacks (`_add_factored`)
-        and takes no gcd. One Fraction, reduced once, is formed at the end."""
+        and takes no gcd. The final sum is put in lowest terms by trial
+        division over its denominator's known primes (`_lowest_terms`), so
+        the ~877k-bit numerator at order 2 of the 1024 layout meets no gcd."""
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
         factors = cache(_prime_factors)  # each distinct m factored once per call
@@ -310,8 +339,7 @@ class BaseFunction:
         while len(runs) > 1:
             top = runs.pop()
             runs[-1] = _add_factored(runs[-1], top)
-        num, den = runs[0]
-        return Fraction(num, _product([p**e for p, e in den.items()]))
+        return _lowest_terms(*runs[0])
 
     def axis_sum_interval(self, order: int, one_plus_t2: RInterval) -> RInterval:
         """sum_k w_k m_k^order / (1+t^2)^(order/2+1) for an enclosure of 1+t^2."""

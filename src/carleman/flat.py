@@ -399,27 +399,48 @@ class FlatAxisValue:
     """|d^order/dx2^order F| at the center of block `at`, split into the
     block's own (dominant) term and the cross terms of the other blocks.
 
-    All sources share the sign (-1)^(order/2); magnitudes add. The interval
-    path gives a certified lower bound (truncation drops positive terms),
-    and total plus tail bounds the full sum above.
+    All sources share the sign (-1)^(order/2); magnitudes add. Every source's
+    axis sum is the order's (huge) moment times a small factor, so the value
+    keeps the moment, the target's scale and the other blocks' factor
+    interval, and forms an exact product only when it is read: a certificate
+    row forms two endpoint products, `cross_hi` and `total_lower`, besides
+    `dominant_exact`. The interval path gives a certified lower bound
+    (truncation drops positive terms), and total plus tail bounds the full
+    sum above; `paths_agree` compares `total_lower` with the float log.
     """
 
     order: int
     at: int
     sign: int
-    dominant_exact: Fraction
-    cross_iv: RInterval
-    total_iv: RInterval
+    factor: RInterval  # sum over the other blocks of scale_e / (1+t_e^2)^p
+    moment: Fraction  # sum_k w_k m_k^order, the base's truncated moment
+    target_scale: Fraction  # the target block's weight * order! / rho^order
     tail_exact: Fraction
     total_log_float: float
 
-    @property
+    @cached_property
+    def dominant_exact(self) -> Fraction:
+        return self.target_scale * self.moment
+
+    @cached_property
+    def cross_hi(self) -> Fraction:
+        return self.factor.hi * self.moment
+
+    @cached_property
     def total_lower(self) -> Fraction:
-        return self.total_iv.lo
+        return (self.factor.lo + self.target_scale) * self.moment
+
+    @property
+    def cross_iv(self) -> RInterval:
+        return self.factor * self.moment
+
+    @property
+    def total_iv(self) -> RInterval:
+        return (self.factor + self.target_scale) * self.moment
 
     @property
     def paths_agree(self) -> bool:
-        return abs(log_of_fraction(self.total_iv.hi) - self.total_log_float) < 1e-9
+        return abs(log_of_fraction(self.total_lower) - self.total_log_float) < 1e-9
 
 
 def flat_axis_derivative(
@@ -444,7 +465,8 @@ def flat_axis_derivative(
     dom_log = target.weight_log + lf - order * log_of_fraction(target.rho) + log_moment
 
     # every source's axis sum is the order's moment over (1+t^2)^p, so sum the
-    # small factors first and multiply by the (huge) moment once per endpoint
+    # small factors first; FlatAxisValue multiplies by the (huge) moment
+    # only the endpoints it is asked for
     p = order // 2 + 1
     factor = RInterval.exactly(0)  # sum_e scale_e / (1+t_e^2)^p
     scales = target_scale
@@ -465,14 +487,13 @@ def flat_axis_derivative(
             + (log_moment - p * math.log1p(t_f * t_f))
         )
 
-    moment = base.axis_moment(order)
     return FlatAxisValue(
         order,
         at,
         sign,
-        target_scale * moment,
-        factor * moment,
-        (factor + target_scale) * moment,
+        factor,
+        base.axis_moment(order),
+        target_scale,
         scales * tail_unit,
         logsumexp(logs),
     )
@@ -551,7 +572,7 @@ def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
         others = [o for o in layout.orders if o != lam]
         s2 = sum(Fraction(1, 2**o) for o in others)
         cross_bound = fact * M_lam * Fraction(8) ** (lam + 3) / layout.delta_min_lo**lam * s2
-        cross_ok = ax.cross_iv.hi + ax.tail_exact <= cross_bound
+        cross_ok = ax.cross_hi + ax.tail_exact <= cross_bound
 
         lhs_log = log_of_fraction(ax.total_lower)
         rhs_log = log_of_fraction(rhs_hi)
@@ -565,7 +586,7 @@ def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
                 dominant_log=log_of_fraction(ax.dominant_exact),
                 dominant_floor_log=log_of_fraction(floor),
                 dominant_ok=dominant_ok,
-                cross_log=log_of_fraction(ax.cross_iv.hi) if ax.cross_iv.hi > 0 else LOG_ZERO,
+                cross_log=log_of_fraction(ax.cross_hi) if ax.cross_hi > 0 else LOG_ZERO,
                 cross_bound_log=log_of_fraction(cross_bound),
                 cross_ok=cross_ok,
                 tail_log=log_of_fraction(ax.tail_exact),

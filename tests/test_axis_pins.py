@@ -7,6 +7,8 @@ verdicts rest on these numbers, so any change to how they are computed
 the same reduced Fraction. Each greedy layout at lambda_max 256 is pinned
 by one sha256 digest over the sign, length and big-endian bytes
 (`int.to_bytes`) of every numerator and denominator of every row, in order.
+The two endpoints the certificate reads, `cross_hi` and `total_lower`, are
+formed without the intervals and must equal their interval endpoints.
 """
 
 import hashlib
@@ -42,6 +44,14 @@ PINS = {
         [2, 24, 200],
         "50eb73e56d90da5f36a129be8b2a0f267aab24bb1dda3c7360133e5f09770a4d",
     ),
+    ("gevrey:3", "sqrt"): (  # cube ratios
+        [2, 4, 8, 14, 24, 40, 66, 106, 170],
+        "e20d0274d89232a645ae776dc7820f026ddb1170439fb17af3a4f8b94ba5ff6e",
+    ),
+    ("shift:2:gevrey:1", "sqrt"): (  # ratios (2k+1)(2k+2), two primes or more
+        [2, 6, 14, 30, 62, 126, 254],
+        "3049ec0dd2809ac11adb05ecca7d77fae68f82d8f7549c641fff31c1f918b409",
+    ),
 }
 
 
@@ -53,6 +63,8 @@ def test_flat_axis_derivative_exact_fields_pinned(family, e_spec):
     fields: list[Fraction] = []
     for lam in fn.layout.orders:
         ax = flat_axis_derivative(fn, lam, lam)
+        # the two endpoints the certificate reads, formed without the intervals
+        assert (ax.cross_hi, ax.total_lower) == (ax.cross_iv.hi, ax.total_iv.lo)
         fields += [
             ax.dominant_exact,
             ax.cross_iv.lo,

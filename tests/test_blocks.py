@@ -10,7 +10,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carleman import blocks
 from carleman.blocks import (
@@ -24,6 +24,7 @@ from carleman.blocks import (
     polar_block_bound_check,
     polar_block_jet,
     _integer_weights,
+    _lowest_terms,
     _prime_factors,
 )
 from carleman.intervals import RInterval, _log_bracketed
@@ -206,6 +207,30 @@ def test_axis_moment_is_the_sum_of_its_terms(terms, family):
     for order in (0, 2, 6, terms - 1, terms + 3):
         terms_sum = sum(h.weight_exact(k) * M.exact_ratio(k) ** order for k in h.k_range)
         assert h.axis_moment(order) == terms_sum
+
+
+@st.composite
+def factored_quotients(draw):
+    """(num, {p: e}) with num = r prod p^f: f is drawn from 0 (p absent from
+    num unless r holds it) to 2e (num holds p more often than e), and 2 may
+    carry an exponent in the thousands."""
+    num, den = draw(st.integers(1, 2**256)), {}
+    for p in draw(st.lists(st.sampled_from([2, 3, 5, 7, 61, 10007]), min_size=1, unique=True)):
+        e = draw(st.integers(1, 4000 if p == 2 else 40))
+        den[p] = e
+        num *= p ** draw(st.integers(0, 2 * e))
+    return num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_quotients())
+@example((2**5000 * 3**7 * 11, {2: 4000, 3: 5, 5: 3}))
+def test_lowest_terms_matches_fraction(quotient):
+    num, den = quotient
+    want = Fraction(num, math.prod(p**e for p, e in den.items()))
+    got = _lowest_terms(num, den)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
 
 
 def test_exact_family_needs_integer_ratios():
