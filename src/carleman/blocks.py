@@ -23,7 +23,8 @@ greedy block's 54624 terms): base init and the moments carry it as one
 running product, and every other exact read asks `WeightSequence.exact`.
 The moments keep their denominators factored as {p: exponent} and are put
 in lowest terms by trial division over those known primes, never by a gcd
-of their huge numerators.
+of their huge numerators; the certificate's products with a moment cancel
+over the same primes (`_times_factored`).
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
@@ -175,28 +176,54 @@ def _add_factored(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
     return n_a * _product(f_a) + n_b * _product(f_b), den
 
 
-def _lowest_terms(num: int, den: dict[int, int]) -> Fraction:
-    """num / prod p^e for num > 0 and primes p, in lowest terms by trial
-    division, each p at most e times: 2 by num's trailing zeros, an odd p
-    while divmod leaves no remainder. No gcd of num is taken, and the
-    Fraction is built from the coprime parts without one."""
-    left = []
+def _reduced(num: int, den: int) -> Fraction:
+    """num/den as a Fraction, for den > 0 coprime to num; takes no gcd."""
+    frac = object.__new__(Fraction)
+    frac._numerator, frac._denominator = num, den
+    return frac
+
+
+def _lowest_terms(num: int, den: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """num / prod p^e for num != 0 and primes p in lowest terms, as its
+    numerator and its denominator's {p: exponent}, by trial division, each p
+    at most e times: 2 by num's trailing zeros, an odd p by divmod with p^s
+    while it leaves no remainder, s doubling after each exact division and
+    halving after each inexact one down to s = 1. No gcd of num is taken;
+    `_reduced` builds the Fraction."""
+    left = {}
     for p, e in den.items():
         if p == 2:
             c = min(e, (num & -num).bit_length() - 1)
             num >>= c
         else:
-            c = 0
+            c, s = 0, 1
             while c < e:
-                q, r = divmod(num, p)
-                if r:
+                s = min(s, e - c)
+                q, r = divmod(num, p**s)
+                if not r:
+                    num, c, s = q, c + s, 2 * s
+                elif s == 1:
                     break
-                num, c = q, c + 1
+                else:
+                    s //= 2
         if e > c:
-            left.append(p ** (e - c))
-    frac = object.__new__(Fraction)
-    frac._numerator, frac._denominator = num, _product(left)
-    return frac
+            left[p] = e - c
+    return num, left
+
+
+def _times_factored(x: Fraction, bases: Sequence[int], y: Fraction, primes: dict[int, int]) -> Fraction:
+    """x y in lowest terms, for reduced x = a/b whose denominator's primes each
+    divide one of `bases`, and reduced y = N/D with D = prod p^e over `primes`.
+
+    gcd(a, D) comes by trial division over D's primes (`_lowest_terms`), and
+    gcd(N, b) = 1 is proved by gcd(N mod q, q) = 1 for each base q, so the
+    huge N meets no gcd. If a check fails, or a = 0, it is a Fraction product."""
+    a, N = x.numerator, y.numerator
+    if not a or any(math.gcd(N % q, q) != 1 for q in bases):
+        return x * y
+    a, left = _lowest_terms(a, primes)
+    cut = [p ** (e - left.get(p, 0)) for p, e in primes.items() if left.get(p, 0) < e]
+    return _reduced(a * N, x.denominator * (y.denominator // _product(cut)))
 
 
 class BaseFunction:
@@ -295,7 +322,13 @@ class BaseFunction:
         return logsumexp(self._log_w[k] + order * self.M.log_ratio(k) for k in self.k_range)
 
     def axis_moment(self, order: int) -> Fraction:
-        """sum_k w_k m_k^order over the truncation, exact.
+        """sum_k w_k m_k^order over the truncation, exact (`_axis_moment`)."""
+        return self._axis_moment(order)[0]
+
+    def _axis_moment(self, order: int) -> tuple[Fraction, dict[int, int]]:
+        """The exact moment sum_k w_k m_k^order and its denominator as
+        {p: exponent}, for products that cancel by trial division
+        (`_times_factored`).
 
         Each term w_k m_k^order = M_k m_k^(order-k) / 2^k is read from the
         integer m_k and M_k, a running product over this loop: a dyadic for
@@ -339,7 +372,8 @@ class BaseFunction:
         while len(runs) > 1:
             top = runs.pop()
             runs[-1] = _add_factored(runs[-1], top)
-        return _lowest_terms(*runs[0])
+        num, den = _lowest_terms(*runs[0])
+        return _reduced(num, _product([p**e for p, e in den.items()])), den
 
     def axis_sum_interval(self, order: int, one_plus_t2: RInterval) -> RInterval:
         """sum_k w_k m_k^order / (1+t^2)^(order/2+1) for an enclosure of 1+t^2."""

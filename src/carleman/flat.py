@@ -6,10 +6,12 @@ summable weights 1/(2^k phi(1/rho_k)). Greedy selection keeps only orders
 whose centers at least halve, so the blocks are well separated and the
 derivative of order k at the k-th center is dominated by its own block.
 
-Every certified inequality is evaluated two ways: in rational interval
-arithmetic with directed rounding (the certificate) and in log-domain floats
-(the cross-check). Irrational centers never touch the exact path except
-through certified root enclosures.
+Every certified inequality is evaluated two ways: in exact rational
+arithmetic (the certificate) and in log-domain floats (the cross-check). The
+only intervals on the exact path are the certified root enclosures of the
+irrational centers: a certificate row reads its per-block factors at their
+ends and forms exact sums and products from them, and skips a gcd only where
+small known bases prove the result already in lowest terms.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .blocks import LOG2, LOG8, MIN_TERMS, POLAR_BLOCK_C, BaseFunction, Block, polar_tail_log
+from .blocks import (LOG2, LOG8, MIN_TERMS, POLAR_BLOCK_C, BaseFunction, Block, _reduced,
+                     _times_factored, polar_tail_log)
 from .bricks import SweepResult, polar_samples
 from .intervals import ROOT_DIGITS, RInterval
 from .jets import FLOAT, Jet2, polar_coordinates
@@ -401,12 +404,16 @@ class FlatAxisValue:
 
     All sources share the sign (-1)^(order/2); magnitudes add. Every source's
     axis sum is the order's (huge) moment times a small factor, so the value
-    keeps the moment, the target's scale and the other blocks' factor
-    interval, and forms an exact product only when it is read: a certificate
-    row forms two endpoint products, `cross_hi` and `total_lower`, besides
-    `dominant_exact`. The interval path gives a certified lower bound
+    keeps the moment, the target's scale and the other blocks' factor, whose
+    ends are exact sums (`_add_coprime`) kept with bases that cover their
+    denominators' primes, and forms an exact product only when it is read: a
+    certificate row forms `dominant_exact`, `cross_hi` and `total_lower`. Each
+    product cancels by trial division over the moment's known primes and
+    proves the rest coprime on the bases (`_times_factored`), so the moment's
+    huge numerator meets no gcd. The lower end is a certified lower bound
     (truncation drops positive terms), and total plus tail bounds the full
     sum above; `paths_agree` compares `total_lower` with the float log.
+    `cross_iv` and `total_iv` are the interval products, kept as the oracle.
     """
 
     order: int
@@ -417,18 +424,27 @@ class FlatAxisValue:
     target_scale: Fraction  # the target block's weight * order! / rho^order
     tail_exact: Fraction
     total_log_float: float
+    lo_bases: tuple[int, ...]  # every prime of factor.lo's denominator divides one
+    hi_bases: tuple[int, ...]  # likewise for factor.hi
+    moment_primes: dict[int, int]  # the moment's denominator as {p: exponent}
+
+    def _times_moment(self, x: Fraction, bases: tuple[int, ...]) -> Fraction:
+        return _times_factored(x, bases, self.moment, self.moment_primes)
 
     @cached_property
     def dominant_exact(self) -> Fraction:
-        return self.target_scale * self.moment
+        return self._times_moment(self.target_scale, (self.target_scale.denominator,))
 
     @cached_property
     def cross_hi(self) -> Fraction:
-        return self.factor.hi * self.moment
+        return self._times_moment(self.factor.hi, self.hi_bases)
 
     @cached_property
     def total_lower(self) -> Fraction:
-        return (self.factor.lo + self.target_scale) * self.moment
+        scale = self.target_scale
+        return self._times_moment(*_add_coprime(
+            (self.factor.lo, self.lo_bases), (scale, (scale.denominator,))
+        ))
 
     @property
     def cross_iv(self) -> RInterval:
@@ -441,6 +457,19 @@ class FlatAxisValue:
     @property
     def paths_agree(self) -> bool:
         return abs(log_of_fraction(self.total_lower) - self.total_log_float) < 1e-9
+
+
+def _add_coprime(x: tuple, y: tuple) -> tuple:
+    """x + y for (Fraction, bases) pairs, each prime of a denominator dividing
+    one of its bases. When each base of x is coprime to each base of y, the
+    reduced a/b and c/d have coprime denominators, so no prime of b d divides
+    a d + c b: (a d + c b)/(b d) is in lowest terms and no gcd is taken.
+    Otherwise it is a Fraction sum."""
+    (u, u_bases), (v, v_bases) = x, y
+    if all(math.gcd(q, r) == 1 for q in u_bases for r in v_bases):
+        (a, b), (c, d) = u.as_integer_ratio(), v.as_integer_ratio()
+        return _reduced(a * d + c * b, b * d), u_bases + v_bases
+    return u + v, u_bases + v_bases
 
 
 def flat_axis_derivative(
@@ -465,10 +494,10 @@ def flat_axis_derivative(
     dom_log = target.weight_log + lf - order * log_of_fraction(target.rho) + log_moment
 
     # every source's axis sum is the order's moment over (1+t^2)^p, so sum the
-    # small factors first; FlatAxisValue multiplies by the (huge) moment
-    # only the endpoints it is asked for
+    # small factors first, exactly at both ends; FlatAxisValue multiplies by
+    # the (huge) moment only the values it is asked for
     p = order // 2 + 1
-    factor = RInterval.exactly(0)  # sum_e scale_e / (1+t_e^2)^p
+    ends = [(Fraction(0), ())] * 2  # factor.lo and factor.hi, with their bases
     scales = target_scale
     logs = [dom_log]
     for e in layout.entries:
@@ -477,7 +506,12 @@ def flat_axis_derivative(
         t_iv = (target.center_iv - e.center_iv) / e.rho
         one_plus = RInterval.exactly(1) + t_iv**2
         e_scale = scale(e)
-        factor = factor + (one_plus**p).reciprocal() * e_scale
+        # lo over the upper end of 1+t^2, hi over the lower; a term's
+        # denominator divides e_scale's times the end's numerator^p
+        ends = [
+            _add_coprime(s, (e_scale / end**p, (e_scale.denominator, end.numerator)))
+            for s, end in zip(ends, (one_plus.hi, one_plus.lo))
+        ]
         scales += e_scale
         t_f = (target.center - e.center) / float(e.rho)
         logs.append(
@@ -487,15 +521,19 @@ def flat_axis_derivative(
             + (log_moment - p * math.log1p(t_f * t_f))
         )
 
+    moment, moment_primes = base._axis_moment(order)
     return FlatAxisValue(
         order,
         at,
         sign,
-        factor,
-        base.axis_moment(order),
+        RInterval._ordered(ends[0][0], ends[1][0]),
+        moment,
         target_scale,
         scales * tail_unit,
         logsumexp(logs),
+        ends[0][1],
+        ends[1][1],
+        moment_primes,
     )
 
 
@@ -572,7 +610,8 @@ def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
         others = [o for o in layout.orders if o != lam]
         s2 = sum(Fraction(1, 2**o) for o in others)
         cross_bound = fact * M_lam * Fraction(8) ** (lam + 3) / layout.delta_min_lo**lam * s2
-        cross_ok = ax.cross_hi + ax.tail_exact <= cross_bound
+        # cross_hi + tail <= bound, with the small tail moved right: no huge sum
+        cross_ok = ax.cross_hi <= cross_bound - ax.tail_exact
 
         lhs_log = log_of_fraction(ax.total_lower)
         rhs_log = log_of_fraction(rhs_hi)

@@ -26,6 +26,8 @@ from carleman.blocks import (
     _integer_weights,
     _lowest_terms,
     _prime_factors,
+    _reduced,
+    _times_factored,
 )
 from carleman.intervals import RInterval, _log_bracketed
 from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
@@ -228,7 +230,49 @@ def factored_quotients(draw):
 def test_lowest_terms_matches_fraction(quotient):
     num, den = quotient
     want = Fraction(num, math.prod(p**e for p, e in den.items()))
-    got = _lowest_terms(num, den)
+    got_num, left = _lowest_terms(num, den)
+    assert set(left) <= set(den) and all(e > 0 for e in left.values())
+    got = _reduced(got_num, math.prod(p**e for p, e in left.items()))
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+
+
+MOMENT_PRIMES = (2, 3, 5, 7, 61, 10007)
+BASE_PRIMES = (2, 3, 11, 13, 101, 2**61 - 1)  # 2 and 3 may also be moment primes
+
+
+@st.composite
+def moment_products(draw):
+    """(x, bases, y, primes) for `_times_factored`: y = N/D reduced with D =
+    prod p^e over `primes`, and x = a/b reduced with b a product of powers of
+    `bases`. a may be 0 or hold a moment prime up to 2e times, and N may hold a
+    prime of a base (the fallback) unless that prime divides D."""
+    primes = {
+        p: draw(st.integers(1, 300 if p == 2 else 30))
+        for p in draw(st.lists(st.sampled_from(MOMENT_PRIMES), min_size=1, unique=True))
+    }
+    bases = draw(st.lists(
+        st.lists(st.sampled_from(BASE_PRIMES), min_size=1, max_size=3).map(math.prod), max_size=4
+    ))
+    b = math.prod(q ** draw(st.integers(0, 6)) for q in bases)
+    a = draw(st.integers(-(2**200), 2**200))
+    for p, e in primes.items():
+        a *= p ** draw(st.integers(0, 2 * e))
+    N = draw(st.integers(1, 2**400)) * math.prod(draw(st.lists(st.sampled_from(BASE_PRIMES))))
+    for p in primes:
+        while N % p == 0:
+            N //= p
+    return Fraction(a, b), bases, Fraction(N, math.prod(p**e for p, e in primes.items())), primes
+
+
+@settings(max_examples=300, deadline=None)
+@given(moment_products())
+@example((Fraction(2**50 * 3**9 * 7, 11**4), [11, 13], Fraction(5, 2**40 * 3**4), {2: 40, 3: 4}))  # a holds 2, 3 past e
+@example((Fraction(1, 11**3 * 13), [11 * 13], Fraction(11 * 17, 2**5), {2: 5}))  # N shares 11 with b
+@example((Fraction(0), [6], Fraction(7, 2), {2: 1}))  # a zero multiplier
+def test_times_factored_matches_fraction(case):
+    x, bases, y, primes = case
+    want, got = x * y, _times_factored(x, bases, y, primes)
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert got == want and hash(got) == hash(want)
 

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from carleman.blocks import polar_block_jet
 from carleman.flat import (
@@ -24,6 +25,7 @@ from carleman.flat import (
     lower_bound_certificate,
     polar_flat_check,
     sharpness_scan,
+    _add_coprime,
 )
 from carleman.intervals import RInterval
 from carleman.jets import FLOAT, Jet2
@@ -459,3 +461,26 @@ def test_precheck_encloses_only_the_deciding_roots(monkeypatch):
     assert layout.orders == [2, 12, 52, 212, 852, 3412]
     assert len(indices) <= 20
     assert max(indices) <= 2
+
+
+@st.composite
+def based_fractions(draw):
+    """(x, bases) for `_add_coprime`: x = a/b reduced, b a product of powers of
+    the bases; a may be 0."""
+    bases = tuple(draw(st.lists(st.sampled_from([2, 4, 8, 3, 9, 5, 6, 7, 15, 10007, 2**61 - 1]),
+                                max_size=3)))
+    b = math.prod(q ** draw(st.integers(0, 40)) for q in bases)
+    return Fraction(draw(st.integers(-(2**300), 2**300)), b), bases
+
+
+@settings(max_examples=300, deadline=None)
+@given(based_fractions(), based_fractions())
+@example((Fraction(7, 2**30), (2,)), (Fraction(11, 3**20 * 5), (3, 5)))  # coprime bases
+@example((Fraction(1, 4), (4,)), (Fraction(3, 8), (8,)))  # two powers of 2: 1/4 + 3/8 = 5/8
+@example((Fraction(0), ()), (Fraction(5, 9), (9,)))  # a zero summand
+@example((Fraction(5, 9), (9,)), (Fraction(0), (2,)))
+def test_add_coprime_matches_fraction(x, y):
+    want = x[0] + y[0]
+    got, bases = _add_coprime(x, y)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want) and bases == x[1] + y[1]
