@@ -10,8 +10,8 @@ Every certified inequality is evaluated two ways: in exact rational
 arithmetic (the certificate) and in log-domain floats (the cross-check). The
 only intervals on the exact path are the certified root enclosures of the
 irrational centers: a certificate row reads its per-block factors at their
-ends and forms exact sums and products from them, and skips a gcd only where
-small known bases prove the result already in lowest terms.
+ends and forms exact sums and products from them, taking no gcd where known
+small bases or the moment's known primes prove the result in lowest terms.
 """
 
 from __future__ import annotations
@@ -24,8 +24,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .blocks import (LOG2, LOG8, MIN_TERMS, POLAR_BLOCK_C, BaseFunction, Block, _reduced,
-                     _times_factored, polar_tail_log)
+from .blocks import (
+    LOG2,
+    LOG8,
+    MIN_TERMS,
+    POLAR_BLOCK_C,
+    BaseFunction,
+    Block,
+    _reduced,
+    _times_factored,
+    polar_tail_log,
+)
 from .bricks import SweepResult, polar_samples
 from .intervals import ROOT_DIGITS, RInterval
 from .jets import FLOAT, Jet2, polar_coordinates
