@@ -43,7 +43,7 @@ from .flat import (
     polar_flat_check,
     sharpness_scan,
 )
-from .jets import EXACT, FLOAT, Jet2, finite_difference
+from .jets import Jet2, finite_difference
 from .ostrowski import verify_phi_identity
 from .weights import (
     WeightSequence,
@@ -286,7 +286,7 @@ def _crit_jet_consistency() -> Outcome:
         (
             "brick",
             lambda pt: brick_value(p, pt[0], pt[1]),
-            lambda base, d: brick_jet(p, base, d, FLOAT),
+            lambda base, d: brick_jet(p, base, d),
             (0.7, -0.3),
             0.02,
         ),
@@ -300,7 +300,7 @@ def _crit_jet_consistency() -> Outcome:
         (
             "polar-brick",
             lambda pt: brick_value(p, pt[0] * math.cos(pt[1]), pt[0] * math.sin(pt[1])),
-            lambda base, d: polar_brick_jet(p, base, d, FLOAT),
+            lambda base, d: polar_brick_jet(p, base, d),
             (1.3, 0.5),
             0.02,
         ),
@@ -312,7 +312,7 @@ def _crit_jet_consistency() -> Outcome:
         (
             "base",
             lambda pt: h.value(pt[0], pt[1]),
-            lambda base, d: h.jet(base, d, FLOAT),
+            lambda base, d: h.jet(base, d),
             (0.2, 0.6),
             0.02,
         )
@@ -321,8 +321,8 @@ def _crit_jet_consistency() -> Outcome:
     for name, f, jet_of, base, step in cases:
         if jet_of is None:
             def jet_of(b, d):
-                x = Jet2.variable(0, b, d, FLOAT)
-                y = Jet2.variable(1, b, d, FLOAT)
+                x = Jet2.variable(0, b, d)
+                y = Jet2.variable(1, b, d)
                 return (x * x + y * y + 5.0).reciprocal()
 
         jet = jet_of(base, 4)
@@ -341,7 +341,7 @@ def _crit_jet_consistency() -> Outcome:
     # the axis closed form must agree with the exact jet on the nose
     M = gevrey(1)
     hK = BaseFunction(M, terms=60)
-    jet = hK.jet((Fraction(0), Fraction(0)), 8, EXACT)
+    jet = hK.jet((Fraction(0), Fraction(0)), 8)
     exact_bad = []
     for order in (2, 4, 6, 8):
         sign = -1 if (order // 2) % 2 else 1

@@ -43,7 +43,7 @@ from typing import Optional, Sequence, Union
 
 from .bricks import SweepResult, polar_samples
 from .intervals import RInterval, _log_bracketed, _power_bracket
-from .jets import EXACT, FLOAT, Jet2, polar_coordinates, reciprocal_sum
+from .jets import EXACT, Jet2, polar_coordinates, reciprocal_sum
 from .logscale import LOG_ZERO, log_diff, log_of_fraction, logsumexp
 from .weights import WeightError, WeightSequence
 
@@ -309,10 +309,9 @@ class BaseFunction:
             ws, ms = self._float_terms
         return reciprocal_sum(1 + y1 * y1, y2, ms, ws)
 
-    def jet(self, base: tuple, degree: int, kind: str = FLOAT) -> Jet2:
-        return self.kernel_sum(
-            Jet2.variable(0, base, degree, kind), Jet2.variable(1, base, degree, kind)
-        )
+    def jet(self, base: tuple, degree: int) -> Jet2:
+        """The jet at base, exact at a rational point, float at a float one."""
+        return self.kernel_sum(Jet2.variable(0, base, degree), Jet2.variable(1, base, degree))
 
     # -- axis derivatives ----------------------------------------------------
 
@@ -422,7 +421,7 @@ def base_upper_check(
     ]
     for x in pts:
         log_bound = _upper_bound(h, math.log1p(x[0] ** 2 + x[1] ** 2), 0.0)
-        res.sweep(h.jet(x, degree, FLOAT), (x,), log_bound=log_bound)
+        res.sweep(h.jet(x, degree), (x,), log_bound=log_bound)
     return res
 
 
@@ -516,10 +515,9 @@ class Block:
             inv_rho, q = 1 / float(self.rho), float(self.q)
         return self.base.kernel_sum(x1.scale(inv_rho) - q, x2.scale(inv_rho))
 
-    def jet(self, base_pt: tuple, degree: int, kind: str = FLOAT) -> Jet2:
-        return self.jet_of(
-            Jet2.variable(0, base_pt, degree, kind), Jet2.variable(1, base_pt, degree, kind)
-        )
+    def jet(self, base_pt: tuple, degree: int) -> Jet2:
+        """The jet at base_pt, exact at a rational point, float at a float one."""
+        return self.jet_of(Jet2.variable(0, base_pt, degree), Jet2.variable(1, base_pt, degree))
 
 
 def block_upper_check(
@@ -541,7 +539,7 @@ def block_upper_check(
         for x in pts:
             log_d = math.log((x[0] - c1) ** 2 + x[1] ** 2 + rr * rr)
             log_bound = _upper_bound(h, log_d, 2 * math.log(rr))
-            res.sweep(blk.jet(x, degree, FLOAT), ((q, rho), x), log_bound=log_bound)
+            res.sweep(blk.jet(x, degree), ((q, rho), x), log_bound=log_bound)
     return res
 
 
@@ -557,9 +555,10 @@ def block_lower_check(
 
 # -- polar composition -------------------------------------------------------
 
-def polar_block_jet(blk: Block, base_pt: tuple, degree: int, kind: str = FLOAT) -> Jet2:
-    """Jet of f(r cos theta, r sin theta); exact kind needs base theta = 0."""
-    return blk.jet_of(*polar_coordinates(base_pt, degree, kind))
+def polar_block_jet(blk: Block, base_pt: tuple, degree: int) -> Jet2:
+    """Jet of f(r cos theta, r sin theta) at base_pt = (r, theta), of the
+    point's kind; an exact point needs theta = 0 exactly."""
+    return blk.jet_of(*polar_coordinates(base_pt, degree))
 
 
 def polar_tail_log(h: BaseFunction, w_log: float, growth: float, a: tuple, n: int) -> float:
@@ -601,6 +600,6 @@ def polar_block_bound_check(
             return math.exp(norm / (n + 1))
 
         for r, th in polar_samples(rng, radii, angles):
-            jet = polar_block_jet(blk, (r, th), degree, FLOAT)
+            jet = polar_block_jet(blk, (r, th), degree)
             res.sweep(jet, ((q, rho), r, th), log_bound=log_bound, constant=constant)
     return res

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .jets import EXACT, FLOAT, Jet2, polar_coordinates
+from .jets import Jet2, polar_coordinates
 from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 
 Scalar = Union[int, float, Fraction]
@@ -62,17 +62,19 @@ def _brick_of(p: BrickParams, x1: Jet2, x2: Jet2) -> Jet2:
     return denom.reciprocal().scale(p.rho**2)
 
 
-def brick_jet(p: BrickParams, base: tuple, degree: int, kind: str = EXACT) -> Jet2:
-    return _brick_of(p, Jet2.variable(0, base, degree, kind), Jet2.variable(1, base, degree, kind))
+def brick_jet(p: BrickParams, base: tuple, degree: int) -> Jet2:
+    """The jet of u at base, exact at a rational point, float at a float one."""
+    return _brick_of(p, Jet2.variable(0, base, degree), Jet2.variable(1, base, degree))
 
 
-def polar_brick_jet(p: BrickParams, base: tuple, degree: int, kind: str = EXACT) -> Jet2:
-    """Jet of u composed with (r, theta) -> (r cos theta, r sin theta).
+def polar_brick_jet(p: BrickParams, base: tuple, degree: int) -> Jet2:
+    """Jet of u composed with (r, theta) -> (r cos theta, r sin theta) at
+    base = (r, theta), of the point's kind.
 
-    Exact kind requires base theta = 0 (the angle jet must have no constant
-    term for the exact sine/cosine expansion).
+    An exact point needs theta = 0 exactly (the angle jet must have no
+    constant term for the exact sine/cosine expansion).
     """
-    return _brick_of(p, *polar_coordinates(base, degree, kind))
+    return _brick_of(p, *polar_coordinates(base, degree))
 
 
 @dataclass
@@ -177,8 +179,8 @@ def cauchy_kernel_check(
         if c <= 0:
             raise ValueError("kernel offset c must be positive")
         for x in _rational_points(rng, points):
-            x1 = Jet2.variable(0, x, degree, EXACT)
-            x2 = Jet2.variable(1, x, degree, EXACT)
+            x1 = Jet2.variable(0, x, degree)
+            x2 = Jet2.variable(1, x, degree)
             g = (c + x1 * x1 + x2 * x2).reciprocal()
             base_sq = c + x[0] ** 2 + x[1] ** 2
             log_base_sq = log_of_fraction(base_sq)
@@ -209,7 +211,7 @@ def brick_taylor_check(
         log_rho2 = 2 * log_of_fraction(p.rho)
         log_m = log_of_fraction(p.m)
         for x in _rational_points(rng, points):
-            jet = brick_jet(p, x, degree, EXACT)
+            jet = brick_jet(p, x, degree)
             u = brick_value(p, x[0], x[1])
             scaled = u / p.rho**2
             log_u = log_of_fraction(u)
@@ -263,7 +265,7 @@ def polar_brick_bound_check(
             return norm ** (1.0 / (n + 1))
 
         for r, th in polar_samples(rng, radii, angles):
-            jet = polar_brick_jet(p, (r, th), degree, FLOAT)
+            jet = polar_brick_jet(p, (r, th), degree)
             res.sweep(jet, (p, r, th), rhs_sq=rhs_sq, constant=constant)
     return res
 

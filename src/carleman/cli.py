@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from .acceptance import CRITERIA, run_all
 from .blocks import (
+    DEFAULT_TERMS,
     MIN_TERMS,
     base_lower_check,
     base_upper_check,
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--Dmax", type=_at_least(0), default=6)
     p.add_argument("--samples", type=_at_least(1), default=6)
-    p.add_argument("--terms", type=_at_least(MIN_TERMS), default=40)
+    p.add_argument("--terms", type=_at_least(MIN_TERMS), default=DEFAULT_TERMS)
     p.add_argument("--seed", type=int, default=0)
     _add_out(p)
     p.set_defaults(handler=_cmd_verify_bounds, report="bounds.json")

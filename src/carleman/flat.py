@@ -37,7 +37,7 @@ from .blocks import (
 )
 from .bricks import SweepResult, polar_samples
 from .intervals import ROOT_DIGITS, RInterval
-from .jets import FLOAT, Jet2, polar_coordinates
+from .jets import Jet2, polar_coordinates
 from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 from .weights import WeightSequence, compare, parse_family, shift
 
@@ -383,25 +383,21 @@ class FlatFunction:
             for e in layout.entries
         ]
 
-    def value(self, x1: float, x2: float) -> float:
-        return math.fsum(
-            float(e.weight) * b.value(x1, x2)
-            for e, b in zip(self.layout.entries, self._blocks)
-        )
-
     def _jet_of(self, x1: Jet2, x2: Jet2) -> Jet2:
-        total = Jet2.constant(0, x1.base, x1.degree, FLOAT)
+        total = Jet2.constant(0, x1.base, x1.degree)
         for e, b in zip(self.layout.entries, self._blocks):
             total = total + b.jet_of(x1, x2).scale(math.exp(e.weight_log))
         return total
 
     def jet(self, pt: tuple, degree: int) -> Jet2:
-        return self._jet_of(
-            Jet2.variable(0, pt, degree, FLOAT), Jet2.variable(1, pt, degree, FLOAT)
-        )
+        """The float jet at pt; the block weights are floats, so pt is made
+        float first."""
+        pt = (float(pt[0]), float(pt[1]))
+        return self._jet_of(Jet2.variable(0, pt, degree), Jet2.variable(1, pt, degree))
 
     def polar_jet(self, pt: tuple, degree: int) -> Jet2:
-        return self._jet_of(*polar_coordinates(pt, degree, FLOAT))
+        """The float jet of F(r cos theta, r sin theta) at pt = (r, theta)."""
+        return self._jet_of(*polar_coordinates((float(pt[0]), float(pt[1])), degree))
 
 
 # -- the pure-x2 derivative at a block center --------------------------------

@@ -22,6 +22,13 @@ are bit for bit those of the per-term formula. sin/cos split off the
 (possibly irrational) angle constant and run Maclaurin series on the
 nilpotent part, which also gives the polar coordinate jets
 (r cos theta, r sin theta).
+
+The scalar kind is read from the base point, never passed: a point whose two
+coordinates are int or Fraction gives an exact jet (Fraction scalars), and a
+point with a float coordinate gives a float jet. The jet builders of `bricks`
+and `blocks` take it from their point the same way; `FlatFunction`, whose
+block weights are floats, makes its point float first. `Jet2.kind` records
+the kind for the operations that dispatch on it.
 """
 
 from __future__ import annotations
@@ -48,6 +55,17 @@ class JetMismatch(JetError):
 
 class SingularJet(JetError):
     """Reciprocal of a jet whose constant term is zero."""
+
+
+def _kind_of(base) -> str:
+    """EXACT for a point of ints and Fractions, FLOAT if a coordinate is a float."""
+    if len(base) == 2:
+        x1, x2 = base
+        if isinstance(x1, (int, Fraction)) and isinstance(x2, (int, Fraction)):
+            return EXACT
+        if isinstance(x1, (int, Fraction, float)) and isinstance(x2, (int, Fraction, float)):
+            return FLOAT
+    raise JetError(f"base point {base!r} is not two int, Fraction or float coordinates")
 
 
 def _coerce(kind: str, value):
@@ -94,10 +112,10 @@ _new = object.__new__
 class Jet2:
     __slots__ = ("base", "degree", "kind", "_c")
 
-    def __init__(self, base: tuple, degree: int, kind: str, coeffs=None):
-        """The jet with the given {(i, j): scalar} coefficients, zero elsewhere."""
-        if kind not in (EXACT, FLOAT):
-            raise JetError(f"unknown scalar kind {kind!r}")
+    def __init__(self, base: tuple, degree: int, coeffs=None):
+        """The jet at base with the given {(i, j): scalar} coefficients, zero
+        elsewhere; its kind is the base point's (`_kind_of`)."""
+        kind = _kind_of(base)
         if degree < 0:
             raise JetError("degree must be >= 0")
         c = [_ZERO[kind]] * _size(degree)
@@ -105,23 +123,22 @@ class Jet2:
             if i < 0 or j < 0 or i + j > degree:
                 raise JetError(f"multi-index {(i, j)} outside degree {degree}")
             c[_pos(i, j)] = _coerce(kind, v)
-        self.base, self.degree, self.kind, self._c = base, degree, kind, c
+        self.base = (_coerce(kind, base[0]), _coerce(kind, base[1]))
+        self.degree, self.kind, self._c = degree, kind, c
 
     @classmethod
-    def constant(cls, value, base, degree, kind=EXACT) -> "Jet2":
-        base = (_coerce(kind, base[0]), _coerce(kind, base[1]))
-        return cls(base, degree, kind, {(0, 0): value})
+    def constant(cls, value, base, degree) -> "Jet2":
+        return cls(base, degree, {(0, 0): value})
 
     @classmethod
-    def variable(cls, index: int, base, degree, kind=EXACT) -> "Jet2":
+    def variable(cls, index: int, base, degree) -> "Jet2":
         """The coordinate function x_index expanded at the base point."""
         if index not in (0, 1):
             raise JetError("variable index must be 0 or 1")
-        base = (_coerce(kind, base[0]), _coerce(kind, base[1]))
         coeffs = {(0, 0): base[index]}
         if degree >= 1:
             coeffs[(1, 0) if index == 0 else (0, 1)] = 1
-        return cls(base, degree, kind, coeffs)
+        return cls(base, degree, coeffs)
 
     def _wrap(self, c: list) -> "Jet2":
         """A jet on self's base, degree and kind, unchecked."""
@@ -145,7 +162,7 @@ class Jet2:
 
     def __add__(self, other):
         if not isinstance(other, Jet2):
-            other = Jet2.constant(other, self.base, self.degree, self.kind)
+            other = Jet2.constant(other, self.base, self.degree)
         self._check_compatible(other)
         return self._wrap([a + b if b else a for a, b in zip(self._c, other._c)])
 
@@ -156,7 +173,7 @@ class Jet2:
 
     def __sub__(self, other):
         if not isinstance(other, Jet2):
-            other = Jet2.constant(other, self.base, self.degree, self.kind)
+            other = Jet2.constant(other, self.base, self.degree)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -192,8 +209,10 @@ class Jet2:
     def __pow__(self, n: int) -> "Jet2":
         if n < 0:
             return self.reciprocal() ** (-n)
-        out = Jet2.constant(1, self.base, self.degree, self.kind)
-        for _ in range(n):
+        if n == 0:
+            return Jet2.constant(1, self.base, self.degree)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -207,7 +226,7 @@ class Jet2:
         )
 
     def __repr__(self) -> str:
-        return f"Jet2({self.base!r}, {self.degree}, {self.kind!r}, {dict(self.coeffs)!r})"
+        return f"Jet2({self.base!r}, {self.degree}, {dict(self.coeffs)!r})"
 
     # -- queries -------------------------------------------------------------
 
@@ -370,8 +389,8 @@ def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:
     else:
         s0, c0 = math.sin(t0), math.cos(t0)
     p = t - t0  # nilpotent part
-    one = Jet2.constant(1, t.base, t.degree, t.kind)
-    sin_p = Jet2.constant(0, t.base, t.degree, t.kind)
+    one = Jet2.constant(1, t.base, t.degree)
+    sin_p = Jet2.constant(0, t.base, t.degree)
     cos_p = one
     power = one
     for n in range(1, t.degree + 1):
@@ -389,13 +408,13 @@ def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:
     return sin_t, cos_t
 
 
-def polar_coordinates(base_pt: tuple, degree: int, kind: str) -> tuple[Jet2, Jet2]:
-    """(r cos theta, r sin theta) as jets at base_pt = (r, theta).
-
-    Exact kind needs base theta = 0, as jet_sin_cos does.
+def polar_coordinates(base_pt: tuple, degree: int) -> tuple[Jet2, Jet2]:
+    """(r cos theta, r sin theta) as jets at base_pt = (r, theta), of the
+    point's kind. An exact point needs theta = 0 exactly, as jet_sin_cos
+    does; any other rational theta raises JetError.
     """
-    r = Jet2.variable(0, base_pt, degree, kind)
-    s, c = jet_sin_cos(Jet2.variable(1, base_pt, degree, kind))
+    r = Jet2.variable(0, base_pt, degree)
+    s, c = jet_sin_cos(Jet2.variable(1, base_pt, degree))
     return r * c, r * s
 
 

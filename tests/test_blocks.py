@@ -326,7 +326,7 @@ def test_value_truncation_tail_is_honest():
 def test_jet_constant_term_is_value_at_base():
     bf = BaseFunction(gevrey(1), terms=10)
     base = (Fraction(2, 3), Fraction(-1, 4))
-    jet = bf.jet(base, 3, EXACT)
+    jet = bf.jet(base, 3)
     assert jet.coefficient((0, 0)) == bf.value(*base, exact=True)
 
 
@@ -353,7 +353,7 @@ def test_axis_second_derivative_closed_form():
 def test_axis_derivative_matches_exact_jet():
     bf = BaseFunction(gevrey(1), terms=8)
     t = Fraction(1, 2)
-    jet = bf.jet((t, Fraction(0)), 8, EXACT)
+    jet = bf.jet((t, Fraction(0)), 8)
     for order in (2, 4, 6, 8):
         assert axis_derivative(bf, order, t) == jet.coefficient((0, order)) * math.factorial(order)
 
@@ -361,7 +361,7 @@ def test_axis_derivative_matches_exact_jet():
 def test_axis_odd_orders_vanish():
     # h is even in x2, so its odd pure-x2 derivatives vanish on the axis
     bf = BaseFunction(gevrey(1), terms=8)
-    jet = bf.jet((Fraction(1, 3), Fraction(0)), 7, EXACT)
+    jet = bf.jet((Fraction(1, 3), Fraction(0)), 7)
     assert all(jet.coefficient((0, order)) == 0 for order in (1, 3, 5, 7))
     with pytest.raises(ValueError):
         base_lower_check(BaseFunction(gevrey(1), 40), [3])
@@ -434,7 +434,7 @@ def test_block_jet_constant_term():
     bf = BaseFunction(gevrey(1), terms=8)
     blk = Block(bf, 2, Fraction(1, 3))
     base_pt = (Fraction(1), Fraction(1, 5))
-    jet = blk.jet(base_pt, 3, EXACT)
+    jet = blk.jet(base_pt, 3)
     assert jet.coefficient((0, 0)) == blk.value(*base_pt, exact=True)
 
 
@@ -442,7 +442,7 @@ def test_block_axis_derivative_rescales():
     bf = BaseFunction(gevrey(1), terms=8)
     blk = Block(bf, 2, Fraction(1, 3))
     c1 = blk.center[0]
-    jet = blk.jet((c1, Fraction(0)), 4, EXACT)
+    jet = blk.jet((c1, Fraction(0)), 4)
     for order in (2, 4):
         # at the center the block derivative is the base one over rho^order
         want = axis_derivative(bf, order, Fraction(0)) / blk.rho**order
@@ -463,8 +463,9 @@ def test_polar_block_jet_value_and_axis():
     bf = BaseFunction(gevrey(1), terms=8)
     blk = Block(bf, 2, Fraction(1, 4))
     r0 = Fraction(3, 4)
-    polar = polar_block_jet(blk, (r0, Fraction(0)), 4, EXACT)
-    cart = blk.jet((r0, Fraction(0)), 4, EXACT)
+    polar = polar_block_jet(blk, (r0, Fraction(0)), 4)
+    cart = blk.jet((r0, Fraction(0)), 4)
+    assert polar.kind == cart.kind == EXACT
     # theta = 0 sends the radial line onto the x1 axis
     for k in range(5):
         assert polar.coefficient((k, 0)) == cart.coefficient((k, 0))
@@ -481,7 +482,7 @@ def test_polar_block_jet_float_constant():
 
 def _per_term_sum(bf, y1, y2):
     """The kernel sum written out term by term, one reciprocal per bump."""
-    total = Jet2.constant(0, y1.base, y1.degree, y1.kind)
+    total = Jet2.constant(0, y1.base, y1.degree)
     for k in bf.k_range:
         if y1.kind == EXACT:
             w, m = bf.weight_exact(k), bf.M.exact_ratio(k)
@@ -529,15 +530,16 @@ def test_superposition_jets_match_per_term_formula(family, terms, kind, pt, degr
         inv_rho, q = 1 / blk.rho, blk.q
     else:
         inv_rho, q = 1 / float(blk.rho), float(blk.q)
-    x1 = Jet2.variable(0, pt, degree, kind)
-    x2 = Jet2.variable(1, pt, degree, kind)
-    assert bf.jet(pt, degree, kind) == _per_term_sum(bf, x1, x2)
-    assert blk.jet(pt, degree, kind) == _per_term_sum(
+    x1 = Jet2.variable(0, pt, degree)
+    x2 = Jet2.variable(1, pt, degree)
+    assert x1.kind == kind
+    assert bf.jet(pt, degree) == _per_term_sum(bf, x1, x2)
+    assert blk.jet(pt, degree) == _per_term_sum(
         bf, x1.scale(inv_rho) - q, x2.scale(inv_rho)
     )
     s, c = jet_sin_cos(x2)
     r1, r2 = x1 * c, x1 * s
-    assert polar_block_jet(blk, pt, degree, kind) == _per_term_sum(
+    assert polar_block_jet(blk, pt, degree) == _per_term_sum(
         bf, r1.scale(inv_rho) - q, r2.scale(inv_rho)
     )
 
@@ -560,8 +562,9 @@ def test_kernel_sum_equals_per_term_sum(data, shape, kind, terms):
     if kind == FLOAT:
         x1, x2 = float(x1), float(x2)
     bf = BaseFunction(gevrey(1), terms=terms)
-    y1 = Jet2.variable(0, (x1, x2), degree, kind)
-    y2 = Jet2.variable(1, (x1, x2), degree, kind)
+    y1 = Jet2.variable(0, (x1, x2), degree)
+    y2 = Jet2.variable(1, (x1, x2), degree)
+    assert y1.kind == kind
     if shape == "polar":
         s, c = jet_sin_cos(y2)
         y1, y2 = y1 * c, y1 * s

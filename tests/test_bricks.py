@@ -47,7 +47,8 @@ def test_brick_value_hand_computed():
 
 def test_brick_jet_constant_and_gradient():
     p = BrickParams(1, 2, Fraction(1, 2))
-    jet = brick_jet(p, (Fraction(0), Fraction(0)), 2, EXACT)
+    jet = brick_jet(p, (Fraction(0), Fraction(0)), 2)
+    assert jet.kind == EXACT
     assert jet.coefficient((0, 0)) == Fraction(1, 2)
     assert jet.coefficient((1, 0)) == 1
     assert jet.coefficient((0, 1)) == 0  # even in x2
@@ -57,7 +58,7 @@ def test_brick_jet_constant_matches_value_off_origin():
     # the jet must expand about the requested base point, not a shifted one
     p = BrickParams(2, 3, Fraction(1, 3))
     for base in [(Fraction(1, 2), Fraction(-1, 5)), (Fraction(-2), Fraction(3, 7))]:
-        jet = brick_jet(p, base, 3, EXACT)
+        jet = brick_jet(p, base, 3)
         assert jet.coefficient((0, 0)) == brick_value(p, *base)
 
 
@@ -91,14 +92,16 @@ def test_polar_jet_even_in_angle():
     # coefficients vanish identically (checked exactly)
     for p in (BrickParams(1, 2, Fraction(1, 2)), BrickParams(0, 1, 1)):
         for r0 in (Fraction(0), Fraction(1, 3), Fraction(7, 2)):
-            jet = polar_brick_jet(p, (r0, Fraction(0)), 8, EXACT)
+            jet = polar_brick_jet(p, (r0, Fraction(0)), 8)
+            assert jet.kind == EXACT
             assert all(v == 0 for (_, j), v in jet.coeffs.items() if j % 2 == 1)
 
 
 def test_polar_jet_exact_needs_zero_angle():
     p = BrickParams(1, 2, Fraction(1, 2))
-    with pytest.raises(JetError):
-        polar_brick_jet(p, (Fraction(1), Fraction(1, 3)), 4, EXACT)
+    for theta in (Fraction(1, 3), 1):
+        with pytest.raises(JetError):
+            polar_brick_jet(p, (Fraction(1), theta), 4)
 
 
 def test_polar_jet_matches_cartesian_on_axis():
@@ -106,8 +109,9 @@ def test_polar_jet_matches_cartesian_on_axis():
     # coincide with pure x1 derivatives of the Cartesian jet
     p = BrickParams(2, 3, Fraction(1, 4))
     r0 = Fraction(5, 4)
-    polar = polar_brick_jet(p, (r0, Fraction(0)), 6, EXACT)
-    cart = brick_jet(p, (r0, Fraction(0)), 6, EXACT)
+    polar = polar_brick_jet(p, (r0, Fraction(0)), 6)
+    cart = brick_jet(p, (r0, Fraction(0)), 6)
+    assert polar.kind == cart.kind == EXACT
     for k in range(7):
         assert polar.coefficient((k, 0)) == cart.coefficient((k, 0))
 

@@ -224,21 +224,29 @@ def test_layout_load_rejects_tiny_centres_edited():
 
 
 def test_flat_value_matches_jet_constant(flat_fn):
+    # the weighted sum of block values, summed apart from any jet
+    blocks = list(zip(flat_fn.layout.entries, flat_fn._blocks))
     for pt in [(0.3, 0.2), (0.5773, 0.0), (-1.0, 0.4)]:
         jet = flat_fn.jet(pt, 2)
-        assert jet.coefficient((0, 0)) == pytest.approx(flat_fn.value(*pt), rel=1e-11)
+        value = math.fsum(float(e.weight) * b.value(*pt) for e, b in blocks)
+        assert jet.coefficient((0, 0)) == pytest.approx(value, rel=1e-11)
 
 
 def test_flat_jets_are_weighted_block_sums(flat_fn):
     pt, degree = (0.4, 0.9), 3
-    cart = Jet2.constant(0, pt, degree, FLOAT)
-    polar = Jet2.constant(0, pt, degree, FLOAT)
+    cart = Jet2.constant(0, pt, degree)
+    polar = Jet2.constant(0, pt, degree)
     for e, b in zip(flat_fn.layout.entries, flat_fn._blocks):
         w = math.exp(e.weight_log)
-        cart = cart + b.jet(pt, degree, FLOAT).scale(w)
-        polar = polar + polar_block_jet(b, pt, degree, FLOAT).scale(w)
+        cart = cart + b.jet(pt, degree).scale(w)
+        polar = polar + polar_block_jet(b, pt, degree).scale(w)
+    assert cart.kind == polar.kind == FLOAT
     assert flat_fn.jet(pt, degree) == cart
     assert flat_fn.polar_jet(pt, degree) == polar
+    # the block weights are floats, so a rational point gives the same float jets
+    exact_pt = (Fraction(2, 5), Fraction(9, 10))
+    assert flat_fn.jet(exact_pt, degree) == cart
+    assert flat_fn.polar_jet(exact_pt, degree) == polar
 
 
 def test_axis_derivative_structure(flat_fn):

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman.blocks import BaseFunction, Block, polar_block_jet
+from carleman.bricks import BrickParams, brick_jet, polar_brick_jet
 from carleman.jets import (
     EXACT,
     FLOAT,
@@ -17,14 +19,17 @@ from carleman.jets import (
     central_difference,
     finite_difference,
     jet_sin_cos,
+    polar_coordinates,
     reciprocal_sum,
 )
+from carleman.weights import gevrey
 
 B0 = (Fraction(0), Fraction(0))
+F0 = (0.0, 0.0)
 
 
-def poly_jet(coeffs, base=B0, degree=4, kind=EXACT):
-    return Jet2(base, degree, kind, dict(coeffs))
+def poly_jet(coeffs, base=B0, degree=4):
+    return Jet2(base, degree, dict(coeffs))
 
 
 rationals = st.fractions(
@@ -107,7 +112,7 @@ def test_product_and_reciprocal_match_dict_schoolbook(data):
     inverse = _schoolbook_reciprocal(c, degree)
     assert dict(poly_jet(c, degree=degree).reciprocal().coeffs) == inverse
     # float jets sum in another order than the schoolbook: equal to rounding
-    as_float = lambda d: poly_jet({k: float(v) for k, v in d.items()}, degree=degree, kind=FLOAT)
+    as_float = lambda d: poly_jet({k: float(v) for k, v in d.items()}, base=F0, degree=degree)
     for got, want in ((as_float(a) * as_float(b), product), (as_float(c).reciprocal(), inverse)):
         scale = max((abs(float(v)) for v in want.values()), default=0.0)
         for alpha in set(got.coeffs) | set(want):
@@ -138,7 +143,7 @@ def fraction_reciprocal(jet):
                     acc = acc + ab * rr
         if acc != 0:
             out[p] = -inv0 * acc
-    return Jet2(jet.base, jet.degree, EXACT, {al: v for al, v in zip(alphas, out) if v is not None})
+    return Jet2(jet.base, jet.degree, {al: v for al, v in zip(alphas, out) if v is not None})
 
 
 @st.composite
@@ -168,14 +173,15 @@ def test_exact_reciprocal_is_the_fraction_solve(jet, n):
 @settings(max_examples=80, deadline=None)
 def test_graded_items_walk_every_index_once_in_graded_order(data):
     degree = data.draw(st.integers(0, 8))
-    kind = data.draw(st.sampled_from([EXACT, FLOAT]))
-    if kind == EXACT:
+    exact = data.draw(st.booleans())
+    if exact:
         values = st.one_of(st.just(Fraction(0)), rationals)
     else:
         values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4))
     key = st.tuples(st.integers(0, degree), st.integers(0, degree))
     entries = st.dictionaries(key.filter(lambda a: sum(a) <= degree), values, max_size=12)
-    j = Jet2(B0, degree, kind, data.draw(entries))
+    j = Jet2(B0 if exact else F0, degree, data.draw(entries))
+    assert j.kind == (EXACT if exact else FLOAT)
     graded = [(i, n - i) for n in range(degree + 1) for i in range(n + 1)]
     for jet in (j, -j):  # negation turns every float 0.0 into -0.0
         items = list(jet.graded_items())
@@ -186,11 +192,13 @@ def test_graded_items_walk_every_index_once_in_graded_order(data):
 
 @pytest.mark.parametrize("kind, zero", [(EXACT, Fraction(0)), (FLOAT, 0.0)])
 def test_zero_entries_read_as_the_kinds_zero(kind, zero):
-    j = Jet2(B0, 3, kind, {(0, 0): 2, (1, 1): 0})
-    x = Jet2.variable(0, B0, 3, kind)
+    base = B0 if kind == EXACT else F0
+    j = Jet2(base, 3, {(0, 0): 2, (1, 1): 0})
+    assert j.kind == kind
+    x = Jet2.variable(0, base, 3)
     cancelled = x * x - x * x
     for got in (j.coefficient((1, 1)), j.coefficient((0, 3)), cancelled.value(),
-                cancelled.coefficient((2, 0)), (-Jet2.constant(0, B0, 3, kind)).value()):
+                cancelled.coefficient((2, 0)), (-Jet2.constant(0, base, 3)).value()):
         assert got == zero and type(got) is type(zero)
         assert math.copysign(1, got) == 1
     assert dict(j.coeffs) == {(0, 0): 2}
@@ -202,7 +210,7 @@ def test_zero_entries_read_as_the_kinds_zero(kind, zero):
 @pytest.mark.parametrize("key", [(2, 2), (4, 0), (-1, 1), (0, -1)])
 def test_keys_outside_the_degree_raise(key):
     with pytest.raises(JetError):
-        Jet2(B0, 3, EXACT, {key: Fraction(1)})
+        Jet2(B0, 3, {key: Fraction(1)})
 
 
 def test_reciprocal_of_zero_constant_raises():
@@ -212,23 +220,23 @@ def test_reciprocal_of_zero_constant_raises():
 
 def test_incompatible_jets_raise():
     a = poly_jet({(0, 0): Fraction(1)})
-    b = Jet2((Fraction(1), Fraction(0)), 4, EXACT, {(0, 0): Fraction(1)})
+    b = Jet2((Fraction(1), Fraction(0)), 4, {(0, 0): Fraction(1)})
     with pytest.raises(JetMismatch):
         a + b
 
 
 def test_variable_includes_base_constant():
-    x = Jet2.variable(0, (Fraction(3), Fraction(-2)), 3, EXACT)
+    x = Jet2.variable(0, (Fraction(3), Fraction(-2)), 3)
     assert x.coefficient((0, 0)) == 3
     assert x.coefficient((1, 0)) == 1
-    y = Jet2.variable(1, (Fraction(3), Fraction(-2)), 3, EXACT)
+    y = Jet2.variable(1, (Fraction(3), Fraction(-2)), 3)
     assert y.coefficient((0, 0)) == -2
     assert y.coefficient((0, 1)) == 1
 
 
 def test_known_expansion_geometric():
     # 1/(1 - x) = 1 + x + x^2 + ... around 0
-    x = Jet2.variable(0, B0, 5, EXACT)
+    x = Jet2.variable(0, B0, 5)
     inv = (1 - x).reciprocal()
     for n in range(6):
         assert inv.coefficient((n, 0)) == 1
@@ -237,14 +245,14 @@ def test_known_expansion_geometric():
 def test_known_expansion_kernel_at_offset():
     # 1/(2 + x^2) at x = 1: value 1/3, d/dx = -2x/(2+x^2)^2 = -2/9
     base = (Fraction(1), Fraction(0))
-    x = Jet2.variable(0, base, 3, EXACT)
+    x = Jet2.variable(0, base, 3)
     g = (2 + x * x).reciprocal()
     assert g.coefficient((0, 0)) == Fraction(1, 3)
     assert g.coefficient((1, 0)) == Fraction(-2, 9)
 
 
 def test_sin_cos_pythagoras_exact():
-    t = Jet2.variable(1, B0, 6, EXACT)
+    t = Jet2.variable(1, B0, 6)
     s, c = jet_sin_cos(t)
     unit = s * s + c * c
     assert unit.coefficient((0, 0)) == 1
@@ -265,7 +273,7 @@ def test_reciprocal_sum_rejects_bad_operands():
 
 
 def test_sin_cos_known_series():
-    t = Jet2.variable(1, B0, 5, EXACT)
+    t = Jet2.variable(1, B0, 5)
     s, c = jet_sin_cos(t)
     assert s.coefficient((0, 1)) == 1
     assert s.coefficient((0, 3)) == Fraction(-1, 6)
@@ -276,7 +284,7 @@ def test_sin_cos_known_series():
 
 def test_sin_cos_float_nonzero_angle():
     base = (0.0, 0.7)
-    t = Jet2.variable(1, base, 4, FLOAT)
+    t = Jet2.variable(1, base, 4)
     s, c = jet_sin_cos(t)
     assert s.coefficient((0, 0)) == pytest.approx(math.sin(0.7))
     assert c.coefficient((0, 0)) == pytest.approx(math.cos(0.7))
@@ -285,14 +293,77 @@ def test_sin_cos_float_nonzero_angle():
 
 def test_exact_sin_cos_nonzero_angle_rejected():
     base = (Fraction(0), Fraction(1, 2))
-    t = Jet2.variable(1, base, 4, EXACT)
+    t = Jet2.variable(1, base, 4)
     with pytest.raises(JetError):
         jet_sin_cos(t)
 
 
 def test_float_scalar_in_exact_jet_rejected():
     with pytest.raises(JetError):
-        Jet2.constant(0.5, B0, 3, EXACT)
+        Jet2.constant(0.5, B0, 3)
+
+
+_H = BaseFunction(gevrey(1), 8)
+_BLOCK = Block(_H, Fraction(2), Fraction(1, 2))
+_BRICK = BrickParams(2, 3, Fraction(1, 2))
+# the nine jet builders, each (point, degree) -> one jet
+BUILDERS = {
+    "Jet2": lambda pt, d: Jet2(pt, d, {(0, 0): 3, (1, 0): Fraction(1, 2)}),
+    "Jet2.constant": lambda pt, d: Jet2.constant(Fraction(2, 3), pt, d),
+    "Jet2.variable": lambda pt, d: Jet2.variable(1, pt, d),
+    "polar_coordinates": lambda pt, d: polar_coordinates(pt, d)[1],
+    "BaseFunction.jet": lambda pt, d: _H.jet(pt, d),
+    "Block.jet": lambda pt, d: _BLOCK.jet(pt, d),
+    "polar_block_jet": lambda pt, d: polar_block_jet(_BLOCK, pt, d),
+    "brick_jet": lambda pt, d: brick_jet(_BRICK, pt, d),
+    "polar_brick_jet": lambda pt, d: polar_brick_jet(_BRICK, pt, d),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize(
+    "pt, kind, scalar",
+    [
+        ((Fraction(1, 3), 0), EXACT, Fraction),
+        ((2, Fraction(0)), EXACT, Fraction),
+        ((0.5, 0.25), FLOAT, float),
+        ((Fraction(1, 3), 0.25), FLOAT, float),
+        ((0.5, 0), FLOAT, float),
+    ],
+    ids=["fraction-int", "int-fraction", "float", "fraction-float", "float-int"],
+)
+def test_every_builder_takes_its_kind_from_the_point(name, pt, kind, scalar):
+    jet = BUILDERS[name](pt, 3)
+    assert jet.kind == kind
+    assert all(type(v) is scalar for v in jet.base)
+    assert all(type(c) is scalar for _, c in jet.graded_items())
+    if kind == FLOAT:
+        # a mixed point gives the bits of the all-float point
+        assert jet == BUILDERS[name]((float(pt[0]), float(pt[1])), 3)
+
+
+def test_builders_that_assumed_a_kind_follow_the_point():
+    # brick_jet defaulted to exact and refused a float point
+    assert brick_jet(_BRICK, (0.5, 0.25), 3).kind == FLOAT
+    # BaseFunction.jet defaulted to float and made a rational point float
+    jet = _H.jet((Fraction(1, 3), Fraction(0)), 4)
+    assert jet.kind == EXACT
+    assert jet.value() == _H.value(Fraction(1, 3), Fraction(0), exact=True)
+
+
+@pytest.mark.parametrize("pt", [("1/3", 0), (Fraction(1, 3),), (0, 0, 0), (None, 0.5)])
+def test_a_point_of_no_known_kind_raises(pt):
+    with pytest.raises(JetError, match="base point"):
+        Jet2.variable(0, pt, 3)
+
+
+def test_powers_multiply_from_the_jet_itself():
+    for base in (B0, F0):
+        x = Jet2.variable(0, base, 4) + Jet2.variable(1, base, 4).scale(3)
+        assert x ** 0 == Jet2.constant(1, base, 4)
+        assert x ** 1 == x
+        assert x ** 2 == x * x
+        assert x ** 3 == x * x * x
 
 
 def test_value_and_derivative_conventions():

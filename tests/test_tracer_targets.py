@@ -39,5 +39,6 @@ def test_tracer_target_resolves(mod_name, path):
 
 def test_jets_carry_the_kind_the_tracer_groups_by():
     # the jets.mul and jets.reciprocal groups are named after args[0].kind
-    for kind in (EXACT, FLOAT):
-        assert Jet2.variable(0, (Fraction(0), Fraction(0)), 2, kind).kind == kind
+    # and the kind of a jet is read from its base point
+    assert Jet2.variable(0, (Fraction(1, 3), Fraction(0)), 2).kind == EXACT
+    assert Jet2.variable(0, (0.5, 0.0), 2).kind == FLOAT
