@@ -211,15 +211,27 @@ def _lowest_terms(num: int, den: dict[int, int]) -> tuple[int, dict[int, int]]:
     return num, left
 
 
-def _times_factored(x: Fraction, bases: Sequence[int], y: Fraction, primes: dict[int, int]) -> Fraction:
+def _times_factored(
+    x: Fraction,
+    bases: Sequence[int],
+    y: Fraction,
+    primes: dict[int, int],
+    proved: dict[int, bool] | None = None,
+) -> Fraction:
     """x y in lowest terms, for reduced x = a/b whose denominator's primes each
     divide one of `bases`, and reduced y = N/D with D = prod p^e over `primes`.
 
     gcd(a, D) comes by trial division over D's primes (`_lowest_terms`), and
     gcd(N, b) = 1 is proved by gcd(N mod q, q) = 1 for each base q, so the
-    huge N meets no gcd. If a check fails, or a = 0, it is a Fraction product."""
+    huge N meets no gcd. `proved` keeps each base's verdict {q: bool} for this
+    y, so products with one y test a base once. If a check fails, or a = 0, it
+    is a Fraction product."""
     a, N = x.numerator, y.numerator
-    if not a or any(math.gcd(N % q, q) != 1 for q in bases):
+    proved = {} if proved is None else proved
+    for q in bases if a else ():
+        if q not in proved:
+            proved[q] = math.gcd(N % q, q) == 1
+    if not a or not all(proved[q] for q in bases):
         return x * y
     a, left = _lowest_terms(a, primes)
     cut = [p ** (e - left.get(p, 0)) for p, e in primes.items() if left.get(p, 0) < e]
@@ -299,8 +311,8 @@ class BaseFunction:
         """sum_k w_k / (A + (m_k y2)^2), A = 1 + y1^2, for coordinate jets
         y1, y2; exact weights and ratios for exact jets, float ones otherwise.
 
-        `reciprocal_sum` runs the bump index innermost, one list over k per
-        coefficient, and its bits are those of the per-term formula
+        `reciprocal_sum` runs the bump index in one compiled loop, and its
+        bits are those of the per-term formula
         sum_k (A + y2.scale(m_k)^2).reciprocal().scale(w_k) in increasing k."""
         if y1.kind == EXACT:
             ws = [self.weight_exact(k) for k in self.k_range]

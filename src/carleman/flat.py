@@ -414,10 +414,11 @@ class FlatAxisValue:
     denominators' primes, and forms an exact product only when it is read: a
     certificate row forms `dominant_exact`, `cross_hi` and `total_lower`. Each
     product cancels by trial division over the moment's known primes and
-    proves the rest coprime on the bases (`_times_factored`), so the moment's
-    huge numerator meets no gcd. The lower end is a certified lower bound
-    (truncation drops positive terms), and total plus tail bounds the full
-    sum above; `paths_agree` compares `total_lower` with the float log.
+    proves the rest coprime on the bases (`_times_factored`), each base once
+    for all three, so the moment's huge numerator meets no gcd. The lower end
+    is a certified lower bound (truncation drops positive terms), and total
+    plus tail bounds the full sum above; `paths_agree` compares `total_lower`
+    with the float log.
     `cross_iv` and `total_iv` are the interval products, kept as the oracle.
     """
 
@@ -433,8 +434,14 @@ class FlatAxisValue:
     hi_bases: tuple[int, ...]  # likewise for factor.hi
     moment_primes: dict[int, int]  # the moment's denominator as {p: exponent}
 
+    @cached_property
+    def _coprime(self) -> dict[int, bool]:
+        """Each base's gcd(moment numerator mod q, q) = 1 verdict, shared by
+        the row's products."""
+        return {}
+
     def _times_moment(self, x: Fraction, bases: tuple[int, ...]) -> Fraction:
-        return _times_factored(x, bases, self.moment, self.moment_primes)
+        return _times_factored(x, bases, self.moment, self.moment_primes, self._coprime)
 
     @cached_property
     def dominant_exact(self) -> Fraction:

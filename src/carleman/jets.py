@@ -14,14 +14,15 @@ zero entries and no 0 * inf appears in float ones. An exact reciprocal runs
 that solve on integers, the jet scaled by the lcm of its denominators, and
 forms each coefficient once as a reduced Fraction instead of normalising
 after every scalar operation. `reciprocal_sum` gives the bump superposition
-sum_k w_k / (A + (m_k y2)^2) with the bump index k innermost: each
-coefficient is a list over k, walked once through the same tables, and each
-list operation repeats for every k the scalar operation of the per-term
-product, reciprocal, scale and running sum in the same order, so its floats
-are bit for bit those of the per-term formula. sin/cos split off the
-(possibly irrational) angle constant and run Maclaurin series on the
-nilpotent part, which also gives the polar coordinate jets
-(r cos theta, r sin theta).
+sum_k w_k / (A + (m_k y2)^2) by a straight-line kernel, generated from the
+same tables once per degree and pattern of nonzero positions and compiled:
+one loop over the bump index k with every intermediate a local scalar, each
+the scalar operation of the per-term product, reciprocal, scale and running
+sum in the same order, so its floats are bit for bit those of the per-term
+formula. sin/cos split off the (possibly irrational) angle constant and run
+Maclaurin series on the nilpotent part; the polar coordinate jets
+(r cos theta, r sin theta) are written from the same coefficients in closed
+form.
 
 The scalar kind is read from the base point, never passed: a point whose two
 coordinates are int or Fraction gives an exact jet (Fraction scalars), and a
@@ -35,8 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, reduce
-from operator import add, mul
+from functools import cache, lru_cache, reduce
 from types import MappingProxyType
 from typing import Callable
 
@@ -308,19 +308,84 @@ class Jet2:
         )
 
 
+_CHUNK = 200  # terms per generated sum statement, far inside the compilers' recursion limits
+
+
+def _sum_lines(name: str, terms: list[str]) -> list[str]:
+    """Statements setting name = terms[0] + terms[1] + ..., added left to
+    right, at most _CHUNK terms each."""
+    return [
+        f"{name} = " + " + ".join([name] * (i > 0) + terms[i : i + _CHUNK])
+        for i in range(0, len(terms), _CHUNK)
+    ]
+
+
+@lru_cache(maxsize=64)  # a sweep uses a few patterns per degree (selftest: 9 in all)
+def _sum_kernel(degree: int, a_nz: tuple, y_nz: tuple) -> Callable:
+    """The straight-line body of `reciprocal_sum` for one degree and the
+    nonzero positions a_nz of A and y_nz of y2, compiled once.
+
+    kernel(A, Y, ms, ws, zero, one) runs k in one loop, every intermediate a
+    local scalar named by its table position: u_p = Y_p m, the squares q_r in
+    __mul__'s (p, q) order and q_r = a_r + q_r, o_0 = one / q_0, n_0 = -o_0,
+    o_p = n_0 (q_b o_r + ...) in the solve order of `_tables`, and
+    t_p = t_p + o_p w. A position nothing reaches is never named; the list it
+    returns holds zero there."""
+    _, sums, solve = _tables(degree)
+    squares = [[] for _ in sums]
+    for p in y_nz:
+        row = sums[p]
+        for q in y_nz:
+            if q >= len(row):
+                break
+            squares[row[q]].append(f"u{p} * u{q}")
+    loop = [f"u{p} = y{p} * m" for p in y_nz]
+    Q = {}  # position -> the local holding Q = A + (m y2)^2 there
+    for r, terms in enumerate(squares):
+        if terms:
+            loop += _sum_lines(f"q{r}", terms)
+            if r in a_nz:
+                loop.append(f"q{r} = a{r} + q{r}")
+            Q[r] = f"q{r}"
+        elif r in a_nz:
+            Q[r] = f"a{r}"
+    loop += [f"o0 = one / {Q[0]}", "n0 = -o0"]
+    out = {0}
+    for p in range(1, len(sums)):
+        terms = [f"{Q[b]} * o{r}" for b, r in solve[p] if b in Q and r in out]
+        if terms:
+            loop += _sum_lines(f"o{p}", terms) + [f"o{p} = n0 * o{p}"]
+            out.add(p)
+    loop += [f"t{p} = t{p} + o{p} * w" for p in sorted(out)]
+    result = ", ".join(f"t{p}" if p in out else "zero" for p in range(len(sums)))
+    src = "\n    ".join(
+        ["def kernel(A, Y, ms, ws, zero, one):"]
+        + [f"a{p} = A[{p}]" for p in a_nz]
+        + [f"y{p} = Y[{p}]" for p in y_nz]
+        + [" = ".join(f"t{p}" for p in sorted(out)) + " = zero", "for m, w in zip(ms, ws):"]
+        + ["    " + line for line in loop]
+        + [f"return [{result}]"]
+    )
+    namespace = {}
+    exec(compile(src, f"<reciprocal_sum kernel, degree {degree}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:
     """sum_k ws[k] / (A + (ms[k] y2)^2), bit for bit the per-term formula
 
         total = 0; for k: total = total + (A + ym * ym).reciprocal().scale(w_k),
-        ym = y2.scale(m_k).
+        ym = y2.scale(m_k),
 
-    The index k runs innermost: every coefficient of an intermediate jet is
-    a list over k, and each list operation repeats, for each k, the scalar
-    operation of that formula in the same order: the products in __mul__'s
-    (p, q) order, reciprocal's solve order and -inv0 * acc, and the running
-    total in increasing k. Zeros are skipped by a pattern that does not
-    depend on k (the nonzeros of y2 and A), and a list that is zero for
-    every k is dropped, so exact jets pay nothing for structural zeros.
+    whenever its intermediate values stay finite. One compiled kernel per
+    degree and pattern of nonzero positions of A and y2 (`_sum_kernel`) runs
+    k innermost and repeats, for each k, the scalar operations of that
+    formula in the same order: the products in __mul__'s (p, q) order,
+    reciprocal's solve order and -inv0 * acc, and the running total in
+    increasing k. Structural zeros (of A and y2) are never touched; a value
+    that is zero only for some k adds a zero of some sign where the formula
+    skips it, which leaves every nonzero sum as it is and adds nothing to the
+    total. Exact jets run the same kernel on Fractions.
     """
     A._check_compatible(y2)
     if len(ms) != len(ws):
@@ -328,51 +393,30 @@ def reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:
     kind, zero = A.kind, _ZERO[A.kind]
     if not ms:
         return A._wrap([zero] * len(A._c))
+    if not (A._c[0] or y2._c[0]):
+        raise SingularJet("reciprocal of a jet with zero constant term")
+    kernel = _sum_kernel(
+        A.degree,
+        tuple(p for p, a in enumerate(A._c) if a),
+        tuple(p for p, b in enumerate(y2._c) if b),
+    )
     ms = [_coerce(kind, m) for m in ms]
     ws = [_coerce(kind, w) for w in ws]
-    _, sums, solve = _tables(A.degree)
-    # (m_k y2)_p for every nonzero y2_p, then their squares as in __mul__
-    ys = [(p, [b * m for m in ms]) for p, b in enumerate(y2._c) if b]
-    sq = [None] * len(sums)
-    for p, a in ys:
-        row = sums[p]
-        n = len(row)
-        for q, b in ys:
-            if q >= n:
-                break
-            r = row[q]
-            v = sq[r]
-            sq[r] = list(map(mul, a, b)) if v is None else list(map(add, v, map(mul, a, b)))
-    # Q = A + (m y2)^2: a list over k, or None where it is zero for every k
-    Q = []
-    for a, v in zip(A._c, sq):
-        if v is not None:
-            v = [a + b for b in v] if a else v
-        elif a:
-            v = [a] * len(ms)
-        Q.append(v if v is not None and any(v) else None)
-    q0 = Q[0]
-    if q0 is None or not all(q0):
-        raise SingularJet("reciprocal of a jet with zero constant term")
     one = Fraction(1) if kind == EXACT else 1.0
-    inv0 = [one / a for a in q0]
-    neg_inv0 = [-i for i in inv0]
-    out = [None] * len(Q)
-    out[0] = inv0
-    for p in range(1, len(Q)):
-        acc = None
-        for b, r in solve[p]:
-            qb = Q[b]
-            if qb is not None:
-                rr = out[r]
-                if rr is not None:
-                    prod = map(mul, qb, rr)
-                    acc = list(prod) if acc is None else list(map(add, acc, prod))
-        if acc is not None and any(acc):
-            out[p] = list(map(mul, neg_inv0, acc))
-    # scale by w_k and add up in increasing k; a zero term leaves the total
-    # as it is, just as the per-term formula skips it
-    return A._wrap([zero if v is None else reduce(add, map(mul, v, ws), zero) for v in out])
+    try:
+        return A._wrap(kernel(A._c, y2._c, ms, ws, zero, one))
+    except ZeroDivisionError:
+        raise SingularJet("reciprocal of a jet with zero constant term") from None
+
+
+def _sin_cos_at(kind: str, t0) -> tuple:
+    """(sin t0, cos t0) as scalars of the kind. An exact t0 must be zero;
+    sin/cos of a nonzero rational is irrational."""
+    if kind == EXACT:
+        if t0 != 0:
+            raise JetError("exact sin/cos needs zero constant term")
+        return Fraction(0), Fraction(1)
+    return math.sin(t0), math.cos(t0)
 
 
 def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:
@@ -382,12 +426,7 @@ def jet_sin_cos(t: Jet2) -> tuple[Jet2, Jet2]:
     irrational, so there is nothing exact to return otherwise.
     """
     t0 = t.value()
-    if t.kind == EXACT:
-        if t0 != 0:
-            raise JetError("exact sin/cos needs zero constant term")
-        s0, c0 = Fraction(0), Fraction(1)
-    else:
-        s0, c0 = math.sin(t0), math.cos(t0)
+    s0, c0 = _sin_cos_at(t.kind, t0)
     p = t - t0  # nilpotent part
     one = Jet2.constant(1, t.base, t.degree)
     sin_p = Jet2.constant(0, t.base, t.degree)
@@ -412,10 +451,29 @@ def polar_coordinates(base_pt: tuple, degree: int) -> tuple[Jet2, Jet2]:
     """(r cos theta, r sin theta) as jets at base_pt = (r, theta), of the
     point's kind. An exact point needs theta = 0 exactly, as jet_sin_cos
     does; any other rational theta raises JetError.
+
+    Written in closed form, bit for bit r * c, r * s for (s, c) =
+    jet_sin_cos(theta): the theta^n coefficients of cos and sin are
+    (1/n!) (c0, -s0, -c0, s0)[n % 4] and (1/n!) (s0, c0, -s0, -c0)[n % 4],
+    formed as jet_sin_cos forms them, and a nonzero one c_n lands as r0 c_n
+    at (0, n) when r0 is nonzero and as c_n at (1, n) below the degree.
     """
-    r = Jet2.variable(0, base_pt, degree)
-    s, c = jet_sin_cos(Jet2.variable(1, base_pt, degree))
-    return r * c, r * s
+    x = Jet2.variable(0, base_pt, degree)
+    r0, t0 = x.base
+    s0, c0 = _sin_cos_at(x.kind, t0)
+    cycles = ((c0, -s0, -c0, s0), (s0, c0, -s0, -c0))
+    out = ([_ZERO[x.kind]] * len(x._c), [_ZERO[x.kind]] * len(x._c))
+    for n in range(degree + 1):
+        f = math.factorial(n)
+        inv_fact = Fraction(1, f) if x.kind == EXACT else 1.0 / f
+        for coeffs, cycle in zip(out, cycles):
+            cn = inv_fact * cycle[n % 4]
+            if cn:
+                if r0:
+                    coeffs[_pos(0, n)] = r0 * cn
+                if n < degree:
+                    coeffs[_pos(1, n)] = cn
+    return x._wrap(out[0]), x._wrap(out[1])
 
 
 # -- finite differences ------------------------------------------------------

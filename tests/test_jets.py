@@ -1,11 +1,15 @@
 """Truncated bivariate Taylor arithmetic."""
 
 import math
+import struct
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from carleman import jets
 from carleman.blocks import BaseFunction, Block, polar_block_jet
 from carleman.bricks import BrickParams, brick_jet, polar_brick_jet
 from carleman.jets import (
@@ -15,6 +19,9 @@ from carleman.jets import (
     JetError,
     JetMismatch,
     SingularJet,
+    _ZERO,
+    _coerce,
+    _sum_kernel,
     _tables,
     central_difference,
     finite_difference,
@@ -270,6 +277,215 @@ def test_reciprocal_sum_rejects_bad_operands():
     # A + (m y2)^2 has zero constant term for the second ratio only
     with pytest.raises(SingularJet):
         reciprocal_sum(poly_jet({(0, 0): -1}), poly_jet({(0, 0): 1}), [2, 1], [1, 1])
+
+
+# -- the compiled bump superposition against the list-over-k body -------------
+
+def list_over_k_reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:
+    """sum_k ws[k] / (A + (ms[k] y2)^2), bit for bit the per-term formula
+
+        total = 0; for k: total = total + (A + ym * ym).reciprocal().scale(w_k),
+        ym = y2.scale(m_k).
+
+    The index k runs innermost: every coefficient of an intermediate jet is
+    a list over k, and each list operation repeats, for each k, the scalar
+    operation of that formula in the same order: the products in __mul__'s
+    (p, q) order, reciprocal's solve order and -inv0 * acc, and the running
+    total in increasing k. Zeros are skipped by a pattern that does not
+    depend on k (the nonzeros of y2 and A), and a list that is zero for
+    every k is dropped, so exact jets pay nothing for structural zeros.
+    """
+    A._check_compatible(y2)
+    if len(ms) != len(ws):
+        raise JetError(f"{len(ms)} ratios but {len(ws)} weights")
+    kind, zero = A.kind, _ZERO[A.kind]
+    if not ms:
+        return A._wrap([zero] * len(A._c))
+    ms = [_coerce(kind, m) for m in ms]
+    ws = [_coerce(kind, w) for w in ws]
+    _, sums, solve = _tables(A.degree)
+    # (m_k y2)_p for every nonzero y2_p, then their squares as in __mul__
+    ys = [(p, [b * m for m in ms]) for p, b in enumerate(y2._c) if b]
+    sq = [None] * len(sums)
+    for p, a in ys:
+        row = sums[p]
+        n = len(row)
+        for q, b in ys:
+            if q >= n:
+                break
+            r = row[q]
+            v = sq[r]
+            sq[r] = list(map(mul, a, b)) if v is None else list(map(add, v, map(mul, a, b)))
+    # Q = A + (m y2)^2: a list over k, or None where it is zero for every k
+    Q = []
+    for a, v in zip(A._c, sq):
+        if v is not None:
+            v = [a + b for b in v] if a else v
+        elif a:
+            v = [a] * len(ms)
+        Q.append(v if v is not None and any(v) else None)
+    q0 = Q[0]
+    if q0 is None or not all(q0):
+        raise SingularJet("reciprocal of a jet with zero constant term")
+    one = Fraction(1) if kind == EXACT else 1.0
+    inv0 = [one / a for a in q0]
+    neg_inv0 = [-i for i in inv0]
+    out = [None] * len(Q)
+    out[0] = inv0
+    for p in range(1, len(Q)):
+        acc = None
+        for b, r in solve[p]:
+            qb = Q[b]
+            if qb is not None:
+                rr = out[r]
+                if rr is not None:
+                    prod = map(mul, qb, rr)
+                    acc = list(prod) if acc is None else list(map(add, acc, prod))
+        if acc is not None and any(acc):
+            out[p] = list(map(mul, neg_inv0, acc))
+    # scale by w_k and add up in increasing k; a zero term leaves the total
+    # as it is, just as the per-term formula skips it
+    return A._wrap([zero if v is None else reduce(add, map(mul, v, ws), zero) for v in out])
+
+
+def _bits(jet):
+    """Every coefficient in graded order: a float by its IEEE bytes (so the
+    sign of a zero counts), a Fraction by its type and value."""
+    return [
+        struct.pack("<d", c) if type(c) is float else (type(c), c) for _, c in jet.graded_items()
+    ]
+
+
+def _outcome(f, *args):
+    try:
+        return _bits(f(*args))
+    except SingularJet:
+        return SingularJet
+
+
+# the float coefficients stay in [1/8, 4] in size, so every intermediate of
+# the sum stays finite (the kernel's bit-for-bit claim) up to degree 9
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(0.125, 4.0).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def superposition_operands(draw):
+    """(A, y2, ms, ws) for `reciprocal_sum`: degree 0-9, either kind, with A
+    and y2 either free jets (random structural zeros and -0.0 entries) or
+    the coordinate jets of a block, Cartesian or polar; ratios may be 0.0."""
+    degree = draw(st.integers(0, 9))
+    exact = draw(st.booleans())
+    value = rationals if exact else _floats
+    shape = draw(st.sampled_from(["free", "cartesian", "polar"]))
+    if shape == "free":
+        base = B0 if exact else F0
+        key = st.tuples(st.integers(0, degree), st.integers(0, degree))
+        key = key.filter(lambda a: sum(a) <= degree)
+        A, y2 = (Jet2(base, degree, draw(st.dictionaries(key, value, max_size=14))) for _ in "ab")
+    else:
+        if shape == "polar" and exact:
+            pt = (draw(st.sampled_from([0, Fraction(1, 3), Fraction(5, 2)])), 0)
+        elif shape == "polar":
+            r = draw(st.one_of(st.just(0.0), st.floats(0.0, 8.0)))
+            pt = (r, draw(st.one_of(st.sampled_from([0.0, -0.0, math.pi]), st.floats(-4.0, 4.0))))
+        elif exact:
+            pt = (draw(rationals), draw(st.one_of(st.just(0), rationals)))
+        else:
+            pt = (draw(st.floats(-8.0, 8.0)), draw(st.one_of(st.just(0.0), st.floats(-8.0, 8.0))))
+        x1, x2 = polar_coordinates(pt, degree) if shape == "polar" else (
+            Jet2.variable(0, pt, degree), Jet2.variable(1, pt, degree)
+        )
+        inv_rho = draw(st.sampled_from([1, 2, 13]))
+        q = draw(st.sampled_from([1, 2, Fraction(3, 2)]))
+        if not exact:
+            inv_rho, q = float(inv_rho), float(q)
+        y1 = x1.scale(inv_rho) - q
+        A, y2 = 1 + y1 * y1, x2.scale(inv_rho)
+    terms = draw(st.integers(1, 5))
+    if exact:
+        ms = draw(st.lists(st.integers(1, 6), min_size=terms, max_size=terms))
+    else:
+        ratio = st.one_of(st.just(0.0), st.floats(0.25, 4.0))
+        ms = draw(st.lists(ratio, min_size=terms, max_size=terms))
+    ws = draw(st.lists(value, min_size=terms, max_size=terms))
+    return A, y2, ms, ws
+
+
+@given(superposition_operands())
+@settings(max_examples=300, deadline=None)
+# a zero ratio: present entries of m y2 that are 0.0 for that k only
+@example((Jet2.variable(0, F0, 4) + 1.0, Jet2.variable(1, F0, 4), [0.0, 1.0], [1.0, -0.5]))
+# q0 = 0 at the second k only
+@example((Jet2.constant(-1.0, F0, 3), Jet2.constant(1.0, F0, 3), [2.0, 1.0], [1.0, 1.0]))
+def test_compiled_kernel_is_the_list_over_k_body(operands):
+    want = _outcome(list_over_k_reciprocal_sum, *operands)
+    got = _outcome(reciprocal_sum, *operands)
+    assert got == want
+
+
+@pytest.mark.parametrize("base", [B0, F0])
+def test_one_vanishing_constant_term_raises_singular_jet(base):
+    # A + (m y2)^2 has zero constant term for m = 1 only, the second of three
+    A, y2 = Jet2.constant(-1, base, 3), Jet2.constant(1, base, 3)
+    with pytest.raises(SingularJet):
+        reciprocal_sum(A, y2, [2, 1, 3], [1, 1, 1])
+    with pytest.raises(SingularJet):  # no constant term in A or y2: never compiled
+        reciprocal_sum(Jet2.variable(0, base, 3), Jet2.variable(1, base, 3), [1], [1])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_kernel_sums_split_into_statements_keep_their_order(monkeypatch, chunk):
+    # a generated sum longer than _CHUNK terms continues in further
+    # statements, still added left to right: dense operands at degree 6 give
+    # sums of up to 16 terms
+    base = (0.5, 0.25)
+    x1, x2 = Jet2.variable(0, base, 6), Jet2.variable(1, base, 6)
+    A, y2 = 1 + x1 * x1 + (x1 - x2).reciprocal(), (x1 + x2).reciprocal()
+    assert all(A._c) and all(y2._c)
+    want = _bits(list_over_k_reciprocal_sum(A, y2, [1.0, 2.5, 3.0], [0.5, -0.25, 1.0]))
+    monkeypatch.setattr(jets, "_CHUNK", chunk)
+    _sum_kernel.cache_clear()
+    try:
+        assert _bits(reciprocal_sum(A, y2, [1.0, 2.5, 3.0], [0.5, -0.25, 1.0])) == want
+    finally:
+        _sum_kernel.cache_clear()
+
+
+# -- polar coordinate jets in closed form against jet_sin_cos ------------------
+
+def _polar_by_products(pt, degree):
+    r = Jet2.variable(0, pt, degree)
+    s, c = jet_sin_cos(Jet2.variable(1, pt, degree))
+    return r * c, r * s
+
+
+@given(
+    st.integers(0, 9),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 10.0)),
+    st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-4.0, 4.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_polar_coordinates_are_r_times_sin_cos(degree, r, theta):
+    got, want = polar_coordinates((r, theta), degree), _polar_by_products((r, theta), degree)
+    assert [_bits(j) for j in got] == [_bits(j) for j in want]
+    assert all(j.kind == FLOAT and j.base == (r, theta) for j in got)
+
+
+@pytest.mark.parametrize("degree", range(10))
+@pytest.mark.parametrize("r", [Fraction(3, 7), 0, Fraction(-2)])
+def test_exact_polar_coordinates_are_r_times_sin_cos(degree, r):
+    got, want = polar_coordinates((r, 0), degree), _polar_by_products((r, 0), degree)
+    assert [_bits(j) for j in got] == [_bits(j) for j in want]
+    assert all(j.kind == EXACT for j in got)
+
+
+def test_exact_polar_coordinates_need_a_zero_angle():
+    for theta in (Fraction(1, 2), 1, Fraction(-3)):
+        with pytest.raises(JetError, match="zero constant term"):
+            polar_coordinates((Fraction(1), theta), 4)
 
 
 def test_sin_cos_known_series():

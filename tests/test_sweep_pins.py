@@ -6,25 +6,32 @@ polar sweeps once more with a constant small enough that the bound fails,
 so the failure tags are pinned too. A result is pinned as (checked, number
 of failures, sha256 prefix of repr(failures), max_log_ratio,
 empirical_constant), the two floats as exact literals (repr round-trips).
+The block and polar block sweeps run once more at degree 10, past every
+degree the acceptance suite reaches, and the jets they read are pinned by
+the IEEE bytes of every coefficient.
 """
 
 import hashlib
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
 from carleman.blocks import (
     BaseFunction,
+    Block,
     base_upper_check,
     block_upper_check,
     polar_block_bound_check,
+    polar_block_jet,
 )
 from carleman.bricks import (
     BrickParams,
     brick_taylor_check,
     cauchy_kernel_check,
     polar_brick_bound_check,
+    polar_samples,
 )
 from carleman.flat import (
     EFunction,
@@ -73,8 +80,14 @@ SWEEPS = {
     "block-upper": lambda: block_upper_check(
         BaseFunction(gevrey(1), 40), BLOCK_GEOMS, degree=4, points=4
     ),
+    "block-upper-degree-10": lambda: block_upper_check(
+        BaseFunction(gevrey(1), 40), BLOCK_GEOMS, degree=10, points=4
+    ),
     "polar-block": lambda: polar_block_bound_check(
         BaseFunction(gevrey(1)), POLAR_GEOMS, degree=5, radii=5, angles=10, seed=25
+    ),
+    "polar-block-degree-10": lambda: polar_block_bound_check(
+        BaseFunction(gevrey(1)), POLAR_GEOMS, degree=10, radii=4, angles=5, seed=28
     ),
     "polar-block-failing": lambda: polar_block_bound_check(
         BaseFunction(gevrey(1), 12), POLAR_GEOMS, degree=3, radii=3, angles=2, C=1.0, seed=25
@@ -89,10 +102,12 @@ SWEEPS = {
 PINS = {
     "base-upper": (700, 0, "4f53cda18c2baa0c", -7.376898359376189, 0.0),
     "block-upper": (120, 0, "4f53cda18c2baa0c", -7.376898359353471, 0.0),
+    "block-upper-degree-10": (528, 0, "4f53cda18c2baa0c", -7.376898359353471, 0.0),
     "brick-taylor": (270, 0, "4f53cda18c2baa0c", -2.0794415416798357, 1.725960788073832),
     "cauchy-kernel": (4500, 0, "4f53cda18c2baa0c", -2.0794415416798344, 1.7411776613292256),
     "flat-upper": (1050, 0, "4f53cda18c2baa0c", -12.464494694311746, 0.0),
     "polar-block": (4200, 0, "4f53cda18c2baa0c", -12.31985719573281, 1.3351926240970458),
+    "polar-block-degree-10": (5280, 0, "4f53cda18c2baa0c", -13.404814959909753, 1.3787428284062466),
     "polar-block-failing": (240, 240, "72e402ccdbafff11", 33.27106466687738, 1.0394644440742176),
     "polar-brick": (5600, 0, "4f53cda18c2baa0c", -10.701484712581587, 1.8282481042839698),
     "polar-brick-failing": (720, 33, "634ec69b42c020ed", 2.4969281411375595, 1.647708653984124),
@@ -109,3 +124,38 @@ def _pin(res):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_pinned(name):
     assert _pin(SWEEPS[name]()) == PINS[name]
+
+
+def _coefficient_digest(jets):
+    h = hashlib.sha256()
+    for jet in jets:
+        for _, c in jet.graded_items():
+            h.update(struct.pack("<d", c))
+    return h.hexdigest()[:16]
+
+
+def _block_jets_degree_10():
+    """The jets the block-upper-degree-10 sweep reads, at its points."""
+    rng = random.Random(4)
+    for q, rho in BLOCK_GEOMS:
+        blk = Block(BaseFunction(gevrey(1), 40), q, rho)
+        c1 = float(blk.center[0])
+        pts = [(c1, 0.0)] + [(c1 + rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(3)]
+        yield from (blk.jet(x, 10) for x in pts)
+
+
+def _polar_block_jets_degree_10():
+    """The jets the polar-block-degree-10 sweep reads, at its points."""
+    h, pts = BaseFunction(gevrey(1)), polar_samples(random.Random(28), 4, 5)
+    for q, rho in POLAR_GEOMS:
+        blk = Block(h, q, rho)
+        yield from (polar_block_jet(blk, pt, 10) for pt in pts)
+
+
+@pytest.mark.parametrize(
+    "jets, digest",
+    [(_block_jets_degree_10, "0c09bb9e9858a4a7"), (_polar_block_jets_degree_10, "d77d5b9f0f121876")],
+    ids=["block", "polar-block"],
+)
+def test_degree_10_block_jets_pinned(jets, digest):
+    assert _coefficient_digest(jets()) == digest
