@@ -8,7 +8,7 @@ of failures, sha256 prefix of repr(failures), max_log_ratio,
 empirical_constant), the two floats as exact literals (repr round-trips).
 The block and polar block sweeps run once more at degree 10, past every
 degree the acceptance suite reaches, and the jets they read are pinned by
-the IEEE bytes of every coefficient.
+the IEEE bytes of every coefficient too.
 """
 
 import hashlib
@@ -20,18 +20,16 @@ import pytest
 
 from carleman.blocks import (
     BaseFunction,
-    Block,
     base_upper_check,
     block_upper_check,
     polar_block_bound_check,
-    polar_block_jet,
 )
 from carleman.bricks import (
     BrickParams,
+    SweepResult,
     brick_taylor_check,
     cauchy_kernel_check,
     polar_brick_bound_check,
-    polar_samples,
 )
 from carleman.flat import (
     EFunction,
@@ -126,36 +124,20 @@ def test_sweep_pinned(name):
     assert _pin(SWEEPS[name]()) == PINS[name]
 
 
-def _coefficient_digest(jets):
-    h = hashlib.sha256()
-    for jet in jets:
+@pytest.mark.parametrize(
+    "name, digest",
+    [("block-upper-degree-10", "0c09bb9e9858a4a7"), ("polar-block-degree-10", "c7b09cee024e7869")],
+)
+def test_degree_10_sweep_jets_pinned(monkeypatch, name, digest):
+    """sha256 prefix of the IEEE bytes of every coefficient of every jet the
+    sweep reads, in the order it reads them."""
+    h, sweep = hashlib.sha256(), SweepResult.sweep
+
+    def read(res, jet, *args, **kwargs):
         for _, c in jet.graded_items():
             h.update(struct.pack("<d", c))
-    return h.hexdigest()[:16]
+        return sweep(res, jet, *args, **kwargs)
 
-
-def _block_jets_degree_10():
-    """The jets the block-upper-degree-10 sweep reads, at its points."""
-    rng = random.Random(4)
-    for q, rho in BLOCK_GEOMS:
-        blk = Block(BaseFunction(gevrey(1), 40), q, rho)
-        c1 = float(blk.center[0])
-        pts = [(c1, 0.0)] + [(c1 + rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(3)]
-        yield from (blk.jet(x, 10) for x in pts)
-
-
-def _polar_block_jets_degree_10():
-    """The jets the polar-block-degree-10 sweep reads, at its points."""
-    h, pts = BaseFunction(gevrey(1)), polar_samples(random.Random(28), 4, 5)
-    for q, rho in POLAR_GEOMS:
-        blk = Block(h, q, rho)
-        yield from (polar_block_jet(blk, pt, 10) for pt in pts)
-
-
-@pytest.mark.parametrize(
-    "jets, digest",
-    [(_block_jets_degree_10, "0c09bb9e9858a4a7"), (_polar_block_jets_degree_10, "d77d5b9f0f121876")],
-    ids=["block", "polar-block"],
-)
-def test_degree_10_block_jets_pinned(jets, digest):
-    assert _coefficient_digest(jets()) == digest
+    monkeypatch.setattr(SweepResult, "sweep", read)
+    SWEEPS[name]()
+    assert h.hexdigest()[:16] == digest
