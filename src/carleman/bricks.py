@@ -4,10 +4,11 @@ The bump with parameters (q, m, rho) is
 
     u(x) = rho^2 / (rho^2 + (x1 - rho*q)^2 + (m*x2)^2),
 
-an anisotropic Cauchy kernel centered at (rho*q, 0). Taylor coefficients come
-from exact jet arithmetic; the derivative bounds carry half-integer powers of
-the denominator, so exact certification compares squares of both sides, which
-stay rational.
+an anisotropic Cauchy kernel centered at (rho*q, 0), whose jet is the one-term
+`reciprocal_sum` (the K = 1 case of `BaseFunction.kernel_sum`). Taylor
+coefficients come from exact jet arithmetic; the derivative bounds carry
+half-integer powers of the denominator, so exact certification compares
+squares of both sides, which stay rational.
 
 Every derivative-bound check, here and in `blocks` and `flat`, runs through
 one coefficient sweep, `SweepResult.sweep`: the check supplies only its bound
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .jets import Jet2, polar_coordinates
+from .jets import Jet2, polar_coordinates, reciprocal_sum
 from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 
 Scalar = Union[int, float, Fraction]
@@ -57,9 +58,9 @@ def brick_value(p: BrickParams, x1: Scalar, x2: Scalar) -> Scalar:
 
 
 def _brick_of(p: BrickParams, x1: Jet2, x2: Jet2) -> Jet2:
-    """The bump composed with coordinate jets x1, x2."""
-    denom = p.rho**2 + (x1 - p.rho * p.q) ** 2 + (p.m * x2) ** 2
-    return denom.reciprocal().scale(p.rho**2)
+    """The bump composed with coordinate jets x1, x2: the one-term bump sum
+    rho^2 / (A + (m x2)^2), A = rho^2 + (x1 - rho q)^2."""
+    return reciprocal_sum(p.rho**2 + (x1 - p.rho * p.q) ** 2, x2, [p.m], [p.rho**2])
 
 
 def brick_jet(p: BrickParams, base: tuple, degree: int) -> Jet2:
@@ -69,12 +70,16 @@ def brick_jet(p: BrickParams, base: tuple, degree: int) -> Jet2:
 
 def polar_brick_jet(p: BrickParams, base: tuple, degree: int) -> Jet2:
     """Jet of u composed with (r, theta) -> (r cos theta, r sin theta) at
-    base = (r, theta), of the point's kind.
-
-    An exact point needs theta = 0 exactly (the angle jet must have no
-    constant term for the exact sine/cosine expansion).
-    """
+    base = (r, theta), of the point's kind; an exact point needs theta = 0
+    exactly, as `polar_coordinates` does."""
     return _brick_of(p, *polar_coordinates(base, degree))
+
+
+def _finite(*values) -> None:
+    """Raise OverflowError on a float NaN or +inf, which no comparison fails."""
+    for v in values:
+        if type(v) is float and not v < math.inf:
+            raise OverflowError(f"a sweep read {v!r}")
 
 
 @dataclass
@@ -92,6 +97,7 @@ class SweepResult:
 
     def record(self, log_lhs: float, log_rhs: float, tag) -> None:
         """Compare log lhs <= log rhs."""
+        _finite(log_lhs, log_rhs)
         self.checked += 1
         if log_lhs > log_rhs:
             self.failures.append(tag)
@@ -102,6 +108,7 @@ class SweepResult:
         """Compare lhs^2 <= rhs_sq for lhs >= 0. A rational lhs = n/d in
         lowest terms has the square n^2/d^2 in lowest terms, so an exact
         comparison and its log ratio are read from integers."""
+        _finite(lhs, rhs_sq)
         self.checked += 1
         if isinstance(lhs, Fraction):
             n, d = lhs.numerator ** 2, lhs.denominator ** 2
@@ -137,7 +144,9 @@ class SweepResult:
                      the coefficient before `record` compares.
         constant(a, n, |coefficient|), called for nonzero coefficients, is
         the smallest constant that coefficient allows; empirical_constant
-        keeps the running maximum. A failure is tagged (*tag, a).
+        keeps the running maximum. A failure is tagged (*tag, a). A float
+        coefficient, bound or log tail that is NaN or +inf raises
+        OverflowError: it makes the compared value NaN or +inf.
         """
         for a, coef in jet.graded_items():
             n = a[0] + a[1]

@@ -70,6 +70,10 @@ SHARPNESS_HEADER = ("lambda", "deriv_log", "target_log", "r")
 OSTROWSKI_HEADER = ("r", "phi_log", "argmax")
 SCHEDULE_HEADER = ("k", "a_k", "b_k", "g_k")
 
+# the highest verify-bounds degree: the jet tables and compiled kernels grow
+# as degree^4, and polar-block, the heaviest target, peaks near 90 MiB at 40
+DMAX_LIMIT = 40
+
 
 def _family(spec: str):
     try:
@@ -190,6 +194,8 @@ def _cmd_ostrowski(args, rb: ReportBuilder) -> None:
 
 def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
     target = args.target
+    if args.Dmax > DMAX_LIMIT:
+        raise UsageError(f"--Dmax {args.Dmax} is above the limit of {DMAX_LIMIT}")
     is_brick = target in ("brick", "polar-brick")
     try:
         # the one brick or block the sweep checks; the base target has neither
@@ -216,7 +222,7 @@ def _cmd_verify_bounds(args, rb: ReportBuilder) -> None:
     try:
         _sweep_bounds(args, rb, bricks, geom)
     except OverflowError:
-        raise UsageError("a float sweep left the range of a double; lower --q, --m or --Dmax") from None
+        raise UsageError("a float sweep left the range of a double; lower --q, --m or --Dmax, or raise --rho") from None
 
 
 def _sweep_bounds(args, rb: ReportBuilder, bricks: list, geom: list) -> None:

@@ -5,21 +5,22 @@ base point, complete through a fixed total degree, as one flat list in graded
 order (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), ...: alpha = (i, j) of total
 degree n sits at position n(n+1)/2 + i. coefficient(alpha) is the normalized
 derivative d^alpha f / alpha!; callers multiply the factorials back in
-themselves. Arithmetic truncates at the common degree. Products and
-reciprocals walk a table built once per degree: for each position a, the
-positions of a + b for every b that stays within the degree, and for each
-output position alpha, the (beta, alpha - beta) pairs of the reciprocal's
-order-by-order solve. Both skip zero operands, so exact jets pay nothing for
-zero entries and no 0 * inf appears in float ones. An exact reciprocal runs
-that solve on integers, the jet scaled by the lcm of its denominators, and
-forms each coefficient once as a reduced Fraction instead of normalising
-after every scalar operation. `reciprocal_sum` gives the bump superposition
-sum_k w_k / (A + (m_k y2)^2) by a straight-line kernel, generated from the
-same tables once per degree and pattern of nonzero positions and compiled:
-one loop over the bump index k with every intermediate a local scalar, each
-the scalar operation of the per-term product, reciprocal, scale and running
-sum in the same order, so its floats are bit for bit those of the per-term
-formula. sin/cos split off the (possibly irrational) angle constant and run
+themselves. Arithmetic truncates at the common degree. Two tables are built
+once per degree: for each position a, the positions of a + b for every b
+that stays within the degree, which products walk, skipping zero operands
+(so exact jets pay nothing for zero entries and no 0 * inf appears in float
+ones); and for each output position alpha, the (beta, alpha - beta) pairs of
+the reciprocal's order-by-order solve. `reciprocal_sum` gives the bump
+superposition sum_k w_k / (A + (m_k y2)^2) by a straight-line kernel,
+generated from both tables once per degree and pattern of nonzero positions
+of A and y2 and compiled: one loop over the bump index k with every
+intermediate a local scalar, each the scalar operation of the per-term
+product, reciprocal, scale and running sum in the same order. A float
+reciprocal is its one-term sum (y2 = 0, w = 1), so every float solve runs
+there. An exact reciprocal runs the solve on integers instead, the jet
+scaled by the lcm of its denominators, and forms each coefficient once as a
+reduced Fraction rather than normalising after every scalar operation.
+sin/cos split off the (possibly irrational) angle constant and run
 Maclaurin series on the nilpotent part; the polar coordinate jets
 (r cos theta, r sin theta) are written from the same coefficients in closed
 form.
@@ -253,36 +254,16 @@ class Jet2:
     # -- nonlinear operations ------------------------------------------------
 
     def reciprocal(self) -> "Jet2":
-        a = self._c
-        a00 = a[0]
-        if a00 == 0:
-            raise SingularJet("reciprocal of a jet with zero constant term")
-        if self.kind == EXACT:
-            return self._exact_reciprocal()
-        inv0 = 1.0 / a00
-        # solve sum_{beta <= alpha} a_beta r_{alpha - beta} = [alpha == 0] in
-        # graded order; only nonzero a_beta with beta != 0 contribute
-        a = [c if c else None for c in a]
-        out = [None] * len(a)
-        out[0] = inv0
-        solve = _tables(self.degree)[2]
-        for p in range(1, len(a)):
-            acc = 0
-            for b, r in solve[p]:
-                ab = a[b]
-                if ab is not None:
-                    rr = out[r]
-                    if rr is not None:
-                        acc = acc + ab * rr
-            if acc != 0:
-                out[p] = -inv0 * acc
-        return self._filled(out)
-
-    def _exact_reciprocal(self) -> "Jet2":
-        """The graded solve on integers: with D the lcm of the denominators
+        """1 / self. A float jet is the one-term `reciprocal_sum` (y2 = 0,
+        w = 1), whose total reads an underflowed -0.0 as 0.0. An exact jet
+        runs the graded solve on integers: with D the lcm of the denominators
         and P = D a, S_0 = 1 and
         S_alpha = -sum_{0 < beta <= alpha} P_beta S_(alpha-beta) P_0^(|beta|-1)
         give r_alpha = D S_alpha / P_0^(|alpha|+1), one reduced Fraction each."""
+        if self.kind == FLOAT:
+            return reciprocal_sum(self, self._wrap([0.0] * len(self._c)), [0.0], [1.0])
+        if self._c[0] == 0:
+            raise SingularJet("reciprocal of a jet with zero constant term")
         D = reduce(math.lcm, (c.denominator for c in self._c if c), 1)
         P = [c.numerator * (D // c.denominator) if c else None for c in self._c]
         powers = [1]  # P_0^0 .. P_0^(degree+1)
@@ -320,7 +301,7 @@ def _sum_lines(name: str, terms: list[str]) -> list[str]:
     ]
 
 
-@lru_cache(maxsize=64)  # a sweep uses a few patterns per degree (selftest: 9 in all)
+@lru_cache(maxsize=64)  # a sweep uses a few patterns per degree (selftest: 15 in all)
 def _sum_kernel(degree: int, a_nz: tuple, y_nz: tuple) -> Callable:
     """The straight-line body of `reciprocal_sum` for one degree and the
     nonzero positions a_nz of A and y_nz of y2, compiled once.
@@ -377,15 +358,18 @@ def reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:
         total = 0; for k: total = total + (A + ym * ym).reciprocal().scale(w_k),
         ym = y2.scale(m_k),
 
-    whenever its intermediate values stay finite. One compiled kernel per
-    degree and pattern of nonzero positions of A and y2 (`_sum_kernel`) runs
-    k innermost and repeats, for each k, the scalar operations of that
-    formula in the same order: the products in __mul__'s (p, q) order,
-    reciprocal's solve order and -inv0 * acc, and the running total in
-    increasing k. Structural zeros (of A and y2) are never touched; a value
-    that is zero only for some k adds a zero of some sign where the formula
-    skips it, which leaves every nonzero sum as it is and adds nothing to the
-    total. Exact jets run the same kernel on Fractions.
+    with .reciprocal() the graded solve in `_tables` order, whenever its
+    intermediate values stay finite. A float .reciprocal() is this kernel, so
+    tests/test_jets.py keeps that solve and the formula as its references
+    (`table_walk_reciprocal`, `list_over_k_reciprocal_sum`). One compiled
+    kernel per degree and pattern of nonzero positions of A and y2
+    (`_sum_kernel`) runs k innermost and repeats, for each k, the scalar
+    operations of that formula in the same order: the products in __mul__'s
+    (p, q) order, reciprocal's solve order and -inv0 * acc, and the running
+    total in increasing k. Structural zeros (of A and y2) are never touched;
+    a value that is zero only for some k adds a zero of some sign where the
+    formula skips it, which leaves every nonzero sum as it is and adds
+    nothing to the total. Exact jets run the same kernel on Fractions.
     """
     A._check_compatible(y2)
     if len(ms) != len(ws):

@@ -2,10 +2,11 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from carleman.bricks import (
     BrickParams,
@@ -18,7 +19,7 @@ from carleman.bricks import (
     polar_brick_jet,
     polar_samples,
 )
-from carleman.jets import EXACT, JetError
+from carleman.jets import EXACT, Jet2, JetError, polar_coordinates
 from carleman.logscale import log_of_fraction
 
 
@@ -156,3 +157,94 @@ def test_exact_record_squares_is_the_fraction_square(pairs):
         fraction_record_squares(want, lhs * lhs, rhs_sq, i)
     assert (got.checked, got.failures) == (want.checked, want.failures)
     assert got.max_log_ratio.hex() == want.max_log_ratio.hex()
+
+
+# -- brick jets, one-term bump sums, against the formula they replaced --------
+
+def denominator_brick_of(p: BrickParams, x1: Jet2, x2: Jet2) -> Jet2:
+    """The bump composed with coordinate jets x1, x2 as `_brick_of` formed
+    it before it became one `reciprocal_sum` call, kept here as its oracle:
+    the denominator by jet arithmetic, then `.reciprocal()`, then `.scale`."""
+    denom = p.rho**2 + (x1 - p.rho * p.q) ** 2 + (p.m * x2) ** 2
+    return denom.reciprocal().scale(p.rho**2)
+
+
+def _bits(jet):
+    """Every coefficient in graded order: a float by its IEEE bytes (so the
+    sign of a zero counts), a Fraction by its type and reduced value."""
+    return [
+        struct.pack("<d", c) if type(c) is float else (type(c), c.numerator, c.denominator)
+        for _, c in jet.graded_items()
+    ]
+
+
+brick_params = st.builds(
+    BrickParams,
+    st.sampled_from([0, 1, 2, Fraction(3, 2)]),
+    st.sampled_from([1, 2, 3, Fraction(7, 2)]),
+    st.sampled_from([1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 13)]),
+)
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@given(
+    brick_params,
+    st.integers(0, 9),
+    st.one_of(
+        st.tuples(st.floats(-8.0, 8.0), st.one_of(st.just(0.0), st.floats(-8.0, 8.0))),
+        st.tuples(small_fractions, st.one_of(st.just(Fraction(0)), small_fractions)),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_brick_jet_is_the_denominator_formula(p, degree, base):
+    x1, x2 = Jet2.variable(0, base, degree), Jet2.variable(1, base, degree)
+    assert _bits(brick_jet(p, base, degree)) == _bits(denominator_brick_of(p, x1, x2))
+
+
+@given(
+    brick_params,
+    st.integers(0, 9),
+    st.one_of(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 10.0)),
+            st.one_of(st.sampled_from([0.0, -0.0, math.pi]), st.floats(-4.0, 4.0)),
+        ),
+        st.tuples(st.fractions(min_value=0, max_value=10, max_denominator=12), st.just(Fraction(0))),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_polar_brick_jet_is_the_denominator_formula(p, degree, base):
+    want = denominator_brick_of(p, *polar_coordinates(base, degree))
+    assert _bits(polar_brick_jet(p, base, degree)) == _bits(want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_raises_on_a_non_finite_coefficient(bad):
+    jet = Jet2((0.0, 0.0), 3, {(0, 0): 1.0, (1, 1): bad})
+    for bound in ({"rhs_sq": lambda a, n: 1e6}, {"log_bound": lambda a, n: ([], 10.0)}):
+        with pytest.raises(OverflowError):
+            SweepResult().sweep(jet, ("nan",), **bound)
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        {"rhs_sq": lambda a, n: math.inf},
+        {"rhs_sq": lambda a, n: math.nan},
+        {"log_bound": lambda a, n: ([], math.inf)},
+        {"log_bound": lambda a, n: ([], math.nan)},
+        {"log_bound": lambda a, n: ([0.0, math.inf], 10.0)},
+        {"log_bound": lambda a, n: ([math.nan], 10.0)},
+    ],
+)
+def test_sweep_raises_on_a_non_finite_bound_or_tail(bound):
+    with pytest.raises(OverflowError):
+        SweepResult().sweep(Jet2.constant(1.0, (0.0, 0.0), 2), ("inf",), **bound)
+
+
+def test_sweep_takes_zero_bounds_and_empty_tails():
+    # -inf is a log of zero, not an overflow: the tail adds nothing and a
+    # zero bound fails every nonzero coefficient
+    res = SweepResult()
+    res.sweep(Jet2.constant(1.0, (0.0, 0.0), 1), ("zero",), log_bound=lambda a, n: ([-math.inf], -math.inf))
+    assert (res.checked, res.failures) == (3, [("zero", (0, 0))])

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from carleman.blocks import BaseFunction
-from carleman.cli import main
+from carleman.cli import DMAX_LIMIT, main
 from carleman.counterexample import counterexample_sequence, full_verification
 from carleman.flat import EFunction, layout_from_orders
 from carleman.reports import ReportBuilder, render_json, strip_volatile, to_jsonable
@@ -450,6 +450,13 @@ RATIO_DROP_TABLE = "table:" + ",".join(str(k * (k - 1) / 2 - 5 * max(0, k - 12))
         ("verify-bounds", "--target", "block", "--q", "1e330"),
         ("verify-bounds", "--target", "polar-block", "--q", "1e330"),
         ("verify-bounds", "--target", "block", "--rho", "1e-330"),
+        # the jets hold NaN and inf coefficients (3 and 1), which no
+        # comparison fails
+        ("verify-bounds", "--target", "block", "--rho", "1e-60"),
+        # the squared bound overflows to inf from about degree 30
+        ("verify-bounds", "--target", "polar-brick", "--Dmax", "40"),
+        # refused before any jet or table is built
+        ("verify-bounds", "--target", "polar-block", "--Dmax", str(DMAX_LIMIT + 1)),
     ],
 )
 def test_bad_input_exits_two(argv, tmp_path, capsys):

@@ -454,6 +454,54 @@ def test_kernel_sums_split_into_statements_keep_their_order(monkeypatch, chunk):
         _sum_kernel.cache_clear()
 
 
+# -- the float reciprocal, a one-term bump sum, against the table walk ---------
+
+def table_walk_reciprocal(self: Jet2) -> Jet2:
+    """The float solve `Jet2.reciprocal` ran before it became the one-term
+    `reciprocal_sum`, kept here verbatim as its oracle: the graded solve
+    walked over `_tables`, skipping zero entries of the jet and of the
+    partial reciprocal."""
+    a = self._c
+    a00 = a[0]
+    if a00 == 0:
+        raise SingularJet("reciprocal of a jet with zero constant term")
+    inv0 = 1.0 / a00
+    # solve sum_{beta <= alpha} a_beta r_{alpha - beta} = [alpha == 0] in
+    # graded order; only nonzero a_beta with beta != 0 contribute
+    a = [c if c else None for c in a]
+    out = [None] * len(a)
+    out[0] = inv0
+    solve = _tables(self.degree)[2]
+    for p in range(1, len(a)):
+        acc = 0
+        for b, r in solve[p]:
+            ab = a[b]
+            if ab is not None:
+                rr = out[r]
+                if rr is not None:
+                    acc = acc + ab * rr
+        if acc != 0:
+            out[p] = -inv0 * acc
+    return self._filled(out)
+
+
+@st.composite
+def float_jets(draw):
+    """Degree 0-9, entries from `_floats` (so the solve stays finite), with
+    random structural zeros and -0.0 entries, the constant term included."""
+    degree = draw(st.integers(0, 9))
+    key = st.tuples(st.integers(0, degree), st.integers(0, degree)).filter(lambda a: sum(a) <= degree)
+    return Jet2(F0, degree, draw(st.dictionaries(key, _floats, max_size=20)))
+
+
+@given(float_jets())
+@settings(max_examples=300, deadline=None)
+@example(Jet2(F0, 3, {(0, 0): -0.0, (1, 0): 1.0}))
+@example(Jet2(F0, 4, {(0, 0): 0.5, (0, 1): -0.0, (2, 0): 1.0, (1, 1): -2.0}))
+def test_float_reciprocal_is_the_table_walk(jet):
+    assert _outcome(Jet2.reciprocal, jet) == _outcome(table_walk_reciprocal, jet)
+
+
 # -- polar coordinate jets in closed form against jet_sin_cos ------------------
 
 def _polar_by_products(pt, degree):
