@@ -19,8 +19,8 @@ multiply on m_k, divided by g, brackets the numerator, formed only when the
 bracket straddles a rounding boundary: gevrey:1 to 13664 terms, gevrey:2,
 gevrey:3, shift:2:gevrey:1 and power:2:gevrey:1 never do. M_k is never kept
 as a table, which would grow like K^2 log K bits (2.4 GiB at the eighth
-greedy block's 54624 terms): base init and the moments carry it as one
-running product, and every other exact read asks `WeightSequence.exact`.
+greedy block's 54624 terms): base init, the moments and the exact weights
+carry it as one running product; other exact reads ask `WeightSequence.exact`.
 The moments keep their denominators factored as {p: exponent} and are put
 in lowest terms by trial division over those known primes, never by a gcd
 of their huge numerators; the certificate's products with a moment cancel
@@ -238,18 +238,38 @@ def _times_factored(
     return _reduced(a * N, x.denominator * (y.denominator // _product(cut)))
 
 
+def _moment_terms(m_int: list[int], terms: int, order: int):
+    """Yield w_k m_k^order = M_k m_k^(order-k) / 2^k, k = 1 .. terms, for
+    m_k = m_int[k], as (numerator, {p: exponent}) in lowest terms: M_k is a
+    running product, and the primes it shares with the denominator, read
+    from its running valuations, are divided out, so no gcd is taken."""
+    factors = cache(_prime_factors)  # each distinct m factored once per loop
+    M_k, valuations = 1, {}  # valuations: {p: v_p(M_k)}
+    for k in range(1, terms + 1):
+        M_k *= m_int[k - 1]
+        for p, v in factors(m_int[k - 1]).items():
+            valuations[p] = valuations.get(p, 0) + v
+        m = m_int[k]
+        if k <= order:
+            num, den = M_k * m ** (order - k), {2: k}
+        else:
+            num, den = M_k, {p: v * (k - order) for p, v in factors(m).items()}
+            den[2] = den.get(2, 0) + k
+        shared = {p: min(e, valuations.get(p, 0)) for p, e in den.items()}
+        cut = _product([p**c for p, c in shared.items() if c and p > 2])
+        yield (num >> shared[2]) // cut, {p: e - shared[p] for p, e in den.items() if e > shared[p]}
+
+
 class BaseFunction:
     """K-term truncation of h; exact weights when the family has them.
 
-    An exact family must have integer ratios m_k; they are kept as an integer
-    table, checked once here. M_k is never tabled: the moment
-    sum_k w_k m_k^order (`axis_moment`; an axis sum is it over
-    (1+t^2)^(order/2+1)) forms it as a running product in its own loop, and
-    the exact weights M_k/(2^k m_k^k) (built on demand for exact values and
-    jets; the certificate builds none), the tail and the lower rows read it
-    from the family's forward cursor, `WeightSequence.exact`. Each log
-    weight comes from the prime valuations of the ratios and the leading
-    bits of two quotients (`_integer_weights`)."""
+    An exact family must have integer ratios m_k, kept as an integer table
+    and checked once here. M_k is never tabled: the terms of the moments
+    sum_k w_k m_k^order (`axis_moment`) and of the exact weights (order 0;
+    built on demand, never by the certificate) carry it as a running
+    product (`_moment_terms`), and the tail and the lower rows read it from
+    `WeightSequence.exact`. Each log weight comes from the prime valuations
+    of the ratios and the leading bits of two quotients (`_integer_weights`)."""
 
     def __init__(self, M: WeightSequence, terms: int = DEFAULT_TERMS):
         if terms < MIN_TERMS:
@@ -261,6 +281,7 @@ class BaseFunction:
         M.validate(terms + 1)
         if M.has_exact:
             self._m_int, log_phi = _integer_weights(M, terms)
+            self._weight_terms = _moment_terms(self._m_int, terms, 0)  # weight_exact's cursor
         else:
             log_phi = [(k + 2) * M.log_ratio(k) - M.log_weight(k) for k in self.k_range]
         self._log_w = {
@@ -275,13 +296,14 @@ class BaseFunction:
         return self._log_w[k]
 
     def weight_exact(self, k: int) -> Fraction:
-        """w_k = M_k / (2^k m_k^k), built and memoised on first use."""
+        """w_k = M_k / (2^k m_k^k); its first use memoises w_1 .. w_k."""
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
-        w = self._exact_w.get(k)
-        if w is None:
-            w = self._exact_w[k] = self.M.exact(k) / (2**k * self._m_int[k] ** k)
-        return w
+        while k not in self._exact_w and k in self.k_range:
+            num, den = next(self._weight_terms)
+            w = _reduced(num, _product([p**e for p, e in den.items()]))
+            self._exact_w[len(self._exact_w) + 1] = w
+        return self._exact_w[k]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -339,42 +361,19 @@ class BaseFunction:
     def _axis_moment(self, order: int) -> tuple[Fraction, dict[int, int]]:
         """The exact moment sum_k w_k m_k^order and its denominator as
         {p: exponent}, for products that cancel by trial division
-        (`_times_factored`).
-
-        Each term w_k m_k^order = M_k m_k^(order-k) / 2^k is read from the
-        integer m_k and M_k, a running product over this loop: a dyadic for
-        k <= order. The terms are summed pairwise as they come: a stack holds
-        the sums of runs of 2^j consecutive terms, j falling up the stack, and
-        the k-th term closes one run per trailing zero bit of k, so about
-        log2 K partial sums are held. Each is an integer numerator over a
-        denominator kept as {p: exponent}: each distinct m_k is factored once
-        (`_prime_factors`), a term's denominator loses the primes M_k shares
-        with it (from M_k's running valuations), and a merge multiplies each
-        numerator by the prime powers its denominator lacks (`_add_factored`)
-        and takes no gcd. The final sum is put in lowest terms by trial
-        division over its denominator's known primes (`_lowest_terms`), so
-        the ~877k-bit numerator at order 2 of the 1024 layout meets no gcd."""
+        (`_times_factored`). The terms (`_moment_terms`) are summed pairwise
+        as they come: a stack holds the sums of runs of 2^j consecutive terms,
+        j falling up the stack, and the k-th term closes one run per trailing
+        zero bit of k, so about log2 K partial sums are held. A merge
+        multiplies each numerator by the prime powers its denominator lacks
+        (`_add_factored`); the sum is put in lowest terms over its
+        denominator's known primes (`_lowest_terms`), so the ~877k-bit
+        numerator at order 2 of the 1024 layout meets no gcd."""
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
-        factors = cache(_prime_factors)  # each distinct m factored once per call
-        runs, M_k, valuations = [], 1, {}  # valuations: {p: v_p(M_k)}
-        for k in self.k_range:
-            m_prev = self._m_int[k - 1]
-            M_k *= m_prev
-            for p, v in factors(m_prev).items():
-                valuations[p] = valuations.get(p, 0) + v
-            m = self._m_int[k]
-            if k <= order:
-                num, den = M_k * m ** (order - k), {2: k}
-            else:
-                num, den = M_k, {p: v * (k - order) for p, v in factors(m).items()}
-                den[2] = den.get(2, 0) + k
-            # cancel the primes M_k shares with the denominator
-            shared = {p: min(e, valuations.get(p, 0)) for p, e in den.items()}
-            runs.append((
-                num // _product([p**c for p, c in shared.items() if c]),
-                {p: e - shared[p] for p, e in den.items() if e > shared[p]},
-            ))
+        runs = []
+        for k, term in enumerate(_moment_terms(self._m_int, self.terms, order), 1):
+            runs.append(term)
             j = k
             while not j & 1:
                 top = runs.pop()

@@ -85,6 +85,22 @@ def test_exact_weights_match_the_phi_search(spec, ks):
         assert bf.weight_log(k) == 2 * M.log_ratio(k) - k * math.log(2) - log_phi
 
 
+@pytest.mark.parametrize(
+    "spec", ["gevrey:1", "gevrey:2", "analytic", "shift:2:gevrey:1", "power:2:gevrey:1"]
+)
+def test_exact_weights_are_reduced_in_any_order(spec):
+    # reference: the gcd-reduced quotient M_k / (2 m_k)^k; the first read, of
+    # the last k, builds every weight, so the later reads are memo hits
+    M = parse_family(spec)
+    bf = BaseFunction(M, terms=80)
+    for k in reversed(bf.k_range):
+        w, ref = bf.weight_exact(k), Fraction(M.exact(k), (2 * M.exact_ratio(k)) ** k)
+        assert (w.numerator, w.denominator) == (ref.numerator, ref.denominator)
+    assert list(bf._exact_w) == list(bf.k_range)
+    with pytest.raises(KeyError):
+        bf.weight_exact(bf.terms + 1)
+
+
 def trial_division(n):
     """{p: v_p(n)}, dividing by every integer up to sqrt(n): the oracle for
     `_prime_factors`."""
