@@ -321,7 +321,11 @@ def _cmd_certify(args, rb: ReportBuilder) -> None:
     t2 = time.perf_counter()
     cert = lower_bound_certificate(fn)
     rb.timings.update(
-        layout_load_s=t1 - t0, flat_build_s=t2 - t1, certificate_s=time.perf_counter() - t2
+        layout_load_s=t1 - t0,
+        flat_build_s=t2 - t1,
+        certificate_s=time.perf_counter() - t2,
+        certificate_workers=cert.workers,
+        rows_s=cert.rows_s,
     )
     rb.config = {
         "gamma": str(args.gamma),

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import threading
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .blocks import (
     LOG2,
@@ -42,6 +45,11 @@ from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 from .weights import WeightSequence, compare, parse_family, shift
 
 LAMBDA0_CAP = 10**6  # last order the lambda0 scan tries
+# a layout of at most this many bump terms certifies its rows in the calling
+# process, where a fork costs about what it saves: on a 2-core Xeon (Python
+# 3.11.7) the rows of the greedy gevrey:2 layout (138 terms) took 40 ms in
+# turn and 41 ms on two processes, those of gevrey:1 (224 terms) 75 and 55 ms
+INPROCESS_MAX_TERMS = 160
 SHARPNESS_COMPARE_HORIZON = 64  # K of the sharpness hypothesis comparison
 # float logs decide a comparison of roots only when they differ by more than
 # this, relative to the larger log; their rounding error is far below it
@@ -573,6 +581,8 @@ class LowerCertificate:
     layout: Layout
     rows: list[CertificateRow]
     lambda0_estimate: Optional[int]
+    rows_s: dict[int, float]  # seconds per row, by order
+    workers: int  # the processes that ran rows
 
     @property
     def all_ok(self) -> bool:
@@ -600,51 +610,163 @@ def _lambda0_scan(M: WeightSequence, layout: Layout) -> Optional[int]:
     return None
 
 
+def _certificate_row(fn: FlatFunction, target: LayoutEntry) -> CertificateRow:
+    """The certificate row of one block: its own exact moment decides it, so
+    no row reads another's numbers."""
+    layout, M = fn.layout, fn.M
+    lam = target.order
+    ax = flat_axis_derivative(fn, lam, lam)
+    fact = Fraction(math.factorial(lam))
+    M_lam = M.exact(lam)
+
+    rhs_hi = layout.eps_hi**lam * fact * M_lam**2 / 4**lam
+    ok = ax.total_lower >= rhs_hi
+
+    floor = fact * target.rho**2 * M_lam**2 / 4**lam
+    dominant_ok = ax.dominant_exact >= floor
+
+    others = [o for o in layout.orders if o != lam]
+    s2 = sum(Fraction(1, 2**o) for o in others)
+    cross_bound = fact * M_lam * Fraction(8) ** (lam + 3) / layout.delta_min_lo**lam * s2
+    # cross_hi + tail <= bound, with the small tail moved right: no huge sum
+    cross_ok = ax.cross_hi <= cross_bound - ax.tail_exact
+
+    lhs_log = log_of_fraction(ax.total_lower)
+    rhs_log = log_of_fraction(rhs_hi)
+    return CertificateRow(
+        order=lam,
+        lhs_log=lhs_log,
+        rhs_log=rhs_log,
+        ratio_root=math.exp((lhs_log - rhs_log) / lam),
+        ok=ok,
+        dominant_log=log_of_fraction(ax.dominant_exact),
+        dominant_floor_log=log_of_fraction(floor),
+        dominant_ok=dominant_ok,
+        cross_log=log_of_fraction(ax.cross_hi) if ax.cross_hi > 0 else LOG_ZERO,
+        cross_bound_log=log_of_fraction(cross_bound),
+        cross_ok=cross_ok,
+        tail_log=log_of_fraction(ax.tail_exact),
+        paths_agree=ax.paths_agree,
+    )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_map(f: Callable, items: Sequence, workers: int) -> list:
+    """[f(x) for x in items] on at most `workers` processes at once: this one
+    and workers - 1 forked children. Process j runs item j first; then each
+    process takes the next unclaimed item, in order, from a shared pipe, so a
+    faster process takes more. A child pickles back only its (index, result)
+    pairs, or its exception, which is raised here with its own type, and
+    ends with os._exit. Every child is reaped before this returns or raises.
+    With one worker or item, more than 1024 items, without os.fork, or in a
+    process with other threads (whose locks a child would inherit held), it
+    is the plain loop."""
+    workers = min(workers, len(items))
+    if (workers <= 1 or len(items) > 1024 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [f(x) for x in items]
+    # imported here, so that only a call that forks pays for them
+    import pickle
+    import signal
+
+    # the queue holds the indices past the first items, 4 bytes each; it is
+    # filled before anyone reads it, so it must fit the smallest pipe buffer
+    # (one 4096-byte page), and a 4-byte read takes one whole index
+    queue_r, queue_w = os.pipe()
+    os.write(queue_w, b"".join(i.to_bytes(4, "little") for i in range(workers, len(items))))
+    os.close(queue_w)
+
+    def run(first: int) -> list[tuple[int, object]]:
+        done = [(first, f(items[first]))]
+        while chunk := os.read(queue_r, 4):
+            i = int.from_bytes(chunk, "little")
+            done.append((i, f(items[i])))
+        return done
+
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for j in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as pipe:
+                        try:
+                            out = (True, run(j))
+                        except Exception as exc:
+                            out = (False, exc)
+                        try:
+                            data = pickle.dumps(out)
+                        except Exception:  # an exception that does not pickle
+                            data = pickle.dumps((False, RuntimeError(repr(out[1]))))
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[pid] = r
+        parts = [run(0)]
+        for pid, r in list(children.items()):
+            data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+            if not data:
+                del children[pid]
+                os.close(r)
+                _, status = os.waitpid(pid, 0)
+                raise RuntimeError(f"worker {pid} ended with wait status {status} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            parts.append(value)
+    finally:
+        os.close(queue_r)
+        # a child that has sent its part is only exiting
+        for pid, r in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    results = [None] * len(items)
+    for part in parts:
+        for i, value in part:
+            results[i] = value
+    return results
+
+
 def lower_bound_certificate(fn: FlatFunction) -> LowerCertificate:
+    """One row per block, lowest order first. The rows are independent, so on
+    a layout of more than `INPROCESS_MAX_TERMS` terms they are spread over
+    the usable CPUs: this process and one forked child per further CPU
+    (`_fork_map`) each take the next row in order, the largest moments
+    first; a smaller layout, a single CPU, a platform without os.fork or a
+    process with other threads runs them here in turn. The rows are the
+    same either way. `rows_s` times each row in the process that ran it, and
+    `workers` counts those processes."""
     layout = fn.layout
-    M = fn.M
     # the cross envelope divides by the least separation of two centres
     if len(layout.entries) < 2:
         raise LayoutError("the certificate needs a layout of at least two blocks")
-    rows = []
-    for target in layout.entries:
-        lam = target.order
-        ax = flat_axis_derivative(fn, lam, lam)
-        fact = Fraction(math.factorial(lam))
-        M_lam = M.exact(lam)
 
-        rhs_hi = layout.eps_hi**lam * fact * M_lam**2 / 4**lam
-        ok = ax.total_lower >= rhs_hi
+    def timed_row(target: LayoutEntry) -> tuple[CertificateRow, float, int]:
+        t0 = time.perf_counter()
+        row = _certificate_row(fn, target)
+        return row, time.perf_counter() - t0, os.getpid()
 
-        floor = fact * target.rho**2 * M_lam**2 / 4**lam
-        dominant_ok = ax.dominant_exact >= floor
-
-        others = [o for o in layout.orders if o != lam]
-        s2 = sum(Fraction(1, 2**o) for o in others)
-        cross_bound = fact * M_lam * Fraction(8) ** (lam + 3) / layout.delta_min_lo**lam * s2
-        # cross_hi + tail <= bound, with the small tail moved right: no huge sum
-        cross_ok = ax.cross_hi <= cross_bound - ax.tail_exact
-
-        lhs_log = log_of_fraction(ax.total_lower)
-        rhs_log = log_of_fraction(rhs_hi)
-        rows.append(
-            CertificateRow(
-                order=lam,
-                lhs_log=lhs_log,
-                rhs_log=rhs_log,
-                ratio_root=math.exp((lhs_log - rhs_log) / lam),
-                ok=ok,
-                dominant_log=log_of_fraction(ax.dominant_exact),
-                dominant_floor_log=log_of_fraction(floor),
-                dominant_ok=dominant_ok,
-                cross_log=log_of_fraction(ax.cross_hi) if ax.cross_hi > 0 else LOG_ZERO,
-                cross_bound_log=log_of_fraction(cross_bound),
-                cross_ok=cross_ok,
-                tail_log=log_of_fraction(ax.tail_exact),
-                paths_agree=ax.paths_agree,
-            )
-        )
-    return LowerCertificate(layout, rows, _lambda0_scan(M, layout))
+    workers = 1 if fn.base.terms <= INPROCESS_MAX_TERMS else _usable_cpus()
+    timed = _fork_map(timed_row, layout.entries, workers)
+    return LowerCertificate(
+        layout,
+        [row for row, _, _ in timed],
+        _lambda0_scan(fn.M, layout),
+        {row.order: s for row, s, _ in timed},
+        len({pid for _, _, pid in timed}),
+    )
 
 
 # -- finite-order upper bounds for the superposition -------------------------

@@ -18,7 +18,7 @@ import pytest
 from carleman.blocks import BaseFunction
 from carleman.cli import DMAX_LIMIT, main
 from carleman.counterexample import counterexample_sequence, full_verification
-from carleman.flat import EFunction, layout_from_orders
+from carleman.flat import EFunction, LayoutError, layout_from_orders
 from carleman.reports import ReportBuilder, render_json, strip_volatile, to_jsonable
 from carleman.weights import gevrey
 
@@ -250,7 +250,69 @@ def test_certify_records_stage_timings(tmp_path):
         stages = [timings[key] for key in ("layout_load_s", "flat_build_s", "certificate_s")]
         assert all(s >= 0 for s in stages)
         assert sum(stages) <= timings["total_s"]
+        # a 64-term layout certifies its rows in the calling process
+        assert timings["certificate_workers"] == 1
+        assert [int(k) for k in timings["rows_s"]] == env["checks"][0]["payload"]["orders"]
+        assert sum(timings["rows_s"].values()) <= timings["certificate_s"]
     assert strip_volatile(reports[0]) == strip_volatile(reports[1])
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def layout_256(tmp_path_factory):
+    out = tmp_path_factory.mktemp("layout256")
+    argv = ("construct-flat", "--family", "gevrey:1", "--lambda-max", "256")
+    assert run(*argv, "--out", str(out)) == 0
+    return str(out / "layout.json")
+
+
+def test_certify_reports_the_same_bytes_from_forked_rows(layout_256, tmp_path, monkeypatch):
+    outs = {}
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        outs[cpus] = tmp_path / str(cpus)
+        argv = ("certify", "--gamma", layout_256, "--N", "shift:2:gevrey:1")
+        assert run(*argv, "--out", str(outs[cpus])) == 0
+        _no_child_left()
+    reports = {cpus: read_json(out / "certify.json") for cpus, out in outs.items()}
+    assert strip_volatile(reports[2]) == strip_volatile(reports[1])
+    for name in ("certificate.csv", "sharpness.csv"):
+        assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # the four rows shared by this process and one child
+    assert reports[2]["timings"]["certificate_workers"] == 2
+    assert reports[1]["timings"]["certificate_workers"] == 1
+    for env in reports.values():
+        assert list(env["timings"]["rows_s"]) == ["2", "12", "52", "212"]
+
+
+def test_certify_exits_two_on_a_layout_error_in_a_row_worker(layout_256, tmp_path, monkeypatch, capsys):
+    from carleman import flat
+
+    row_of = flat._certificate_row
+
+    def failing_row(fn, target):
+        if target.order == 12:  # the child's first row
+            raise LayoutError("no row at order 12")
+        return row_of(fn, target)
+
+    monkeypatch.setattr(flat, "_certificate_row", failing_row)
+    _usable_cpus(monkeypatch, 2)
+    out = tmp_path / "cert"
+    assert run("certify", "--gamma", layout_256, "--out", str(out)) == 2
+    _no_child_left()
+    err = capsys.readouterr().err
+    assert "error: no row at order 12" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_certify_missing_layout(tmp_path, capsys):

@@ -5,15 +5,21 @@ rational or interval arithmetic underneath); tolerances only absorb the final
 float rendering.
 """
 
+import dataclasses
 import hashlib
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from carleman import flat
 from carleman.blocks import polar_block_jet
 from carleman.flat import (
+    INPROCESS_MAX_TERMS,
     EFunction,
     FlatFunction,
     Layout,
@@ -26,6 +32,7 @@ from carleman.flat import (
     polar_flat_check,
     sharpness_scan,
     _add_coprime,
+    _fork_map,
 )
 from carleman.intervals import RInterval
 from carleman.jets import FLOAT, Jet2
@@ -282,11 +289,182 @@ def test_certificate_frozen_values(flat_fn):
     assert cert.lambda0_estimate == 636
 
 
-def test_certificate_builds_no_exact_weights():
-    # the moments read the integers M_k, m_k; no weight Fraction is formed
+def test_certificate_builds_no_exact_weights(monkeypatch):
+    # the moments read the integers M_k, m_k; no weight Fraction is formed.
+    # Rows may run in forked workers, so each row checks in its own process
+    row_of = flat._certificate_row
+
+    def checked_row(fn, target):
+        row = row_of(fn, target)
+        assert fn.base._exact_w == {}, f"row {target.order} built exact weights"
+        return row
+
+    monkeypatch.setattr(flat, "_certificate_row", checked_row)
+    _usable_cpus(monkeypatch, 2)
     fn = FlatFunction(build_layout(gevrey(1), EFunction.parse("sqrt"), 256))
-    assert lower_bound_certificate(fn).all_ok
+    cert = lower_bound_certificate(fn)
+    assert cert.all_ok
+    assert sorted(cert.rows_s) == fn.layout.orders
     assert fn.base._exact_w == {}
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _row_bits(row):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row)]
+
+
+@pytest.fixture(scope="module")
+def greedy_256():
+    return {
+        family: FlatFunction(build_layout(parse_family(family), EFunction.parse("sqrt"), 256))
+        for family in ("gevrey:1", "gevrey:2")
+    }
+
+
+@pytest.mark.parametrize("family", ["gevrey:1", "gevrey:2"])
+def test_forked_rows_equal_in_process_rows(greedy_256, family, monkeypatch):
+    fn = greedy_256[family]
+    assert fn.base.terms > INPROCESS_MAX_TERMS
+    _usable_cpus(monkeypatch, 2)
+    forked = lower_bound_certificate(fn)
+    _no_child_left()
+    _usable_cpus(monkeypatch, 1)
+    here = lower_bound_certificate(fn)
+    # this process and one child share the rows
+    assert forked.workers == 2 and here.workers == 1
+    assert [_row_bits(r) for r in forked.rows] == [_row_bits(r) for r in here.rows]
+    assert [r.order for r in forked.rows] == fn.layout.orders
+    assert sorted(forked.rows_s) == sorted(here.rows_s) == fn.layout.orders
+    assert forked.lambda0_estimate == here.lambda0_estimate
+
+
+def _refuse_fork():
+    pytest.fail("the certificate forked")
+
+
+def test_rows_run_in_process_on_one_cpu(greedy_256, monkeypatch):
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert lower_bound_certificate(greedy_256["gevrey:1"]).workers == 1
+
+
+def test_rows_run_in_process_without_fork(greedy_256, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert lower_bound_certificate(greedy_256["gevrey:1"]).workers == 1
+
+
+def test_rows_run_in_process_beside_another_thread(greedy_256, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait, args=(30,))
+    waiter.start()
+    try:
+        assert lower_bound_certificate(greedy_256["gevrey:1"]).workers == 1
+    finally:
+        stop.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+
+
+def test_rows_of_a_small_layout_run_in_process(flat_fn, monkeypatch):
+    # selftest's 64-term certificates would pay more for a fork than a row
+    assert flat_fn.base.terms <= INPROCESS_MAX_TERMS
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert lower_bound_certificate(flat_fn).workers == 1
+
+
+def test_a_row_error_in_a_worker_comes_back_with_its_type(greedy_256, monkeypatch):
+    row_of = flat._certificate_row
+
+    def failing_row(fn, target):
+        if target.order == 12:  # the child's first row
+            raise LayoutError(f"no row at order 12 in process {os.getpid()}")
+        return row_of(fn, target)
+
+    monkeypatch.setattr(flat, "_certificate_row", failing_row)
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(LayoutError, match="no row at order 12 in process") as ei:
+        lower_bound_certificate(greedy_256["gevrey:1"])
+    assert str(ei.value).rpartition(" ")[2] != str(os.getpid())
+    _no_child_left()
+
+
+def test_fork_map_keeps_order_and_caps_the_running_workers(tmp_path):
+    log = tmp_path / "log"
+
+    def item(x):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, b"+")  # an appended byte lands whole
+        time.sleep(0.02)
+        os.write(fd, b"-")
+        os.close(fd)
+        return x * x, os.getpid()
+
+    for workers in (2, 3):
+        log.write_bytes(b"")
+        out = _fork_map(item, list(range(7)), workers)
+        _no_child_left()
+        assert [v for v, _ in out] == [x * x for x in range(7)]
+        # process j runs item j first; each item runs once
+        pids = [pid for _, pid in out]
+        assert pids[0] == os.getpid() and len(set(pids[:workers])) == len(set(pids)) == workers
+        marks = log.read_bytes()
+        running = [sum(1 if c == ord("+") else -1 for c in marks[:n]) for n in range(15)]
+        assert len(marks) == 14 and max(running) <= workers and running[-1] == 0
+    assert _fork_map(item, [3], 4) == [(9, os.getpid())]
+    # a queue that might not fit a pipe's buffer is not written
+    assert {pid for _, pid in _fork_map(lambda x: (x, os.getpid()), range(1025), 2)} == {os.getpid()}
+    assert _fork_map(item, [1, 2], 1) == [(1, os.getpid()), (4, os.getpid())]
+
+
+def test_fork_map_reports_a_worker_that_dies():
+    def item(x):
+        if x:
+            os._exit(3)
+        return x
+
+    with pytest.raises(RuntimeError, match="ended with wait status 768 and no result"):
+        _fork_map(item, [0, 1], 2)
+    _no_child_left()
+
+
+def test_fork_map_reaps_its_workers_when_interrupted():
+    def item(x):
+        if not x:
+            raise KeyboardInterrupt
+        time.sleep(x)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _fork_map(item, [0, 30, 30], 3)
+    assert time.perf_counter() - t0 < 10
+    _no_child_left()
+
+
+def test_fork_map_raises_an_unpicklable_error_as_a_runtime_error():
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def item(x):
+        if x:
+            raise Local("lost in transit")
+        return x
+
+    with pytest.raises(RuntimeError, match="lost in transit"):
+        _fork_map(item, [0, 1], 2)
+    _no_child_left()
 
 
 def test_certificate_needs_two_blocks():
