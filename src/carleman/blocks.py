@@ -432,7 +432,7 @@ def base_upper_check(
     ]
     for x in pts:
         log_bound = _upper_bound(h, math.log1p(x[0] ** 2 + x[1] ** 2), 0.0)
-        res.sweep(h.jet(x, degree), (x,), log_bound=log_bound)
+        res.sweep(h.jet(x, degree), (x,), log_bound)
     return res
 
 
@@ -447,7 +447,7 @@ class LowerBoundRow:
     def ok(self) -> bool:
         if self.exact_ok is not None:
             return self.exact_ok
-        return self.log_lhs >= self.log_rhs - 1e-12
+        return self.log_lhs >= self.log_rhs
 
 
 def _lower_rows(
@@ -550,7 +550,7 @@ def block_upper_check(
         for x in pts:
             log_d = math.log((x[0] - c1) ** 2 + x[1] ** 2 + rr * rr)
             log_bound = _upper_bound(h, log_d, 2 * math.log(rr))
-            res.sweep(blk.jet(x, degree), ((q, rho), x), log_bound=log_bound)
+            res.sweep(blk.jet(x, degree), ((q, rho), x), log_bound)
     return res
 
 
@@ -612,5 +612,5 @@ def polar_block_bound_check(
 
         for r, th in polar_samples(rng, radii, angles):
             jet = polar_block_jet(blk, (r, th), degree)
-            res.sweep(jet, ((q, rho), r, th), log_bound=log_bound, constant=constant)
+            res.sweep(jet, ((q, rho), r, th), log_bound, constant)
     return res

@@ -12,7 +12,8 @@ squares of both sides, which stay rational.
 
 Every derivative-bound check, here and in `blocks` and `flat`, runs through
 one coefficient sweep, `SweepResult.sweep`: the check supplies only its bound
-(and, where it reports one, its empirical-constant formula).
+(and, where it reports one, its empirical-constant formula), squared for an
+exact jet and in logs for a float one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .jets import Jet2, polar_coordinates, reciprocal_sum
+from .jets import EXACT, Jet2, polar_coordinates, reciprocal_sum
 from .logscale import LOG_ZERO, log_of_fraction, logsumexp
 
 Scalar = Union[int, float, Fraction]
@@ -75,13 +76,6 @@ def polar_brick_jet(p: BrickParams, base: tuple, degree: int) -> Jet2:
     return _brick_of(p, *polar_coordinates(base, degree))
 
 
-def _finite(*values) -> None:
-    """Raise OverflowError on a float NaN or +inf, which no comparison fails."""
-    for v in values:
-        if type(v) is float and not v < math.inf:
-            raise OverflowError(f"a sweep read {v!r}")
-
-
 @dataclass
 class SweepResult:
     """Outcome of sweeping |coefficient| <= bound over points and orders."""
@@ -96,65 +90,53 @@ class SweepResult:
         return not self.failures
 
     def record(self, log_lhs: float, log_rhs: float, tag) -> None:
-        """Compare log lhs <= log rhs."""
-        _finite(log_lhs, log_rhs)
+        """Compare log lhs <= log rhs; a NaN or +inf, which no comparison
+        fails, raises OverflowError."""
+        for v in (log_lhs, log_rhs):
+            if not v < math.inf:
+                raise OverflowError(f"a sweep read {v!r}")
         self.checked += 1
         if log_lhs > log_rhs:
             self.failures.append(tag)
         if log_lhs > LOG_ZERO:
             self.max_log_ratio = max(self.max_log_ratio, log_lhs - log_rhs)
 
-    def record_squares(self, lhs: Scalar, rhs_sq: Scalar, tag) -> None:
-        """Compare lhs^2 <= rhs_sq for lhs >= 0. A rational lhs = n/d in
-        lowest terms has the square n^2/d^2 in lowest terms, so an exact
+    def record_squares(self, lhs: Fraction, rhs_sq: Fraction, tag) -> None:
+        """Compare lhs^2 <= rhs_sq for a rational lhs >= 0. lhs = n/d in
+        lowest terms has the square n^2/d^2 in lowest terms, so the
         comparison and its log ratio are read from integers."""
-        _finite(lhs, rhs_sq)
         self.checked += 1
-        if isinstance(lhs, Fraction):
-            n, d = lhs.numerator ** 2, lhs.denominator ** 2
-            N, D = rhs_sq.numerator, rhs_sq.denominator
-            if n * D > N * d:
-                self.failures.append(tag)
-            if n and N > 0:
-                log_ratio = math.log(n) - math.log(d) - log_of_fraction(rhs_sq)
-                self.max_log_ratio = max(self.max_log_ratio, log_ratio / 2)
-            return
-        lhs_sq = lhs * lhs
-        if lhs_sq > rhs_sq:
+        n, d = lhs.numerator ** 2, lhs.denominator ** 2
+        N, D = rhs_sq.numerator, rhs_sq.denominator
+        if n * D > N * d:
             self.failures.append(tag)
-        if lhs_sq > 0 and rhs_sq > 0:
-            self.max_log_ratio = max(
-                self.max_log_ratio, (math.log(lhs_sq) - math.log(rhs_sq)) / 2
-            )
+        if n and N > 0:
+            log_ratio = math.log(n) - math.log(d) - log_of_fraction(rhs_sq)
+            self.max_log_ratio = max(self.max_log_ratio, log_ratio / 2)
 
     def sweep(
-        self,
-        jet: Jet2,
-        tag: tuple,
-        rhs_sq: Optional[Callable] = None,
-        log_bound: Optional[Callable] = None,
-        constant: Optional[Callable] = None,
+        self, jet: Jet2, tag: tuple, bound: Callable, constant: Optional[Callable] = None
     ) -> None:
-        """Check |coefficient a| of jet against its bound for every |a| up to
-        the jet's degree.
-
-        The bound is a function of (a, n = |a|), given as exactly one of
-          rhs_sq     the squared bound, compared by `record_squares`;
-          log_bound  (log tails, log rhs), the tails folded into the log of
-                     the coefficient before `record` compares.
+        """Check |coefficient a| of jet against bound(a, n = |a|) for every
+        |a| up to the jet's degree, compared in the jet's kind:
+          exact  bound is the squared bound, a Fraction, and
+                 `record_squares` compares squares over the integers;
+          float  bound is (log tails, log rhs), the tails folded into the
+                 log of the coefficient before `record` compares.
         constant(a, n, |coefficient|), called for nonzero coefficients, is
         the smallest constant that coefficient allows; empirical_constant
         keeps the running maximum. A failure is tagged (*tag, a). A float
-        coefficient, bound or log tail that is NaN or +inf raises
-        OverflowError: it makes the compared value NaN or +inf.
+        coefficient, log bound or log tail that is NaN or +inf raises
+        OverflowError: it makes the compared log NaN or +inf.
         """
+        exact = jet.kind == EXACT
         for a, coef in jet.graded_items():
             n = a[0] + a[1]
             coef = abs(coef)
-            if rhs_sq is not None:
-                self.record_squares(coef, rhs_sq(a, n), (*tag, a))
+            if exact:
+                self.record_squares(coef, bound(a, n), (*tag, a))
             else:
-                log_tails, log_rhs = log_bound(a, n)
+                log_tails, log_rhs = bound(a, n)
                 log_coef = math.log(coef) if coef else LOG_ZERO
                 self.record(logsumexp([log_coef] + log_tails), log_rhs, (*tag, a))
             if constant is not None and coef != 0:
@@ -202,7 +184,7 @@ def cauchy_kernel_check(
                 log_lhs = log_of_fraction(coef) + (1 + n / 2) * log_base_sq
                 return math.exp(log_lhs / (n + 1))
 
-            res.sweep(g, (c, x), rhs_sq=rhs_sq, constant=constant)
+            res.sweep(g, (c, x), rhs_sq, constant)
     return res
 
 
@@ -237,7 +219,7 @@ def brick_taylor_check(
                 )
                 return math.exp(log_norm / (n + 1))
 
-            res.sweep(jet, (p, x), rhs_sq=rhs_sq, constant=constant)
+            res.sweep(jet, (p, x), rhs_sq, constant)
     return res
 
 
@@ -258,16 +240,17 @@ def polar_brick_bound_check(
     seed: int = 2,
 ) -> SweepResult:
     """Sweep |d^a (u o polar) / a!| <= m^|a| (1 + q rho)^a2 C^(|a|+1) in float
-    arithmetic over log-uniform radii and uniform angles."""
+    arithmetic, compared in logs, over log-uniform radii and uniform angles."""
     rng = random.Random(seed)
     res = SweepResult()
+    log_C = math.log(C)
     for p in params:
         m = float(p.m)
         growth2 = 1.0 + float(p.q * p.rho)
+        log_m, log_growth2 = math.log(m), math.log(growth2)
 
-        def rhs_sq(a, n):
-            rhs = m**n * growth2 ** a[1] * C ** (n + 1)
-            return rhs * rhs
+        def log_bound(a, n):
+            return [], n * log_m + a[1] * log_growth2 + (n + 1) * log_C
 
         def constant(a, n, coef):
             norm = coef / (m**n * growth2 ** a[1])
@@ -275,6 +258,6 @@ def polar_brick_bound_check(
 
         for r, th in polar_samples(rng, radii, angles):
             jet = polar_brick_jet(p, (r, th), degree)
-            res.sweep(jet, (p, r, th), rhs_sq=rhs_sq, constant=constant)
+            res.sweep(jet, (p, r, th), log_bound, constant)
     return res
 

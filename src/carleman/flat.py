@@ -796,7 +796,7 @@ def flat_upper_check(
         return tail_logs, (n + 3) * LOG8 + 2 * fn.M.log_weight(n)
 
     for x in pts:
-        res.sweep(fn.jet(x, degree), (x,), log_bound=log_bound)
+        res.sweep(fn.jet(x, degree), (x,), log_bound)
     return res
 
 
@@ -822,7 +822,7 @@ def polar_flat_check(
         return tail_logs, (n + 1) * log2C + fn.M.log_weight(n)
 
     for r, th in polar_samples(rng, radii, angles):
-        res.sweep(fn.polar_jet((r, th), degree), (r, th), log_bound=log_bound)
+        res.sweep(fn.polar_jet((r, th), degree), (r, th), log_bound)
     return res
 
 

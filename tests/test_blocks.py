@@ -17,6 +17,7 @@ from carleman.blocks import (
     MIN_TERMS,
     BaseFunction,
     Block,
+    LowerBoundRow,
     base_lower_check,
     base_upper_check,
     block_lower_check,
@@ -711,3 +712,12 @@ def test_block_lower_rows_frozen_off_dyadic_centre():
     rows = block_lower_check(BaseFunction(log_power(math.e), 40), geoms, [2, 4, 6, 8])
     assert [(r.order, r.log_lhs, r.log_rhs, r.exact_ok) for r in rows] == OFF_DYADIC_LOWER_ROWS
     assert all(r.ok for r in rows)
+
+
+def test_float_lower_row_has_no_favourable_slack():
+    # a float row passes on log_lhs >= log_rhs alone: 1e-13 below fails
+    log_rhs = OFF_DYADIC_LOWER_ROWS[0][2]
+    assert LowerBoundRow(2, log_rhs, log_rhs, None).ok
+    assert not LowerBoundRow(2, log_rhs - 1e-13, log_rhs, None).ok
+    # an exact row is decided by its exact verdict, not its logs
+    assert not LowerBoundRow(2, log_rhs + 1.0, log_rhs, False).ok

@@ -221,30 +221,37 @@ def test_polar_brick_jet_is_the_denominator_formula(p, degree, base):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sweep_raises_on_a_non_finite_coefficient(bad):
     jet = Jet2((0.0, 0.0), 3, {(0, 0): 1.0, (1, 1): bad})
-    for bound in ({"rhs_sq": lambda a, n: 1e6}, {"log_bound": lambda a, n: ([], 10.0)}):
-        with pytest.raises(OverflowError):
-            SweepResult().sweep(jet, ("nan",), **bound)
+    with pytest.raises(OverflowError):
+        SweepResult().sweep(jet, ("nan",), lambda a, n: ([], 10.0))
 
 
+# (log tails, log rhs) at every coefficient
 @pytest.mark.parametrize(
-    "bound",
-    [
-        {"rhs_sq": lambda a, n: math.inf},
-        {"rhs_sq": lambda a, n: math.nan},
-        {"log_bound": lambda a, n: ([], math.inf)},
-        {"log_bound": lambda a, n: ([], math.nan)},
-        {"log_bound": lambda a, n: ([0.0, math.inf], 10.0)},
-        {"log_bound": lambda a, n: ([math.nan], 10.0)},
-    ],
+    "bound", [([], math.inf), ([], math.nan), ([0.0, math.inf], 10.0), ([math.nan], 10.0)]
 )
 def test_sweep_raises_on_a_non_finite_bound_or_tail(bound):
     with pytest.raises(OverflowError):
-        SweepResult().sweep(Jet2.constant(1.0, (0.0, 0.0), 2), ("inf",), **bound)
+        SweepResult().sweep(Jet2.constant(1.0, (0.0, 0.0), 2), ("inf",), lambda a, n: bound)
+
+
+def test_sweep_compares_in_the_jets_kind():
+    # an exact jet meets a squared Fraction bound, a float jet a log bound;
+    # the constant 3 passes at its own bound and fails just below it
+    exact = Jet2.constant(Fraction(3), (Fraction(0), Fraction(0)), 1)
+    res = SweepResult()
+    res.sweep(exact, ("at",), lambda a, n: Fraction(9))
+    res.sweep(exact, ("below",), lambda a, n: Fraction(9) - Fraction(1, 10**40))
+    assert (res.checked, res.failures) == (6, [("below", (0, 0))])
+    flt = Jet2.constant(3.0, (0.0, 0.0), 1)
+    res = SweepResult()
+    res.sweep(flt, ("at",), lambda a, n: ([], math.log(3.0)))
+    res.sweep(flt, ("below",), lambda a, n: ([], math.nextafter(math.log(3.0), 0.0)))
+    assert (res.checked, res.failures) == (6, [("below", (0, 0))])
 
 
 def test_sweep_takes_zero_bounds_and_empty_tails():
     # -inf is a log of zero, not an overflow: the tail adds nothing and a
     # zero bound fails every nonzero coefficient
     res = SweepResult()
-    res.sweep(Jet2.constant(1.0, (0.0, 0.0), 1), ("zero",), log_bound=lambda a, n: ([-math.inf], -math.inf))
+    res.sweep(Jet2.constant(1.0, (0.0, 0.0), 1), ("zero",), lambda a, n: ([-math.inf], -math.inf))
     assert (res.checked, res.failures) == (3, [("zero", (0, 0))])
