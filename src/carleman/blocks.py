@@ -24,7 +24,9 @@ carry it as one running product; other exact reads ask `WeightSequence.exact`.
 The moments keep their denominators factored as {p: exponent} and are put
 in lowest terms by trial division over those known primes, never by a gcd
 of their huge numerators; the certificate's products with a moment cancel
-over the same primes (`_times_factored`).
+over the same primes and are read from 128-bit brackets that multiply
+neither the product nor the denominator out (`_bracket_factored`), with the
+exact product (`_times_factored`) as the fallback.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
@@ -38,11 +40,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Optional, Sequence, Union
 
 from .bricks import SweepResult, polar_samples
-from .intervals import RInterval, _log_bracketed, _power_bracket
+from .intervals import (
+    Bracket,
+    RInterval,
+    _bracket,
+    _bracket_mul,
+    _log_bracketed,
+    _power_bracket,
+)
 from .jets import EXACT, Jet2, polar_coordinates, reciprocal_sum
 from .logscale import LOG_ZERO, log_diff, log_of_fraction, logsumexp
 from .weights import WeightError, WeightSequence
@@ -183,20 +192,27 @@ def _reduced(num: int, den: int) -> Fraction:
     return frac
 
 
+def _from_factored(num: int, den: dict[int, int]) -> Fraction:
+    """num / prod p^e as a Fraction, for num coprime to each p; takes no gcd."""
+    return _reduced(num, _product([p**e for p, e in den.items()]))
+
+
 def _lowest_terms(num: int, den: dict[int, int]) -> tuple[int, dict[int, int]]:
     """num / prod p^e for num != 0 and primes p in lowest terms, as its
     numerator and its denominator's {p: exponent}, by trial division, each p
-    at most e times: 2 by num's trailing zeros, an odd p by divmod with p^s
-    while it leaves no remainder, s doubling after each exact division and
-    halving after each inexact one down to s = 1. No gcd of num is taken;
-    `_reduced` builds the Fraction."""
-    left = {}
+    at most e times: 2 by num's trailing zeros; an odd p only if it divides
+    the one remainder of num by the product of the odd primes, then by divmod
+    with p^s while it leaves no remainder, s doubling after each exact
+    division and halving after each inexact one down to s = 1. No gcd of num
+    is taken; `_from_factored` builds the Fraction."""
+    left, rest = {}, num % _product([p for p in den if p > 2])
     for p, e in den.items():
+        c = 0
         if p == 2:
             c = min(e, (num & -num).bit_length() - 1)
             num >>= c
-        else:
-            c, s = 0, 1
+        elif not rest % p:
+            s = 1
             while c < e:
                 s = min(s, e - c)
                 q, r = divmod(num, p**s)
@@ -211,6 +227,27 @@ def _lowest_terms(num: int, den: dict[int, int]) -> tuple[int, dict[int, int]]:
     return num, left
 
 
+def _cancel_factored(
+    x: Fraction, bases: Sequence[int], N: int, primes: dict[int, int], proved: dict[int, bool]
+) -> Optional[tuple[int, dict[int, int]]]:
+    """(a / g, {p: exponent} of D / g) with x y = (a / g) N / (b (D / g)) in
+    lowest terms, for reduced x = a/b whose denominator's primes each divide
+    one of `bases`, and reduced y = N/D with D = prod p^e over `primes`.
+
+    g = gcd(a, D) comes by trial division over D's primes (`_lowest_terms`),
+    and gcd(N, b) = 1 is proved by gcd(N mod q, q) = 1 for each base q, so
+    the huge N meets no gcd. `proved` keeps each base's verdict {q: bool} for
+    this y, so products with one y test a base once. None if a check fails,
+    or if a = 0."""
+    a = x.numerator
+    for q in bases if a else ():
+        if q not in proved:
+            proved[q] = math.gcd(N % q, q) == 1
+    if not a or not all(proved[q] for q in bases):
+        return None
+    return _lowest_terms(a, primes)
+
+
 def _times_factored(
     x: Fraction,
     bases: Sequence[int],
@@ -218,24 +255,32 @@ def _times_factored(
     primes: dict[int, int],
     proved: dict[int, bool] | None = None,
 ) -> Fraction:
-    """x y in lowest terms, for reduced x = a/b whose denominator's primes each
-    divide one of `bases`, and reduced y = N/D with D = prod p^e over `primes`.
-
-    gcd(a, D) comes by trial division over D's primes (`_lowest_terms`), and
-    gcd(N, b) = 1 is proved by gcd(N mod q, q) = 1 for each base q, so the
-    huge N meets no gcd. `proved` keeps each base's verdict {q: bool} for this
-    y, so products with one y test a base once. If a check fails, or a = 0, it
-    is a Fraction product."""
-    a, N = x.numerator, y.numerator
-    proved = {} if proved is None else proved
-    for q in bases if a else ():
-        if q not in proved:
-            proved[q] = math.gcd(N % q, q) == 1
-    if not a or not all(proved[q] for q in bases):
+    """x y in lowest terms, for x, bases, y = N/D and primes as
+    `_cancel_factored` takes them; a Fraction product where it returns None."""
+    cancelled = _cancel_factored(x, bases, y.numerator, primes, {} if proved is None else proved)
+    if cancelled is None:
         return x * y
-    a, left = _lowest_terms(a, primes)
-    cut = [p ** (e - left.get(p, 0)) for p, e in primes.items() if left.get(p, 0) < e]
-    return _reduced(a * N, x.denominator * (y.denominator // _product(cut)))
+    a, left = cancelled
+    return _reduced(a * y.numerator, x.denominator * _product([p**e for p, e in left.items()]))
+
+
+def _bracket_factored(
+    x: Fraction,
+    bases: Sequence[int],
+    N: int,
+    primes: dict[int, int],
+    proved: dict[int, bool],
+) -> Optional[tuple[Bracket, Bracket]]:
+    """Brackets of the numerator and the denominator that `_times_factored`
+    would give x y, for N > 0: neither x y nor D is formed, D / g is
+    bracketed from its prime powers. None where x y would be a Fraction
+    product, or for x < 0."""
+    cancelled = _cancel_factored(x, bases, N, primes, proved)
+    if cancelled is None or cancelled[0] < 0:
+        return None
+    a, left = cancelled
+    powers = (_power_bracket(p, e) for p, e in left.items())
+    return _bracket_mul(_bracket(a), _bracket(N)), reduce(_bracket_mul, powers, _bracket(x.denominator))
 
 
 def _moment_terms(m_int: list[int], terms: int, order: int):
@@ -300,9 +345,7 @@ class BaseFunction:
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
         while k not in self._exact_w and k in self.k_range:
-            num, den = next(self._weight_terms)
-            w = _reduced(num, _product([p**e for p, e in den.items()]))
-            self._exact_w[len(self._exact_w) + 1] = w
+            self._exact_w[len(self._exact_w) + 1] = _from_factored(*next(self._weight_terms))
         return self._exact_w[k]
 
     # -- evaluation ----------------------------------------------------------
@@ -356,12 +399,14 @@ class BaseFunction:
 
     def axis_moment(self, order: int) -> Fraction:
         """sum_k w_k m_k^order over the truncation, exact (`_axis_moment`)."""
-        return self._axis_moment(order)[0]
+        return _from_factored(*self._axis_moment(order))
 
-    def _axis_moment(self, order: int) -> tuple[Fraction, dict[int, int]]:
-        """The exact moment sum_k w_k m_k^order and its denominator as
-        {p: exponent}, for products that cancel by trial division
-        (`_times_factored`). The terms (`_moment_terms`) are summed pairwise
+    def _axis_moment(self, order: int) -> tuple[int, dict[int, int]]:
+        """The exact moment sum_k w_k m_k^order in lowest terms, as its
+        numerator and its denominator's {p: exponent}, for products that
+        cancel by trial division (`_times_factored`) and for brackets that
+        never multiply the denominator out (`_bracket_factored`). The terms
+        (`_moment_terms`) are summed pairwise
         as they come: a stack holds the sums of runs of 2^j consecutive terms,
         j falling up the stack, and the k-th term closes one run per trailing
         zero bit of k, so about log2 K partial sums are held. A merge
@@ -382,8 +427,7 @@ class BaseFunction:
         while len(runs) > 1:
             top = runs.pop()
             runs[-1] = _add_factored(runs[-1], top)
-        num, den = _lowest_terms(*runs[0])
-        return _reduced(num, _product([p**e for p, e in den.items()])), den
+        return _lowest_terms(*runs[0])
 
     def axis_sum_interval(self, order: int, one_plus_t2: RInterval) -> RInterval:
         """sum_k w_k m_k^order / (1+t^2)^(order/2+1) for an enclosure of 1+t^2."""

@@ -10,8 +10,11 @@ Every certified inequality is evaluated two ways: in exact rational
 arithmetic (the certificate) and in log-domain floats (the cross-check). The
 only intervals on the exact path are the certified root enclosures of the
 irrational centers: a certificate row reads its per-block factors at their
-ends and forms exact sums and products from them, taking no gcd where known
-small bases or the moment's known primes prove the result in lowest terms.
+ends and forms exact sums from them, taking no gcd where known small bases
+prove the result in lowest terms. It reads its products with the huge moment
+from 128-bit outward brackets, proved in lowest terms from those bases and
+the moment's known primes, and forms an exact product only where a bracket
+cannot decide.
 """
 
 from __future__ import annotations
@@ -34,14 +37,16 @@ from .blocks import (
     POLAR_BLOCK_C,
     BaseFunction,
     Block,
+    _bracket_factored,
+    _from_factored,
     _reduced,
     _times_factored,
     polar_tail_log,
 )
 from .bricks import SweepResult, polar_samples
-from .intervals import ROOT_DIGITS, RInterval
+from .intervals import ROOT_DIGITS, RInterval, _bracket_sign, _log_bracketed
 from .jets import Jet2, polar_coordinates
-from .logscale import LOG_ZERO, log_of_fraction, logsumexp
+from .logscale import log_of_fraction, logsumexp
 from .weights import WeightSequence, compare, parse_family, shift
 
 LAMBDA0_CAP = 10**6  # last order the lambda0 scan tries
@@ -417,24 +422,27 @@ class FlatAxisValue:
 
     All sources share the sign (-1)^(order/2); magnitudes add. Every source's
     axis sum is the order's (huge) moment times a small factor, so the value
-    keeps the moment, the target's scale and the other blocks' factor, whose
-    ends are exact sums (`_add_coprime`) kept with bases that cover their
-    denominators' primes, and forms an exact product only when it is read: a
-    certificate row forms `dominant_exact`, `cross_hi` and `total_lower`. Each
-    product cancels by trial division over the moment's known primes and
-    proves the rest coprime on the bases (`_times_factored`), each base once
-    for all three, so the moment's huge numerator meets no gcd. The lower end
-    is a certified lower bound (truncation drops positive terms), and total
-    plus tail bounds the full sum above; `paths_agree` compares `total_lower`
-    with the float log.
-    `cross_iv` and `total_iv` are the interval products, kept as the oracle.
+    keeps the moment as its numerator and factored denominator, the target's
+    scale and the other blocks' factor, whose ends are exact sums
+    (`_add_coprime`) kept with bases that cover their denominators' primes.
+    A certificate row reads three products with the moment, `dominant_exact`,
+    `cross_hi` and `total_lower`, through `log` and `compare`: each is proved
+    in lowest terms as `_times_factored` would form it, each base once for
+    all three, and read from 128-bit brackets of its numerator and
+    denominator (`_bracket_factored`), so neither the product nor the
+    moment's denominator is formed unless a proof fails or a bracket does
+    not decide. The lower end is a certified lower bound (truncation drops
+    positive terms), and total plus tail bounds the full sum above;
+    `paths_agree` compares the log of `total_lower` with the float log. The
+    exact products and `cross_iv` and `total_iv`, the interval products, are
+    kept as the oracle.
     """
 
     order: int
     at: int
     sign: int
     factor: RInterval  # sum over the other blocks of scale_e / (1+t_e^2)^p
-    moment: Fraction  # sum_k w_k m_k^order, the base's truncated moment
+    moment_num: int  # sum_k w_k m_k^order, the base's truncated moment, in lowest terms
     target_scale: Fraction  # the target block's weight * order! / rho^order
     tail_exact: Fraction
     total_log_float: float
@@ -443,28 +451,67 @@ class FlatAxisValue:
     moment_primes: dict[int, int]  # the moment's denominator as {p: exponent}
 
     @cached_property
+    def moment(self) -> Fraction:
+        return _from_factored(self.moment_num, self.moment_primes)
+
+    @cached_property
     def _coprime(self) -> dict[int, bool]:
         """Each base's gcd(moment numerator mod q, q) = 1 verdict, shared by
         the row's products."""
         return {}
 
-    def _times_moment(self, x: Fraction, bases: tuple[int, ...]) -> Fraction:
+    @cached_property
+    def _multipliers(self) -> dict[str, tuple[Fraction, tuple[int, ...]]]:
+        """Each product's small factor, with bases that cover its denominator."""
+        scale = (self.target_scale, (self.target_scale.denominator,))
+        return {
+            "dominant_exact": scale,
+            "cross_hi": (self.factor.hi, self.hi_bases),
+            "total_lower": _add_coprime((self.factor.lo, self.lo_bases), scale),
+        }
+
+    def _times_moment(self, name: str) -> Fraction:
+        x, bases = self._multipliers[name]
         return _times_factored(x, bases, self.moment, self.moment_primes, self._coprime)
 
     @cached_property
     def dominant_exact(self) -> Fraction:
-        return self._times_moment(self.target_scale, (self.target_scale.denominator,))
+        return self._times_moment("dominant_exact")
 
     @cached_property
     def cross_hi(self) -> Fraction:
-        return self._times_moment(self.factor.hi, self.hi_bases)
+        return self._times_moment("cross_hi")
 
     @cached_property
     def total_lower(self) -> Fraction:
-        scale = self.target_scale
-        return self._times_moment(*_add_coprime(
-            (self.factor.lo, self.lo_bases), (scale, (scale.denominator,))
-        ))
+        return self._times_moment("total_lower")
+
+    @cached_property
+    def _brackets(self) -> dict[str, Optional[tuple]]:
+        """Each product's numerator and denominator brackets
+        (`_bracket_factored`), or None where only the exact product serves."""
+        return {
+            name: _bracket_factored(x, bases, self.moment_num, self.moment_primes, self._coprime)
+            for name, (x, bases) in self._multipliers.items()
+        }
+
+    def log(self, name: str) -> float:
+        """log|product| as `log_of_fraction` reads the exact product `name`."""
+        brackets = self._brackets[name]
+        if brackets is None:
+            return log_of_fraction(getattr(self, name))
+        num, den = brackets
+        return (_log_bracketed(*num, lambda: getattr(self, name).numerator)
+                - _log_bracketed(*den, lambda: getattr(self, name).denominator))
+
+    def compare(self, name: str, bound: Fraction) -> int:
+        """The sign of the product `name` minus bound."""
+        brackets = self._brackets[name]
+        sign = None if brackets is None else _bracket_sign(*brackets, bound)
+        if sign is None:
+            exact = getattr(self, name)
+            return (exact > bound) - (exact < bound)
+        return sign
 
     @property
     def cross_iv(self) -> RInterval:
@@ -476,7 +523,7 @@ class FlatAxisValue:
 
     @property
     def paths_agree(self) -> bool:
-        return abs(log_of_fraction(self.total_lower) - self.total_log_float) < 1e-9
+        return abs(self.log("total_lower") - self.total_log_float) < 1e-9
 
 
 def _add_coprime(x: tuple, y: tuple) -> tuple:
@@ -541,13 +588,13 @@ def flat_axis_derivative(
             + (log_moment - p * math.log1p(t_f * t_f))
         )
 
-    moment, moment_primes = base._axis_moment(order)
+    moment_num, moment_primes = base._axis_moment(order)
     return FlatAxisValue(
         order,
         at,
         sign,
         RInterval._ordered(ends[0][0], ends[1][0]),
-        moment,
+        moment_num,
         target_scale,
         scales * tail_unit,
         logsumexp(logs),
@@ -612,7 +659,9 @@ def _lambda0_scan(M: WeightSequence, layout: Layout) -> Optional[int]:
 
 def _certificate_row(fn: FlatFunction, target: LayoutEntry) -> CertificateRow:
     """The certificate row of one block: its own exact moment decides it, so
-    no row reads another's numbers."""
+    no row reads another's numbers. Its products with the moment are read
+    from brackets, exact where they cannot decide (`FlatAxisValue.compare`,
+    `FlatAxisValue.log`)."""
     layout, M = fn.layout, fn.M
     lam = target.order
     ax = flat_axis_derivative(fn, lam, lam)
@@ -620,18 +669,18 @@ def _certificate_row(fn: FlatFunction, target: LayoutEntry) -> CertificateRow:
     M_lam = M.exact(lam)
 
     rhs_hi = layout.eps_hi**lam * fact * M_lam**2 / 4**lam
-    ok = ax.total_lower >= rhs_hi
+    ok = ax.compare("total_lower", rhs_hi) >= 0
 
     floor = fact * target.rho**2 * M_lam**2 / 4**lam
-    dominant_ok = ax.dominant_exact >= floor
+    dominant_ok = ax.compare("dominant_exact", floor) >= 0
 
     others = [o for o in layout.orders if o != lam]
     s2 = sum(Fraction(1, 2**o) for o in others)
     cross_bound = fact * M_lam * Fraction(8) ** (lam + 3) / layout.delta_min_lo**lam * s2
     # cross_hi + tail <= bound, with the small tail moved right: no huge sum
-    cross_ok = ax.cross_hi <= cross_bound - ax.tail_exact
+    cross_ok = ax.compare("cross_hi", cross_bound - ax.tail_exact) <= 0
 
-    lhs_log = log_of_fraction(ax.total_lower)
+    lhs_log = ax.log("total_lower")
     rhs_log = log_of_fraction(rhs_hi)
     return CertificateRow(
         order=lam,
@@ -639,10 +688,10 @@ def _certificate_row(fn: FlatFunction, target: LayoutEntry) -> CertificateRow:
         rhs_log=rhs_log,
         ratio_root=math.exp((lhs_log - rhs_log) / lam),
         ok=ok,
-        dominant_log=log_of_fraction(ax.dominant_exact),
+        dominant_log=ax.log("dominant_exact"),
         dominant_floor_log=log_of_fraction(floor),
         dominant_ok=dominant_ok,
-        cross_log=log_of_fraction(ax.cross_hi) if ax.cross_hi > 0 else LOG_ZERO,
+        cross_log=ax.log("cross_hi"),
         cross_bound_log=log_of_fraction(cross_bound),
         cross_ok=cross_ok,
         tail_log=log_of_fraction(ax.tail_exact),

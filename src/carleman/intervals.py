@@ -15,7 +15,8 @@ and only the other sign cases form and order all four endpoint products.
 Where only a logarithm of a huge integer is wanted, it is read from a dyadic
 bracket lo 2^t <= N <= hi 2^t with ends of at most BRACKET_BITS bits, each
 operation rounded outward, so N itself is formed only in the rare case that
-the bracket cannot decide the double math.log(N) would give.
+the bracket cannot decide the double math.log(N) would give. A quotient of
+two brackets is compared with an exact rational at its ends (`_bracket_sign`).
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 ROOT_DIGITS = 40  # decimal digits of every root enclosure
 BRACKET_BITS = 128  # width of the integer brackets a log is read from
 
 Number = Union[int, Fraction]
+Bracket = tuple[int, int, int]  # (lo, hi, t): lo 2^t <= x <= hi 2^t, t >= 0
 
 
 def integer_nth_root(N: int, n: int) -> int:
@@ -89,10 +91,50 @@ def nth_root_bounds(x: Fraction, n: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _trim(lo: int, hi: int, t: int) -> tuple[int, int, int]:
+def _trim(lo: int, hi: int, t: int) -> Bracket:
     """[lo, hi] 2^t rounded outward to at most BRACKET_BITS-bit ends and t >= 0."""
     r = max(hi.bit_length() - BRACKET_BITS, -t, 0)
-    return lo >> r, -(-hi >> r), t + r
+    lo, hi = lo >> r, -(-hi >> r)
+    if hi >> BRACKET_BITS:  # hi rounded up to 2^BRACKET_BITS
+        lo, hi, r = lo >> 1, hi >> 1, r + 1
+    return lo, hi, t + r
+
+
+def _bracket(n: int) -> Bracket:
+    """An integer n >= 0, rounded outward to a bracket."""
+    return _trim(n, n, 0)
+
+
+def _bracket_mul(x: Bracket, y: Bracket) -> Bracket:
+    """The product of two brackets, rounded outward."""
+    return _trim(x[0] * y[0], x[1] * y[1], x[2] + y[2])
+
+
+def _bracket_div(x: Bracket, g: int) -> Bracket:
+    """x / g for an integer g >= 1, divided once with g's width in guard
+    bits: floor below, ceiling above."""
+    lo, hi, t = x
+    b = g.bit_length()
+    return _trim((lo << b) // g, -(-(hi << b) // g), t - b)
+
+
+def _bracket_sign(num: Bracket, den: Bracket, r: Fraction) -> Optional[int]:
+    """The sign of n/d - r for every n in num and every d > 0 in den, by
+    exact comparisons of the ends with r's numerator and denominator; None
+    when the brackets do not decide it, as when n/d can equal r."""
+    (n_lo, n_hi, s), (d_lo, d_hi, t) = num, den
+    p, q = r.numerator, r.denominator
+    # n/d - r has the sign of n q - p d, and p d is least at d_least
+    d_least, d_most = (d_lo, d_hi) if p >= 0 else (d_hi, d_lo)
+
+    def above(a: int, b: int) -> bool:  # a 2^s > b 2^t
+        return a << max(s - t, 0) > b << max(t - s, 0)
+
+    if above(n_lo * q, p * d_most):
+        return 1
+    if above(-n_hi * q, -p * d_least):
+        return -1
+    return None
 
 
 def _log_bracketed(lo: int, hi: int, t: int, exact: Callable[[], int]) -> float:
@@ -108,7 +150,7 @@ def _log_bracketed(lo: int, hi: int, t: int, exact: Callable[[], int]) -> float:
     return math.log(exact())
 
 
-def _power_bracket(base: int, e: int, g: int = 1, c: int = 0) -> tuple[int, int, int]:
+def _power_bracket(base: int, e: int, g: int = 1, c: int = 0) -> Bracket:
     """(lo, hi, t) with lo 2^t <= base^e / (g 2^c) <= hi 2^t for base, g >= 1,
     g odd where 2^c holds the 2-adic part: base^(e >> j), under 2 BRACKET_BITS
     bits, is formed exactly and square and multiply over the last j bits of e
@@ -123,8 +165,7 @@ def _power_bracket(base: int, e: int, g: int = 1, c: int = 0) -> tuple[int, int,
         r = hi.bit_length() - BRACKET_BITS
         if r > 0:
             lo, hi, t = lo >> r, -(-hi >> r), t + r
-    b = g.bit_length()
-    return _trim((lo << b) // g, -(-(hi << b) // g), t - c - b)
+    return _bracket_div((lo, hi, t - c), g)
 
 
 @dataclass(frozen=True)

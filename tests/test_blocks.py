@@ -24,13 +24,14 @@ from carleman.blocks import (
     block_upper_check,
     polar_block_bound_check,
     polar_block_jet,
+    _bracket_factored,
     _integer_weights,
     _lowest_terms,
     _prime_factors,
     _reduced,
     _times_factored,
 )
-from carleman.intervals import RInterval, _log_bracketed
+from carleman.intervals import RInterval, _bracket_sign, _log_bracketed
 from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
 from carleman.logscale import log_of_fraction
 from carleman.ostrowski import phi
@@ -292,6 +293,31 @@ def test_times_factored_matches_fraction(case):
     want, got = x * y, _times_factored(x, bases, y, primes)
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moment_products())
+@example((Fraction(2**50 * 3**9 * 7, 11**4), [11, 13], Fraction(5, 2**40 * 3**4), {2: 40, 3: 4}))
+@example((Fraction(1, 11**3 * 13), [11 * 13], Fraction(11 * 17, 2**5), {2: 5}))
+def test_bracketed_products_read_as_the_exact_product(case):
+    # the brackets enclose the lowest-terms numerator and denominator of x y,
+    # so the logs read from them are log_of_fraction's bit for bit, and each
+    # comparison they decide is the exact one
+    x, bases, y, primes = case
+    want = x * y
+    brackets = _bracket_factored(x, bases, y.numerator, primes, {})
+    if brackets is None:  # the Fraction product: a <= 0 or a base shares a prime with N
+        assert x <= 0 or any(math.gcd(y.numerator, q) > 1 for q in bases)
+        return
+    for (lo, hi, t), end in zip(brackets, (want.numerator, want.denominator)):
+        assert lo << t <= end <= hi << t
+    num, den = brackets
+    log = _log_bracketed(*num, lambda: want.numerator) - _log_bracketed(*den, lambda: want.denominator)
+    assert log == log_of_fraction(want)
+    for bound in (want, want / 2, want * 2, want * (1 + Fraction(1, 2**100)), Fraction(0)):
+        sign = _bracket_sign(num, den, bound)
+        assert sign in (None, (want > bound) - (want < bound))
+        assert sign is not None or bound == want  # a relative gap of 2^-100 is decided
 
 
 def test_exact_family_needs_integer_ratios():

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from carleman import flat
-from carleman.blocks import polar_block_jet
+from carleman.blocks import BaseFunction, polar_block_jet
 from carleman.flat import (
     INPROCESS_MAX_TERMS,
     EFunction,
+    FlatAxisValue,
     FlatFunction,
     Layout,
     LayoutError,
@@ -306,6 +307,88 @@ def test_certificate_builds_no_exact_weights(monkeypatch):
     assert cert.all_ok
     assert sorted(cert.rows_s) == fn.layout.orders
     assert fn.base._exact_w == {}
+
+
+# the five layouts of tests/test_axis_pins.py and the selftest's layout
+ORACLE_LAYOUTS = [
+    ("gevrey:1", "sqrt", 64),
+    ("gevrey:1", "sqrt", 256),
+    ("gevrey:2", "sqrt", 256),
+    ("gevrey:1", "power:1/3", 256),
+    ("gevrey:3", "sqrt", 256),
+    ("shift:2:gevrey:1", "sqrt", 256),
+]
+
+
+def _rows_both_ways(fn, monkeypatch):
+    """Each row as it reads its products from brackets, and as it reads them
+    from the exact products alone, the oracle: both read one moment per row."""
+    axes = {}
+
+    def shared_axis(fn, order, at):
+        if order not in axes:
+            axes[order] = flat_axis_derivative(fn, order, at)
+        return dataclasses.replace(axes[order])  # no product read yet
+
+    monkeypatch.setattr(flat, "flat_axis_derivative", shared_axis)
+    bracketed = [flat._certificate_row(fn, e) for e in fn.layout.entries]
+    no_brackets = property(lambda ax: dict.fromkeys(ax._multipliers))
+    monkeypatch.setattr(FlatAxisValue, "_brackets", no_brackets)
+    exact = [flat._certificate_row(fn, e) for e in fn.layout.entries]
+    return [_row_bits(r) for r in bracketed], [_row_bits(r) for r in exact]
+
+
+@pytest.mark.parametrize(
+    "family, e_spec, lambda_max", ORACLE_LAYOUTS, ids=[f"{m}-{e}-{n}" for m, e, n in ORACLE_LAYOUTS]
+)
+def test_rows_read_from_brackets_equal_the_exact_oracle(family, e_spec, lambda_max, monkeypatch):
+    fn = FlatFunction(build_layout(parse_family(family), EFunction.parse(e_spec), lambda_max))
+    bracketed, exact = _rows_both_ways(fn, monkeypatch)
+    assert bracketed == exact
+
+
+def test_a_row_forms_no_exact_product_and_no_moment_denominator(greedy_256, monkeypatch):
+    def refuse(*args):
+        pytest.fail("formed an exact product or the moment's denominator")
+
+    for name in ("dominant_exact", "cross_hi", "total_lower", "moment"):
+        monkeypatch.setattr(FlatAxisValue, name, property(refuse))
+    monkeypatch.setattr(BaseFunction, "axis_moment", refuse)
+    fn = greedy_256["gevrey:1"]
+    rows = [flat._certificate_row(fn, e) for e in fn.layout.entries]
+    assert all(r.ok and r.dominant_ok and r.cross_ok and r.paths_agree for r in rows)
+
+
+def test_a_bracket_straddling_its_bound_reads_the_exact_product(flat_fn, monkeypatch):
+    # every numerator bracket widened to [0, 2^4096 hi]: each comparison and
+    # each log is undecided, so each product is formed exactly once
+    want = [_row_bits(flat._certificate_row(flat_fn, e)) for e in flat_fn.layout.entries]
+    bracket_of, times, formed = flat._bracket_factored, flat._times_factored, []
+
+    def straddling(*args):
+        (lo, hi, t), den = bracket_of(*args)
+        return (0, hi << 4096, t), den
+
+    def counted(*args):
+        formed.append(args[0])
+        return times(*args)
+
+    monkeypatch.setattr(flat, "_bracket_factored", straddling)
+    monkeypatch.setattr(flat, "_times_factored", counted)
+    got = [_row_bits(flat._certificate_row(flat_fn, e)) for e in flat_fn.layout.entries]
+    assert got == want
+    assert len(formed) == 3 * len(want)
+
+
+def test_a_failed_base_proof_reads_the_exact_product(greedy_256, monkeypatch):
+    # in gevrey:2's row 254 a base of factor.lo and of factor.hi shares a
+    # prime with the moment's numerator: those products are Fraction products
+    fn = greedy_256["gevrey:2"]
+    ax = flat_axis_derivative(fn, 254, 254)
+    assert [name for name, b in ax._brackets.items() if b is None] == ["cross_hi", "total_lower"]
+    assert not all(ax._coprime.values())
+    bracketed, exact = _rows_both_ways(fn, monkeypatch)
+    assert bracketed[-1] == exact[-1]
 
 
 def _usable_cpus(monkeypatch, n):

@@ -9,6 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from carleman.intervals import (
     BRACKET_BITS,
     RInterval,
+    _bracket,
+    _bracket_div,
+    _bracket_mul,
+    _bracket_sign,
     _log_bracketed,
     _power_bracket,
     exact_nth_root,
@@ -297,6 +301,7 @@ powers = st.one_of(
 @example((3, 0))
 @example((2**200 + 1, 3))
 @example((2**1000 + 1, 2))
+@example((2**129 - 1, 1))  # the rounded-up end carries into a new bit
 def test_power_bracket_encloses_the_power(power):
     base, e = power
     lo, hi, t = _power_bracket(base, e)
@@ -324,3 +329,75 @@ def test_an_exact_power_divided_exactly_gives_the_quotient(base, e, g, c):
     q = base**e // (g << c)
     assert q * (g << c) == base**e and q.bit_length() <= BRACKET_BITS
     assert _power_bracket(base, e, g, c) == (q, q, 0)
+
+
+def _ends(x):
+    """A bracket's ends lo 2^t and hi 2^t as integers."""
+    lo, hi, t = x
+    return lo << t, hi << t
+
+
+def _is_trimmed(x):
+    lo, hi, t = x
+    return 0 <= lo <= hi and hi.bit_length() <= BRACKET_BITS and t >= 0
+
+
+@st.composite
+def brackets(draw, least=0):
+    """(lo, hi, t) with least <= lo <= hi: lo of one of SIZES bits or 0, a
+    width of up to one of SIZES bits, and t from 0 to 3000."""
+    lo = max(least, _sized_int(draw) * draw(st.integers(0, 1)))
+    width = draw(st.integers(0, 2 ** draw(st.sampled_from(SIZES))))
+    return lo, lo + width, draw(st.integers(0, 3000))
+
+
+@given(st.integers(0, 2**4000))
+@settings(max_examples=200, deadline=None)
+@example(2**BRACKET_BITS - 1)
+@example(2 ** (BRACKET_BITS + 1) - 1)  # hi rounds up to a carry into a new bit
+def test_bracket_of_an_integer_encloses_it(n):
+    x = _bracket(n)
+    assert _is_trimmed(x)
+    lo, hi = _ends(x)
+    assert lo <= n <= hi
+    if n.bit_length() <= BRACKET_BITS:
+        assert x == (n, n, 0)
+
+
+@given(brackets(), brackets())
+@settings(max_examples=200, deadline=None)
+def test_bracket_product_encloses_the_products_of_the_ends(x, y):
+    z = _bracket_mul(x, y)
+    assert _is_trimmed(z)
+    lo, hi = _ends(z)
+    assert lo <= _ends(x)[0] * _ends(y)[0] and _ends(x)[1] * _ends(y)[1] <= hi
+
+
+@given(brackets(), st.integers(1, 2**2000))
+@settings(max_examples=200, deadline=None)
+@example((5, 5, 0), 5)
+@example((2**300, 2**300, 7), 2**300)
+def test_bracket_quotient_encloses_the_quotients_of_the_ends(x, g):
+    z = _bracket_div(x, g)
+    assert _is_trimmed(z)
+    lo, hi = _ends(z)
+    assert lo * g <= _ends(x)[0] and _ends(x)[1] <= hi * g
+    if x[0] == x[1] and x[0] % g == 0 and (x[0] // g).bit_length() <= BRACKET_BITS:
+        assert lo == hi  # an exact quotient that fits stays a point
+
+
+@given(
+    brackets(),
+    brackets(least=1),
+    st.sampled_from([0, 1, 2, 3]),
+    st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), 1 - Fraction(1, 2**200),
+                     Fraction(1), 1 + Fraction(1, 2**200), Fraction(2)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_bracket_sign_is_decided_exactly_when_every_quotient_lies_on_one_side(num, den, corner, f):
+    # r is a corner quotient scaled by f: on it, just beside it, far from it
+    # or of the other sign; the box of quotients is [n_lo/d_hi, n_hi/d_lo]
+    (n_lo, n_hi), (d_lo, d_hi) = _ends(num), _ends(den)
+    r = f * Fraction((n_lo, n_hi)[corner & 1], (d_lo, d_hi)[corner >> 1])
+    sign = _bracket_sign(num, den, r)
+    assert sign == (1 if Fraction(n_lo, d_hi) > r else -1 if Fraction(n_hi, d_lo) < r else None)
