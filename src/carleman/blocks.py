@@ -26,7 +26,7 @@ in lowest terms by trial division over those known primes, never by a gcd
 of their huge numerators; the certificate's products with a moment cancel
 over the same primes and are read from 128-bit brackets that multiply
 neither the product nor the denominator out (`_bracket_factored`), with the
-exact product (`_times_factored`) as the fallback.
+plain `Fraction` product as the fallback.
 
 A block is h((x - c)/rho) with c = (q rho, 0), q >= 1, 0 < rho < 1; it
 concentrates the same profile at scale rho around c. Every bound check takes
@@ -227,43 +227,6 @@ def _lowest_terms(num: int, den: dict[int, int]) -> tuple[int, dict[int, int]]:
     return num, left
 
 
-def _cancel_factored(
-    x: Fraction, bases: Sequence[int], N: int, primes: dict[int, int], proved: dict[int, bool]
-) -> Optional[tuple[int, dict[int, int]]]:
-    """(a / g, {p: exponent} of D / g) with x y = (a / g) N / (b (D / g)) in
-    lowest terms, for reduced x = a/b whose denominator's primes each divide
-    one of `bases`, and reduced y = N/D with D = prod p^e over `primes`.
-
-    g = gcd(a, D) comes by trial division over D's primes (`_lowest_terms`),
-    and gcd(N, b) = 1 is proved by gcd(N mod q, q) = 1 for each base q, so
-    the huge N meets no gcd. `proved` keeps each base's verdict {q: bool} for
-    this y, so products with one y test a base once. None if a check fails,
-    or if a = 0."""
-    a = x.numerator
-    for q in bases if a else ():
-        if q not in proved:
-            proved[q] = math.gcd(N % q, q) == 1
-    if not a or not all(proved[q] for q in bases):
-        return None
-    return _lowest_terms(a, primes)
-
-
-def _times_factored(
-    x: Fraction,
-    bases: Sequence[int],
-    y: Fraction,
-    primes: dict[int, int],
-    proved: dict[int, bool] | None = None,
-) -> Fraction:
-    """x y in lowest terms, for x, bases, y = N/D and primes as
-    `_cancel_factored` takes them; a Fraction product where it returns None."""
-    cancelled = _cancel_factored(x, bases, y.numerator, primes, {} if proved is None else proved)
-    if cancelled is None:
-        return x * y
-    a, left = cancelled
-    return _reduced(a * y.numerator, x.denominator * _product([p**e for p, e in left.items()]))
-
-
 def _bracket_factored(
     x: Fraction,
     bases: Sequence[int],
@@ -271,14 +234,25 @@ def _bracket_factored(
     primes: dict[int, int],
     proved: dict[int, bool],
 ) -> Optional[tuple[Bracket, Bracket]]:
-    """Brackets of the numerator and the denominator that `_times_factored`
-    would give x y, for N > 0: neither x y nor D is formed, D / g is
-    bracketed from its prime powers. None where x y would be a Fraction
-    product, or for x < 0."""
-    cancelled = _cancel_factored(x, bases, N, primes, proved)
-    if cancelled is None or cancelled[0] < 0:
+    """Brackets of the numerator a' N and the denominator b D' of x y in
+    lowest terms, for reduced x = a/b > 0 whose denominator's primes each
+    divide one of `bases`, and reduced y = N/D, N > 0, D = prod p^e over
+    `primes`. Neither x y nor D is formed: D' = D / gcd(a, D) is bracketed
+    from its prime powers.
+
+    gcd(N, b) = 1 is proved by gcd(N mod q, q) = 1 for each base q, and
+    a' = a / gcd(a, D) comes by trial division over D's primes
+    (`_lowest_terms`), so the huge N meets no gcd. `proved` keeps each
+    base's verdict {q: bool} for this y, so brackets with one y test a base
+    once. None if a check fails, or for x <= 0: then only the Fraction
+    product x y serves."""
+    a = x.numerator
+    for q in bases if a > 0 else ():
+        if q not in proved:
+            proved[q] = math.gcd(N % q, q) == 1
+    if a <= 0 or not all(proved[q] for q in bases):
         return None
-    a, left = cancelled
+    a, left = _lowest_terms(a, primes)
     powers = (_power_bracket(p, e) for p, e in left.items())
     return _bracket_mul(_bracket(a), _bracket(N)), reduce(_bracket_mul, powers, _bracket(x.denominator))
 
@@ -403,17 +377,16 @@ class BaseFunction:
 
     def _axis_moment(self, order: int) -> tuple[int, dict[int, int]]:
         """The exact moment sum_k w_k m_k^order in lowest terms, as its
-        numerator and its denominator's {p: exponent}, for products that
-        cancel by trial division (`_times_factored`) and for brackets that
-        never multiply the denominator out (`_bracket_factored`). The terms
-        (`_moment_terms`) are summed pairwise
-        as they come: a stack holds the sums of runs of 2^j consecutive terms,
-        j falling up the stack, and the k-th term closes one run per trailing
-        zero bit of k, so about log2 K partial sums are held. A merge
-        multiplies each numerator by the prime powers its denominator lacks
-        (`_add_factored`); the sum is put in lowest terms over its
-        denominator's known primes (`_lowest_terms`), so the ~877k-bit
-        numerator at order 2 of the 1024 layout meets no gcd."""
+        numerator and its denominator's {p: exponent}, for the brackets of
+        its products, which cancel by trial division and never multiply the
+        denominator out (`_bracket_factored`). The terms (`_moment_terms`)
+        are summed pairwise as they come: a stack holds the sums of runs of
+        2^j consecutive terms, j falling up the stack, and the k-th term
+        closes one run per trailing zero bit of k, so about log2 K partial
+        sums are held. A merge multiplies each numerator by the prime powers
+        its denominator lacks (`_add_factored`); the sum is put in lowest
+        terms over its denominator's known primes (`_lowest_terms`), so the
+        ~877k-bit numerator at order 2 of the 1024 layout meets no gcd."""
         if not self.M.has_exact:
             raise ValueError(f"{self.M.name} has no exact rational path")
         runs = []

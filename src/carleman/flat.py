@@ -13,8 +13,8 @@ irrational centers: a certificate row reads its per-block factors at their
 ends and forms exact sums from them, taking no gcd where known small bases
 prove the result in lowest terms. It reads its products with the huge moment
 from 128-bit outward brackets, proved in lowest terms from those bases and
-the moment's known primes, and forms an exact product only where a bracket
-cannot decide.
+the moment's known primes, and forms the plain `Fraction` product only where
+a bracket cannot decide.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .blocks import (
     _bracket_factored,
     _from_factored,
     _reduced,
-    _times_factored,
     polar_tail_log,
 )
 from .bricks import SweepResult, polar_samples
@@ -51,9 +50,10 @@ from .weights import WeightSequence, compare, parse_family, shift
 
 LAMBDA0_CAP = 10**6  # last order the lambda0 scan tries
 # a layout of at most this many bump terms certifies its rows in the calling
-# process, where a fork costs about what it saves: on a 2-core Xeon (Python
-# 3.11.7) the rows of the greedy gevrey:2 layout (138 terms) took 40 ms in
-# turn and 41 ms on two processes, those of gevrey:1 (224 terms) 75 and 55 ms
+# process: on a 2-core Xeon (Python 3.11.7; medians of 11 alternating runs)
+# greedy gevrey:1 at 64 (64 terms) took 6.4 ms in turn and 6.7 on two
+# processes, gevrey:2 at 128 (138 terms) 48-51 and 26-31, gevrey:1 at 256
+# (224 terms) 44-75 and 41-44; the crossover lies between 64 and 138 terms
 INPROCESS_MAX_TERMS = 160
 SHARPNESS_COMPARE_HORIZON = 64  # K of the sharpness hypothesis comparison
 # float logs decide a comparison of roots only when they differ by more than
@@ -427,15 +427,15 @@ class FlatAxisValue:
     (`_add_coprime`) kept with bases that cover their denominators' primes.
     A certificate row reads three products with the moment, `dominant_exact`,
     `cross_hi` and `total_lower`, through `log` and `compare`: each is proved
-    in lowest terms as `_times_factored` would form it, each base once for
-    all three, and read from 128-bit brackets of its numerator and
-    denominator (`_bracket_factored`), so neither the product nor the
-    moment's denominator is formed unless a proof fails or a bracket does
-    not decide. The lower end is a certified lower bound (truncation drops
-    positive terms), and total plus tail bounds the full sum above;
-    `paths_agree` compares the log of `total_lower` with the float log. The
-    exact products and `cross_iv` and `total_iv`, the interval products, are
-    kept as the oracle.
+    in lowest terms, each base once for all three, and read from 128-bit
+    brackets of its numerator and denominator (`_bracket_factored`), so
+    neither the product nor the moment's denominator is formed unless a
+    proof fails or a bracket does not decide; then the product is the plain
+    `Fraction` product with the moment. The lower end is a certified lower
+    bound (truncation drops positive terms), and total plus tail bounds the
+    full sum above; `paths_agree` compares the log of `total_lower` with the
+    float log. The exact products and `cross_iv` and `total_iv`, the
+    interval products, are kept as the oracle.
     """
 
     order: int
@@ -455,12 +455,6 @@ class FlatAxisValue:
         return _from_factored(self.moment_num, self.moment_primes)
 
     @cached_property
-    def _coprime(self) -> dict[int, bool]:
-        """Each base's gcd(moment numerator mod q, q) = 1 verdict, shared by
-        the row's products."""
-        return {}
-
-    @cached_property
     def _multipliers(self) -> dict[str, tuple[Fraction, tuple[int, ...]]]:
         """Each product's small factor, with bases that cover its denominator."""
         scale = (self.target_scale, (self.target_scale.denominator,))
@@ -471,8 +465,7 @@ class FlatAxisValue:
         }
 
     def _times_moment(self, name: str) -> Fraction:
-        x, bases = self._multipliers[name]
-        return _times_factored(x, bases, self.moment, self.moment_primes, self._coprime)
+        return self._multipliers[name][0] * self.moment
 
     @cached_property
     def dominant_exact(self) -> Fraction:
@@ -489,9 +482,11 @@ class FlatAxisValue:
     @cached_property
     def _brackets(self) -> dict[str, Optional[tuple]]:
         """Each product's numerator and denominator brackets
-        (`_bracket_factored`), or None where only the exact product serves."""
+        (`_bracket_factored`, which tests each base once for all three), or
+        None where only the exact product serves."""
+        proved = {}
         return {
-            name: _bracket_factored(x, bases, self.moment_num, self.moment_primes, self._coprime)
+            name: _bracket_factored(x, bases, self.moment_num, self.moment_primes, proved)
             for name, (x, bases) in self._multipliers.items()
         }
 

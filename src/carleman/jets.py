@@ -11,15 +11,15 @@ that stays within the degree, which products walk, skipping zero operands
 (so exact jets pay nothing for zero entries and no 0 * inf appears in float
 ones); and for each output position alpha, the (beta, alpha - beta) pairs of
 the reciprocal's order-by-order solve. `reciprocal_sum` gives the bump
-superposition sum_k w_k / (A + (m_k y2)^2) by a straight-line kernel,
-generated from both tables once per degree and pattern of nonzero positions
-of A and y2 and compiled: one loop over the bump index k with every
-intermediate a local scalar, each the scalar operation of the per-term
+superposition sum_k w_k / (A + (m_k y2)^2), on floats by a straight-line
+kernel, generated from both tables once per degree and pattern of nonzero
+positions of A and y2 and compiled: one loop over the bump index k with
+every intermediate a local float, each the scalar operation of the per-term
 product, reciprocal, scale and running sum in the same order. A float
 reciprocal is its one-term sum (y2 = 0, w = 1), so every float solve runs
-there. An exact reciprocal runs the solve on integers instead, the jet
-scaled by the lcm of its denominators, and forms each coefficient once as a
-reduced Fraction rather than normalising after every scalar operation.
+there. An exact reciprocal runs the solve on integers, the jet scaled by the
+lcm of its denominators, and forms each coefficient once as a reduced
+Fraction; an exact sum adds those reciprocals term by term.
 sin/cos split off the (possibly irrational) angle constant and run
 Maclaurin series on the nilpotent part; the polar coordinate jets
 (r cos theta, r sin theta) are written from the same coefficients in closed
@@ -306,12 +306,12 @@ def _sum_kernel(degree: int, a_nz: tuple, y_nz: tuple) -> Callable:
     """The straight-line body of `reciprocal_sum` for one degree and the
     nonzero positions a_nz of A and y_nz of y2, compiled once.
 
-    kernel(A, Y, ms, ws, zero, one) runs k in one loop, every intermediate a
+    kernel(A, Y, ms, ws) runs k in one loop over floats, every intermediate a
     local scalar named by its table position: u_p = Y_p m, the squares q_r in
-    __mul__'s (p, q) order and q_r = a_r + q_r, o_0 = one / q_0, n_0 = -o_0,
+    __mul__'s (p, q) order and q_r = a_r + q_r, o_0 = 1.0 / q_0, n_0 = -o_0,
     o_p = n_0 (q_b o_r + ...) in the solve order of `_tables`, and
     t_p = t_p + o_p w. A position nothing reaches is never named; the list it
-    returns holds zero there."""
+    returns holds 0.0 there."""
     _, sums, solve = _tables(degree)
     squares = [[] for _ in sums]
     for p in y_nz:
@@ -330,7 +330,7 @@ def _sum_kernel(degree: int, a_nz: tuple, y_nz: tuple) -> Callable:
             Q[r] = f"q{r}"
         elif r in a_nz:
             Q[r] = f"a{r}"
-    loop += [f"o0 = one / {Q[0]}", "n0 = -o0"]
+    loop += [f"o0 = 1.0 / {Q[0]}", "n0 = -o0"]
     out = {0}
     for p in range(1, len(sums)):
         terms = [f"{Q[b]} * o{r}" for b, r in solve[p] if b in Q and r in out]
@@ -338,12 +338,12 @@ def _sum_kernel(degree: int, a_nz: tuple, y_nz: tuple) -> Callable:
             loop += _sum_lines(f"o{p}", terms) + [f"o{p} = n0 * o{p}"]
             out.add(p)
     loop += [f"t{p} = t{p} + o{p} * w" for p in sorted(out)]
-    result = ", ".join(f"t{p}" if p in out else "zero" for p in range(len(sums)))
+    result = ", ".join(f"t{p}" if p in out else "0.0" for p in range(len(sums)))
     src = "\n    ".join(
-        ["def kernel(A, Y, ms, ws, zero, one):"]
+        ["def kernel(A, Y, ms, ws):"]
         + [f"a{p} = A[{p}]" for p in a_nz]
         + [f"y{p} = Y[{p}]" for p in y_nz]
-        + [" = ".join(f"t{p}" for p in sorted(out)) + " = zero", "for m, w in zip(ms, ws):"]
+        + [" = ".join(f"t{p}" for p in sorted(out)) + " = 0.0", "for m, w in zip(ms, ws):"]
         + ["    " + line for line in loop]
         + [f"return [{result}]"]
     )
@@ -359,7 +359,9 @@ def reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:
         ym = y2.scale(m_k),
 
     with .reciprocal() the graded solve in `_tables` order, whenever its
-    intermediate values stay finite. A float .reciprocal() is this kernel, so
+    intermediate values stay finite. Exact scalars give the same sum in any
+    order, so an exact jet runs this formula as it stands, each .reciprocal()
+    the integer solve. A float .reciprocal() is the kernel, so
     tests/test_jets.py keeps that solve and the formula as its references
     (`table_walk_reciprocal`, `list_over_k_reciprocal_sum`). One compiled
     kernel per degree and pattern of nonzero positions of A and y2
@@ -369,14 +371,16 @@ def reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:
     total in increasing k. Structural zeros (of A and y2) are never touched;
     a value that is zero only for some k adds a zero of some sign where the
     formula skips it, which leaves every nonzero sum as it is and adds
-    nothing to the total. Exact jets run the same kernel on Fractions.
+    nothing to the total.
     """
     A._check_compatible(y2)
     if len(ms) != len(ws):
         raise JetError(f"{len(ms)} ratios but {len(ws)} weights")
-    kind, zero = A.kind, _ZERO[A.kind]
-    if not ms:
-        return A._wrap([zero] * len(A._c))
+    total = A._wrap([_ZERO[A.kind]] * len(A._c))
+    if A.kind == EXACT or not ms:
+        for m, w in zip(ms, ws):
+            total = total + (A + y2.scale(m) ** 2).reciprocal().scale(w)
+        return total
     if not (A._c[0] or y2._c[0]):
         raise SingularJet("reciprocal of a jet with zero constant term")
     kernel = _sum_kernel(
@@ -384,11 +388,8 @@ def reciprocal_sum(A: Jet2, y2: Jet2, ms, ws) -> Jet2:
         tuple(p for p, a in enumerate(A._c) if a),
         tuple(p for p, b in enumerate(y2._c) if b),
     )
-    ms = [_coerce(kind, m) for m in ms]
-    ws = [_coerce(kind, w) for w in ws]
-    one = Fraction(1) if kind == EXACT else 1.0
     try:
-        return A._wrap(kernel(A._c, y2._c, ms, ws, zero, one))
+        return A._wrap(kernel(A._c, y2._c, [float(m) for m in ms], [float(w) for w in ws]))
     except ZeroDivisionError:
         raise SingularJet("reciprocal of a jet with zero constant term") from None
 

@@ -29,7 +29,6 @@ from carleman.blocks import (
     _lowest_terms,
     _prime_factors,
     _reduced,
-    _times_factored,
 )
 from carleman.intervals import RInterval, _bracket_sign, _log_bracketed
 from carleman.jets import EXACT, FLOAT, Jet2, jet_sin_cos
@@ -261,7 +260,7 @@ BASE_PRIMES = (2, 3, 11, 13, 101, 2**61 - 1)  # 2 and 3 may also be moment prime
 
 @st.composite
 def moment_products(draw):
-    """(x, bases, y, primes) for `_times_factored`: y = N/D reduced with D =
+    """(x, bases, y, primes) for `_bracket_factored`: y = N/D reduced with D =
     prod p^e over `primes`, and x = a/b reduced with b a product of powers of
     `bases`. a may be 0 or hold a moment prime up to 2e times, and N may hold a
     prime of a base (the fallback) unless that prime divides D."""
@@ -288,17 +287,6 @@ def moment_products(draw):
 @example((Fraction(2**50 * 3**9 * 7, 11**4), [11, 13], Fraction(5, 2**40 * 3**4), {2: 40, 3: 4}))  # a holds 2, 3 past e
 @example((Fraction(1, 11**3 * 13), [11 * 13], Fraction(11 * 17, 2**5), {2: 5}))  # N shares 11 with b
 @example((Fraction(0), [6], Fraction(7, 2), {2: 1}))  # a zero multiplier
-def test_times_factored_matches_fraction(case):
-    x, bases, y, primes = case
-    want, got = x * y, _times_factored(x, bases, y, primes)
-    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-    assert got == want and hash(got) == hash(want)
-
-
-@settings(max_examples=300, deadline=None)
-@given(moment_products())
-@example((Fraction(2**50 * 3**9 * 7, 11**4), [11, 13], Fraction(5, 2**40 * 3**4), {2: 40, 3: 4}))
-@example((Fraction(1, 11**3 * 13), [11 * 13], Fraction(11 * 17, 2**5), {2: 5}))
 def test_bracketed_products_read_as_the_exact_product(case):
     # the brackets enclose the lowest-terms numerator and denominator of x y,
     # so the logs read from them are log_of_fraction's bit for bit, and each

@@ -363,18 +363,18 @@ def test_a_bracket_straddling_its_bound_reads_the_exact_product(flat_fn, monkeyp
     # every numerator bracket widened to [0, 2^4096 hi]: each comparison and
     # each log is undecided, so each product is formed exactly once
     want = [_row_bits(flat._certificate_row(flat_fn, e)) for e in flat_fn.layout.entries]
-    bracket_of, times, formed = flat._bracket_factored, flat._times_factored, []
+    bracket_of, times, formed = flat._bracket_factored, FlatAxisValue._times_moment, []
 
     def straddling(*args):
         (lo, hi, t), den = bracket_of(*args)
         return (0, hi << 4096, t), den
 
-    def counted(*args):
-        formed.append(args[0])
-        return times(*args)
+    def counted(ax, name):
+        formed.append(name)
+        return times(ax, name)
 
     monkeypatch.setattr(flat, "_bracket_factored", straddling)
-    monkeypatch.setattr(flat, "_times_factored", counted)
+    monkeypatch.setattr(FlatAxisValue, "_times_moment", counted)
     got = [_row_bits(flat._certificate_row(flat_fn, e)) for e in flat_fn.layout.entries]
     assert got == want
     assert len(formed) == 3 * len(want)
@@ -386,7 +386,6 @@ def test_a_failed_base_proof_reads_the_exact_product(greedy_256, monkeypatch):
     fn = greedy_256["gevrey:2"]
     ax = flat_axis_derivative(fn, 254, 254)
     assert [name for name, b in ax._brackets.items() if b is None] == ["cross_hi", "total_lower"]
-    assert not all(ax._coprime.values())
     bracketed, exact = _rows_both_ways(fn, monkeypatch)
     assert bracketed[-1] == exact[-1]
 
