@@ -59,9 +59,12 @@ def brick_value(p: BrickParams, x1: Scalar, x2: Scalar) -> Scalar:
 
 
 def _brick_of(p: BrickParams, x1: Jet2, x2: Jet2) -> Jet2:
-    """The bump composed with coordinate jets x1, x2: the one-term bump sum
-    rho^2 / (A + (m x2)^2), A = rho^2 + (x1 - rho q)^2."""
-    return reciprocal_sum(p.rho**2 + (x1 - p.rho * p.q) ** 2, x2, [p.m], [p.rho**2])
+    """The bump composed with coordinate jets x1, x2: rho^2 times the
+    one-term bump sum 1 / (A + (m x2)^2), A = rho^2 + (x1 - rho q)^2. The
+    scale by rho^2 comes after the sum, as in 1 / denominator * rho^2: a
+    float sum's running total reads a zero term as 0.0, so a coefficient
+    that underflows to -0.0 only in the scale keeps its sign."""
+    return reciprocal_sum(p.rho**2 + (x1 - p.rho * p.q) ** 2, x2, [p.m], [1]).scale(p.rho**2)
 
 
 def brick_jet(p: BrickParams, base: tuple, degree: int) -> Jet2:
